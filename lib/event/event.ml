@@ -51,13 +51,11 @@ type spec =
   | Seq of spec list (* fires when all sub-specs matched, in order *)
   | Both of spec * spec (* fires when both matched, any order *)
 
-(** Any change to the relationship graph: link, retarget/attr update,
-    unlink.  The spec derived caches over the adjacency structure (the
-    index layer's CSR snapshots, materialised views) subscribe with —
-    combined with {!On_abort}, whose mirror rebuild can resurrect edges
-    no per-edge event described. *)
-let rel_change : spec =
-  Any_of [ On_rel_create None; On_rel_update (None, None); On_rel_delete None ]
+(** The [attr] of the {!Rel_updated} event a retarget emits: the only
+    relationship update that moves an edge.  Any other attribute update
+    leaves the graph alone (the object layer rejects updates to the
+    reserved origin, destination and context attributes). *)
+let endpoints_attr = "__endpoints"
 
 type subclass_pred = sub:string -> super:string -> bool
 

@@ -412,13 +412,19 @@ let commit t =
   end
   else t.tx_depth <- t.tx_depth - 1
 
+(* After the store rolled back: resynchronise the mirror, then tell
+   [On_abort] subscribers (the graph layer's CSR snapshots, the rules
+   engine's deferred queue) that state they derived may be gone. *)
+let rolled_back t =
+  rebuild_mirror t;
+  Hashtbl.reset t.touched;
+  Bus.emit t.bus Event.Tx_abort
+
 let abort t =
   if t.tx_depth <= 0 then fail "abort outside transaction";
   t.tx_depth <- 0;
   Store.abort t.store;
-  rebuild_mirror t;
-  Hashtbl.reset t.touched;
-  Bus.emit t.bus Event.Tx_abort
+  rolled_back t
 
 let with_tx t f =
   begin_tx t;
@@ -749,7 +755,7 @@ let retarget t rel_oid ?origin ?destination () =
          rel_name = r.Obj.class_name;
          origin = new_origin;
          destination = new_destination;
-         attr = "__endpoints";
+         attr = Event.endpoints_attr;
        })
 
 (* ---------------------------------------------------------------------- *)
@@ -1024,9 +1030,10 @@ let object_count t = Hashtbl.length t.objects
     domain; [submit] runs a mutation body in that domain as one soft
     transaction and blocks until it is durable, returning the commit
     LSN.  Concurrent submitters batch into shared fsync cycles.  A body
-    that raises is rolled back (store pages soft-aborted, mirror
-    rebuilt via the group's rollback hook) and its exception re-raised
-    at the submitter.
+    that raises is rolled back (store pages soft-aborted, then the
+    group's rollback hook rebuilds the mirror and emits [Tx_abort],
+    exactly as {!abort} does) and its exception re-raised at the
+    submitter.
 
     While a writer is running, the database must not be driven through
     [begin_tx]/[with_tx] or bare mutators from other threads — the
@@ -1045,7 +1052,7 @@ module Writer = struct
     if in_tx db then fail "writer start inside a transaction";
     let g =
       Store.Group.start ?max_batch ?queue_cap
-        ~on_rollback:(fun () -> rebuild_mirror db)
+        ~on_rollback:(fun () -> rolled_back db)
         db.store
     in
     { w_db = db; w_group = g }

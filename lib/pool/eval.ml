@@ -113,7 +113,8 @@ type db_stats = {
   extent_scans : int;
   plan_cache_hits : int;
   plan_cache_misses : int;
-  adjacency_rebuilds : int;
+  adjacency_rebuilds : int; (* CSR snapshots built from the object mirror *)
+  adjacency_patches : int; (* CSR snapshots patched from relationship events *)
 }
 
 (** Cumulative query-engine statistics for [db]. *)
@@ -127,6 +128,7 @@ let db_stats db : db_stats =
     plan_cache_hits = Atomic.get t.t_cache_hits;
     plan_cache_misses = Atomic.get t.t_cache_misses;
     adjacency_rebuilds = Pgraph.Csr.rebuild_count db;
+    adjacency_patches = Pgraph.Csr.patch_count db;
   }
 
 type state = {

@@ -216,6 +216,7 @@ let stats_json ?serving (db : Database.t) : string =
             ("plan_cache_hits", Int q.Pool_lang.Eval.plan_cache_hits);
             ("plan_cache_misses", Int q.Pool_lang.Eval.plan_cache_misses);
             ("adjacency_rebuilds", Int q.Pool_lang.Eval.adjacency_rebuilds);
+            ("adjacency_patches", Int q.Pool_lang.Eval.adjacency_patches);
           ] );
       ( "integrity",
         (* checksum/scrub posture of this database plus the

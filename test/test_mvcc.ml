@@ -15,7 +15,10 @@
      versions, releasing it lets the watermark free them (observed via
      [Store.stats]);
    - domain-safety of the obs substrate (atomic counters, monotonic
-     clock) and of per-database layer state under a 4-domain hammer. *)
+     clock) and of per-database layer state under a 4-domain hammer;
+   - a group-commit rollback reaching [On_abort] subscribers, and CSR
+     snapshots patched on one domain while others traverse the ones
+     they hold and the group writer links and unlinks. *)
 
 open Pstore
 module F = Fault
@@ -387,6 +390,149 @@ let test_ext_hammer () =
   D.close view;
   D.close db
 
+(* --- 8. a group rollback reaches On_abort subscribers ------------------- *)
+
+module Traverse = Pgraph.Traverse
+
+let tree_rel = "parent_of"
+
+let test_writer_rollback_drops_csr () =
+  let fs = F.create () in
+  let db = mk_db fs "mvcc8.db" in
+  ignore (D.define_rel db tree_rel ~origin:value_cls ~destination:value_cls);
+  let a, b =
+    match D.extent_list db value_cls with a :: b :: _ -> (a, b) | _ -> assert false
+  in
+  let w = D.Writer.start db in
+  (* the body links, traverses (so a snapshot holds the edge), then fails *)
+  (match
+     D.Writer.submit w (fun db ->
+         ignore (D.link db tree_rel ~origin:a ~destination:b);
+         ignore (Traverse.descendants db ~csr:true ~rel:tree_rel a);
+         failwith "veto")
+   with
+  | _ -> Alcotest.fail "failing body must raise at the submitter"
+  | exception Failure _ -> ());
+  (match
+     D.Writer.read w (fun db ->
+         ( Traverse.descendants db ~csr:true ~rel:tree_rel a,
+           Traverse.descendants db ~csr:false ~rel:tree_rel a ))
+   with
+  | _, Ok (csr, legacy) ->
+      Alcotest.(check int) "rolled-back edge gone (legacy)" 0 (D.OidSet.cardinal legacy);
+      Alcotest.(check bool) "rolled-back edge gone (csr)" true (D.OidSet.equal csr legacy)
+  | _, Error e -> raise e);
+  D.Writer.stop w;
+  D.close db
+
+(* --- 9. CSR patching across domains ------------------------------------- *)
+
+(* A tree over the first [tree_size] records, edges parent -> child;
+   returns the record oids and each tree node's incoming edge. *)
+let tree_size = 180
+
+let hammer_tree db =
+  ignore (D.define_rel db tree_rel ~origin:value_cls ~destination:value_cls);
+  let nodes = Array.of_list (D.extent_list db value_cls) in
+  let edge_of = Array.make tree_size 0 in
+  D.with_tx db (fun () ->
+      for i = 1 to tree_size - 1 do
+        edge_of.(i) <- D.link db tree_rel ~origin:nodes.((i - 1) / 2) ~destination:nodes.(i)
+      done);
+  (nodes, edge_of)
+
+(* Step [k] of the writer's script: even steps detach a subtree, odd
+   steps hang it under another record, which may lie outside the tree
+   (a node the snapshot has no slot for yet) or inside its own subtree
+   (a cycle).  Fewer steps than edges, so no key outgrows its queue. *)
+let hammer_steps = 150
+
+let hammer_step db nodes edge_of k =
+  let j = k / 2 in
+  let i = 1 + (j * 37 mod (tree_size - 1)) in
+  if k mod 2 = 0 then D.unlink db edge_of.(i)
+  else
+    let p = ((i * 7) + j) mod Array.length nodes in
+    edge_of.(i) <- D.link db tree_rel ~origin:nodes.(p) ~destination:nodes.(i)
+
+let test_csr_patch_hammer () =
+  let observe_csr nodes s =
+    (Pgraph.Csr.descendants s nodes.(0), Pgraph.Csr.ancestors s nodes.(150))
+  in
+  (* the legacy answer after each step, replayed single-threaded on an
+     identical database *)
+  let expected =
+    let db = mk_db (F.create ()) "mvcc9.db" in
+    let nodes, edge_of = hammer_tree db in
+    let observe () =
+      ( Traverse.descendants db ~csr:false ~rel:tree_rel nodes.(0),
+        Traverse.ancestors db ~csr:false ~rel:tree_rel nodes.(150) )
+    in
+    let e = Array.make (hammer_steps + 1) (observe ()) in
+    for k = 0 to hammer_steps - 1 do
+      hammer_step db nodes edge_of k;
+      e.(k + 1) <- observe ()
+    done;
+    D.close db;
+    e
+  in
+  let same (d, a) (d', a') = D.OidSet.equal d d' && D.OidSet.equal a a' in
+  let db = mk_db (F.create ()) "mvcc9.db" in
+  let nodes, edge_of = hammer_tree db in
+  (* the earliest step >= [from] whose legacy answer [s] gives:
+     the snapshots one domain sees only ever move forward *)
+  let generation ~from s =
+    let o = observe_csr nodes s in
+    let rec find k =
+      if k > hammer_steps then None else if same o expected.(k) then Some k else find (k + 1)
+    in
+    find from
+  in
+  let m = Pgraph.Csr.handle db in
+  (* built before the writer starts: from here on, only patches *)
+  let current = Atomic.make (Pgraph.Csr.get m ~rel:tree_rel ()) in
+  let writing = Atomic.make true in
+  let w = D.Writer.start db in
+  let patcher =
+    Domain.spawn (fun () ->
+        let ok = ref true and last = ref 0 in
+        while Atomic.get writing do
+          let s = Pgraph.Csr.get m ~rel:tree_rel () in
+          (match generation ~from:!last s with Some k -> last := k | None -> ok := false);
+          Atomic.set current s
+        done;
+        !ok)
+  in
+  let readers =
+    List.init 2 (fun _ ->
+        Domain.spawn (fun () ->
+            let ok = ref true and last = ref 0 in
+            while Atomic.get writing do
+              (* traverse a held snapshot twice: it must not move *)
+              let s = Atomic.get current in
+              match generation ~from:!last s with
+              | Some k ->
+                  last := k;
+                  if generation ~from:k s <> Some k then ok := false
+              | None -> ok := false
+            done;
+            !ok))
+  in
+  for k = 0 to hammer_steps - 1 do
+    ignore (D.Writer.submit w (fun db -> hammer_step db nodes edge_of k))
+  done;
+  Atomic.set writing false;
+  Alcotest.(check bool) "patcher saw legacy answers" true (Domain.join patcher);
+  List.iter
+    (fun d -> Alcotest.(check bool) "reader saw legacy answers" true (Domain.join d))
+    readers;
+  D.Writer.stop w;
+  Alcotest.(check bool) "final snapshot = final legacy answer" true
+    (same (observe_csr nodes (Pgraph.Csr.get m ~rel:tree_rel ())) expected.(hammer_steps));
+  Alcotest.(check int) "only the first build" 1 (Pgraph.Csr.rebuild_count db);
+  Alcotest.(check bool) "patched" true (Pgraph.Csr.patch_count db > 0);
+  D.close db
+
 (* ---------------------------------------------------------------------- *)
 
 let () =
@@ -406,10 +552,13 @@ let () =
           Alcotest.test_case "failing body isolated" `Quick test_group_abort_isolated;
           Alcotest.test_case "crash mid-batch recovers a prefix" `Quick
             test_group_crash_prefix;
+          Alcotest.test_case "rollback drops CSR snapshots" `Quick
+            test_writer_rollback_drops_csr;
         ] );
       ( "domains",
         [
           Alcotest.test_case "obs counters and clock" `Quick test_obs_domain_safety;
           Alcotest.test_case "layer-state hammer on shared view" `Quick test_ext_hammer;
+          Alcotest.test_case "CSR patched across domains" `Quick test_csr_patch_hammer;
         ] );
     ]

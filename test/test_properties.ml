@@ -1,6 +1,7 @@
 (* Property-based tests over the core data structures and invariants:
    value serialisation, value ordering, schema round-trips, graph
-   dualities, derivation determinism, synonymy symmetry, and POOL
+   dualities, CSR snapshots patched from events against the legacy
+   traversal, derivation determinism, synonymy symmetry, and POOL
    algebraic laws. *)
 
 open Pmodel
@@ -270,6 +271,176 @@ let prop_path_endpoints =
             nodes))
 
 (* ------------------------------------------------------------------ *)
+(* CSR snapshots patched from events = legacy traversal                *)
+(* ------------------------------------------------------------------ *)
+
+(* Edges are "Edge" instances or instances of its lifetime-dependent
+   sub-relationship "Part", each in no context or one of two. *)
+type graph_op =
+  | Link of bool * int * int * int (* Part?, origin, destination, context 0-2 *)
+  | Unlink of int (* k-th live edge *)
+  | Retarget of int * int * int (* k-th live edge, new origin, new destination *)
+  | Reweigh of int * int (* k-th live edge, new weight: not an endpoint change *)
+  | Delete_node of int (* cascades along Part *)
+  | Add_node
+  | Begin
+  | Abort
+
+let pp_graph_op = function
+  | Link (part, a, b, c) ->
+      Printf.sprintf "link%s %d->%d ctx%d" (if part then "-part" else "") a b c
+  | Unlink k -> Printf.sprintf "unlink #%d" k
+  | Retarget (k, a, b) -> Printf.sprintf "retarget #%d %d->%d" k a b
+  | Reweigh (k, w) -> Printf.sprintf "reweigh #%d %d" k w
+  | Delete_node i -> Printf.sprintf "delete %d" i
+  | Add_node -> "add-node"
+  | Begin -> "begin"
+  | Abort -> "abort"
+
+(* each step carries whether to compare after it: skipped comparisons
+   let deltas pile up, at times past a key's drop threshold *)
+let graph_ops_arb =
+  let open QCheck.Gen in
+  let node = int_bound 9 in
+  let op =
+    frequency
+      [
+        (6, map (fun (p, a, b, c) -> Link (p, a, b, c)) (quad bool node node (int_bound 2)));
+        (2, map (fun k -> Unlink k) small_nat);
+        (2, map (fun (k, a, b) -> Retarget (k, a, b)) (triple small_nat node node));
+        (1, map (fun (k, w) -> Reweigh (k, w)) (pair small_nat small_nat));
+        (1, map (fun i -> Delete_node i) node);
+        (1, return Add_node);
+        (1, return Begin);
+        (1, return Abort);
+      ]
+  in
+  QCheck.make
+    ~print:(fun steps ->
+      String.concat "; "
+        (List.map (fun (o, c) -> pp_graph_op o ^ if c then "" else " (no check)") steps))
+    (list_size (int_range 1 30) (pair op (map (fun k -> k > 0) (int_bound 2))))
+
+let setup_graph db =
+  ignore (Database.define_class db "GNode" [ Meta.attr "i" V.TInt ]);
+  ignore
+    (Database.define_rel db "Edge" ~origin:"GNode" ~destination:"GNode"
+       ~attrs:[ Meta.attr "w" V.TInt ]);
+  ignore
+    (Database.define_rel db "Part" ~supers:[ "Edge" ] ~kind:Meta.Aggregation ~lifetime_dep:true
+       ~origin:"GNode" ~destination:"GNode");
+  let contexts = [ Database.create_context db "c1"; Database.create_context db "c2" ] in
+  let nodes = List.init 6 (fun i -> Database.create db "GNode" [ ("i", V.VInt i) ]) in
+  (contexts, nodes)
+
+(* Every traversal entry point agrees between CSR and legacy, for both
+   relationship classes, with and without a context, from every node
+   ever created (deleted ones included). *)
+let csr_agrees db contexts nodes =
+  let universe = OidSet.of_list nodes in
+  let module T = Pgraph.Traverse in
+  List.for_all
+    (fun rel ->
+      List.for_all
+        (fun context ->
+          let same f = OidSet.equal (f true) (f false) in
+          List.for_all
+            (fun n ->
+              same (fun csr -> T.descendants db ?context ~csr ~rel n)
+              && same (fun csr -> T.ancestors db ?context ~csr ~rel n)
+              && same (fun csr -> T.closure db ?context ~csr ~rel n)
+              &&
+              let g csr = Pgraph.Subgraph.extract db ?context ~csr ~rel n in
+              let a = g true and b = g false in
+              OidSet.equal a.Pgraph.Subgraph.nodes b.Pgraph.Subgraph.nodes
+              && List.sort compare a.Pgraph.Subgraph.edges
+                 = List.sort compare b.Pgraph.Subgraph.edges)
+            nodes
+          && T.roots db ?context ~csr:true ~rel universe
+             = T.roots db ?context ~csr:false ~rel universe
+          && T.leaves db ?context ~csr:true ~rel universe
+             = T.leaves db ?context ~csr:false ~rel universe)
+        (None :: List.map Option.some contexts))
+    [ "Edge"; "Part" ]
+
+let prop_csr_patch_matches_legacy =
+  QCheck.Test.make ~name:"patched CSR snapshots = legacy traversal after every step" ~count:200
+    graph_ops_arb (fun steps ->
+      with_db (fun db ->
+          let contexts, nodes = setup_graph db in
+          let nodes = ref nodes in
+          let node i = List.nth !nodes (i mod List.length !nodes) in
+          let edge k =
+            match Database.extent_list db "Edge" with
+            | [] -> None
+            | es -> Some (List.nth es (k mod List.length es))
+          in
+          let attempt f = try f () with Database.Model_error _ -> () in
+          let apply = function
+            | Link (part, a, b, c) ->
+                let context = if c = 0 then None else List.nth_opt contexts (c - 1) in
+                attempt (fun () ->
+                    ignore
+                      (Database.link db ?context
+                         (if part then "Part" else "Edge")
+                         ~origin:(node a) ~destination:(node b)))
+            | Unlink k -> Option.iter (fun e -> attempt (fun () -> Database.unlink db e)) (edge k)
+            | Retarget (k, a, b) ->
+                Option.iter
+                  (fun e ->
+                    attempt (fun () ->
+                        Database.retarget db e ~origin:(node a) ~destination:(node b) ()))
+                  (edge k)
+            | Reweigh (k, w) ->
+                Option.iter
+                  (fun e -> attempt (fun () -> Database.update db e "w" (V.VInt w)))
+                  (edge k)
+            | Delete_node i -> Database.delete db (node i)
+            | Add_node ->
+                nodes :=
+                  !nodes @ [ Database.create db "GNode" [ ("i", V.VInt (List.length !nodes)) ] ]
+            | Begin -> if not (Database.in_tx db) then Database.begin_tx db
+            | Abort -> if Database.in_tx db then Database.abort db
+          in
+          let ok =
+            List.for_all
+              (fun (op, check) ->
+                apply op;
+                (not check) || csr_agrees db contexts !nodes)
+              steps
+          in
+          if Database.in_tx db then Database.abort db;
+          ok && csr_agrees db contexts !nodes))
+
+(* A key whose queued deltas outnumber its edges is dropped and rebuilt;
+   up to that point it is patched. *)
+let test_csr_drop_threshold () =
+  with_db (fun db ->
+      let _, nodes = setup_graph db in
+      let nodes = Array.of_list nodes in
+      let link a b = ignore (Database.link db "Edge" ~origin:nodes.(a) ~destination:nodes.(b)) in
+      let traverse () = Pgraph.Traverse.descendants db ~csr:true ~rel:"Edge" nodes.(0) in
+      let agrees () =
+        OidSet.equal (traverse ())
+          (Pgraph.Traverse.descendants db ~csr:false ~rel:"Edge" nodes.(0))
+      in
+      let counts () = (Pgraph.Csr.rebuild_count db, Pgraph.Csr.patch_count db) in
+      link 0 1;
+      link 1 2;
+      Alcotest.(check bool) "built" true (agrees ());
+      Alcotest.(check (pair int int)) "one build" (1, 0) (counts ());
+      (* a link queues two deltas, a Remove then an Add: as many
+         deltas as edges, still patched *)
+      link 2 3;
+      Alcotest.(check bool) "patched = legacy" true (agrees ());
+      Alcotest.(check (pair int int)) "patched, not rebuilt" (1, 1) (counts ());
+      (* four deltas on a three-edge snapshot: dropped, then rebuilt *)
+      link 3 4;
+      link 4 5;
+      Alcotest.(check bool) "rebuilt = legacy" true (agrees ());
+      Alcotest.(check (pair int int)) "rebuilt past the threshold" (2, 1) (counts ()))
+
+(* ------------------------------------------------------------------ *)
 (* Taxonomy properties                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -472,8 +643,9 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_closure_is_descendants_plus_root; prop_ancestors_descendants_dual;
-            prop_dag_has_no_cycle; prop_path_endpoints;
-          ] );
+            prop_dag_has_no_cycle; prop_path_endpoints; prop_csr_patch_matches_legacy;
+          ]
+        @ [ Alcotest.test_case "CSR drop threshold" `Quick test_csr_drop_threshold ] );
       ( "taxonomy",
         List.map QCheck_alcotest.to_alcotest
           [

@@ -1,6 +1,6 @@
 (* Tests for the plan-then-run query engine (PR 3): index range/prefix
    pushdown, hash joins, the plan cache, CSR adjacency snapshots and
-   their event-bus invalidation.  The central claim under test is
+   their upkeep from bus events.  The central claim under test is
    bit-identical results: the optimized engine must return exactly what
    the legacy interpreter returns, on every query, after every kind of
    graph mutation. *)
@@ -397,12 +397,80 @@ let test_adjacency_rebuild_counter () =
   let r0 = (P.stats db).Pool_lang.Eval.adjacency_rebuilds in
   ignore (Traverse.descendants db ~csr:true ~rel:"Manages" alice);
   ignore (Traverse.descendants db ~csr:true ~rel:"Manages" alice);
-  let r1 = (P.stats db).Pool_lang.Eval.adjacency_rebuilds in
+  let s1 = P.stats db in
+  let r1 = s1.Pool_lang.Eval.adjacency_rebuilds in
   Alcotest.(check bool) "one build for two traversals" true (r1 = r0 + 1);
   ignore (Database.link db "Manages" ~origin:alice ~destination:alice);
-  ignore (Traverse.descendants db ~csr:true ~rel:"Manages" alice);
-  let r2 = (P.stats db).Pool_lang.Eval.adjacency_rebuilds in
-  Alcotest.(check bool) "mutation forces a rebuild" true (r2 = r1 + 1)
+  let d = Traverse.descendants db ~csr:true ~rel:"Manages" alice in
+  let s2 = P.stats db in
+  Alcotest.(check int) "mutation does not rebuild" r1 s2.Pool_lang.Eval.adjacency_rebuilds;
+  Alcotest.(check int) "mutation is patched in" (s1.Pool_lang.Eval.adjacency_patches + 1)
+    s2.Pool_lang.Eval.adjacency_patches;
+  Alcotest.(check bool) "patched traversal = legacy" true
+    (OidSet.equal d (Traverse.descendants db ~csr:false ~rel:"Manages" alice))
+
+(* A rule reacting to a link may unlink or retarget that same link.
+   Its nested event reaches the CSR manager — which subscribes on the
+   first traversal, after the rule — before the outer [Rel_created]
+   does; the snapshots must still end up with the link as the mirror
+   holds it.  [repair db oid] is the rule's corrective action on a
+   self-managing link. *)
+let check_repair_of_firing_link repair =
+  with_db @@ fun db ->
+  let alice, bob, carol, dave, _, _ = setup db in
+  let ctx = Database.create_context db "c" in
+  ignore (Database.link db "Manages" ~context:ctx ~origin:carol ~destination:dave);
+  let engine = Prules.Engine.create db in
+  Prules.Engine.add_rule engine
+    (Prules.Rule.make "no_self_management"
+       (Pevent.Event.On_rel_create (Some "Manages"))
+       ~on_violation:
+         (Prules.Rule.Repair
+            (fun db ev ->
+              match ev with Pevent.Event.Rel_created { oid; _ } -> repair db oid | _ -> ()))
+       (fun _ ev ->
+         match ev with
+         | Pevent.Event.Rel_created { origin; destination; _ } -> origin <> destination
+         | _ -> true));
+  let people = [ alice; bob; carol; dave ] in
+  let check () =
+    check_traversals db ~rel:"Manages" people;
+    check_traversals db ~context:ctx ~rel:"Manages" people
+  in
+  check ();
+  ignore (Database.link db "Manages" ~origin:alice ~destination:alice);
+  check ();
+  ignore (Database.link db "Manages" ~context:ctx ~origin:dave ~destination:dave);
+  check ()
+
+let test_csr_repair_unlinks () = check_repair_of_firing_link (fun db oid -> Database.unlink db oid)
+
+let test_csr_repair_retargets () =
+  check_repair_of_firing_link (fun db oid ->
+      let r = Option.get (Database.get db oid) in
+      let other = List.find (fun p -> p <> Obj.origin r) (Database.extent_list db "Person") in
+      Database.retarget db oid ~destination:other ())
+
+(* Patches leave the slots of nodes that lost their last edge behind; a
+   key with more such slots than edges is dropped and rebuilt. *)
+let test_csr_dead_slots_rebuild () =
+  with_db @@ fun db ->
+  let alice, bob, carol, dave, _, _ = setup db in
+  let people = [ alice; bob; carol; dave ] in
+  let rel = "Manages" in
+  let rebuilds () = (P.stats db).Pool_lang.Eval.adjacency_rebuilds in
+  check_traversals db ~rel people;
+  let r0 = rebuilds () in
+  let edges = Database.extent_list db rel in
+  (* carol -> bob gone: carol's slot dies, one dead slot for two edges *)
+  Database.unlink db (List.nth edges 0);
+  check_traversals db ~rel people;
+  Alcotest.(check int) "one dead slot is patched over" r0 (rebuilds ());
+  (* bob -> alice gone: two dead slots for one edge drop the key *)
+  Database.unlink db (List.nth edges 1);
+  check_traversals db ~rel people;
+  check_traversals db ~rel people;
+  Alcotest.(check int) "a bloated key is rebuilt" (r0 + 1) (rebuilds ())
 
 (* --- string helpers ---------------------------------------------------- *)
 
@@ -515,6 +583,9 @@ let () =
           Alcotest.test_case "invalidation" `Quick test_csr_invalidation;
           Alcotest.test_case "contexts" `Quick test_csr_contexts;
           Alcotest.test_case "rebuild counter" `Quick test_adjacency_rebuild_counter;
+          Alcotest.test_case "repair unlinks the firing link" `Quick test_csr_repair_unlinks;
+          Alcotest.test_case "repair retargets the firing link" `Quick test_csr_repair_retargets;
+          Alcotest.test_case "dead slots rebuild" `Quick test_csr_dead_slots_rebuild;
         ] );
       ( "strings",
         [
