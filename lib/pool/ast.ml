@@ -13,6 +13,10 @@ type expr =
   | Binop of string * expr * expr (* = != < <= > >= + - * / mod and or in like union inter except *)
   | Downcast of string * expr (* (Class) e : selective downcast *)
   | Select of select
+  | Slot of int * expr
+      (* plan-internal, never parsed: a loop-invariant WHERE
+         subexpression whose value the evaluator keeps in slot [i] of
+         the running select (see {!Plan}) *)
 
 and select = {
   distinct : bool;
@@ -35,6 +39,7 @@ let rec pp ppf = function
   | Binop (op, a, b) -> Format.fprintf ppf "(%a %s %a)" pp a op pp b
   | Downcast (c, e) -> Format.fprintf ppf "((%s) %a)" c pp e
   | Select s -> pp_select ppf s
+  | Slot (_, e) -> pp ppf e
 
 and pp_select ppf s =
   Format.fprintf ppf "(select%s " (if s.distinct then " distinct" else "");

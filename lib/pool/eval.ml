@@ -13,7 +13,11 @@
     paths only ever narrow the candidate set (in the same ascending
     oid order the extent scan uses) and the full WHERE clause is still
     evaluated per row, so results are bit-identical to the legacy
-    interpreter, which {!legacy_config} keeps wired for ablation. *)
+    interpreter, which {!legacy_config} keeps wired for ablation.  The
+    WHERE's loop-invariant subexpressions are computed on first use and
+    kept for as long as the ranges they depend on stay bound
+    ({!Plan.hoist}); a subexpression that raises is never kept, so
+    errors surface on exactly the row where the interpreter raises. *)
 
 open Pmodel
 module OidSet = Database.OidSet
@@ -21,6 +25,11 @@ module OidSet = Database.OidSet
 exception Eval_error of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Eval_error s)) fmt
+
+(* The [Value.as_*] coercions raise [Invalid_argument]; in a query a
+   value of the wrong type is an evaluation error of the operation
+   [what] that needed it. *)
+let coerce what conv v = try conv v with Invalid_argument m -> fail "%s: %s" what m
 
 (* Process-wide mirrors of the per-database [totals], for /metrics
    (DESIGN.md "Observability"). *)
@@ -40,6 +49,14 @@ let m_cache_hits =
 
 let m_cache_misses =
   Pobs.Metrics.counter "pdb_plan_cache_misses_total" ~help:"Compiled-plan cache misses"
+
+let m_invariant_evals =
+  Pobs.Metrics.counter "pdb_query_invariant_evals_total"
+    ~help:"Loop-invariant WHERE subexpressions computed"
+
+let m_invariant_reuses =
+  Pobs.Metrics.counter "pdb_query_invariant_reuses_total"
+    ~help:"Loop-invariant WHERE subexpressions answered from their slot"
 
 (** Execution configuration, mirroring the [Pager.config] ablation
     pattern of the storage layer. *)
@@ -64,6 +81,8 @@ type totals = {
   t_extent_scans : int Atomic.t;
   t_cache_hits : int Atomic.t;
   t_cache_misses : int Atomic.t;
+  t_invariant_evals : int Atomic.t;
+  t_invariant_reuses : int Atomic.t;
 }
 
 (* Plan-cache entries carry the index epoch they were compiled under;
@@ -98,6 +117,8 @@ let per_db db : per_db =
                 t_extent_scans = Atomic.make 0;
                 t_cache_hits = Atomic.make 0;
                 t_cache_misses = Atomic.make 0;
+                t_invariant_evals = Atomic.make 0;
+                t_invariant_reuses = Atomic.make 0;
               };
             cache = Hashtbl.create 64;
             cache_mu = Mutex.create ();
@@ -113,6 +134,8 @@ type db_stats = {
   extent_scans : int;
   plan_cache_hits : int;
   plan_cache_misses : int;
+  invariant_evals : int; (* hoisted WHERE subexpressions computed *)
+  invariant_reuses : int; (* ... and answered from their slot *)
   adjacency_rebuilds : int; (* CSR snapshots built from the object mirror *)
   adjacency_patches : int; (* CSR snapshots patched from relationship events *)
 }
@@ -127,9 +150,20 @@ let db_stats db : db_stats =
     extent_scans = Atomic.get t.t_extent_scans;
     plan_cache_hits = Atomic.get t.t_cache_hits;
     plan_cache_misses = Atomic.get t.t_cache_misses;
+    invariant_evals = Atomic.get t.t_invariant_evals;
+    invariant_reuses = Atomic.get t.t_invariant_reuses;
     adjacency_rebuilds = Pgraph.Csr.rebuild_count db;
     adjacency_patches = Pgraph.Csr.patch_count db;
   }
+
+(* Slot storage of one select execution: a cell per hoisted WHERE
+   subexpression of its plan ([None] = not computed for the current
+   outer bindings), plus counts flushed to [totals] when it ends.
+   Local to the execution — plans, shared through the cache, stay
+   immutable. *)
+type frame = { cells : Value.t option array; mutable evals : int; mutable reuses : int }
+
+let new_frame n = { cells = Array.make n None; evals = 0; reuses = 0 }
 
 type state = {
   db : Database.t;
@@ -141,6 +175,7 @@ type state = {
       (* per-query physical-identity memo: a correlated subselect is
          planned once, not once per outer row *)
   mutable ctx : int option; (* current classification context *)
+  mutable frame : frame; (* slots of the innermost running select *)
   mutable index_probes : int; (* per-query statistics, for explain/tests *)
   mutable extent_scans : int;
   mutable range_scans : int;
@@ -157,6 +192,7 @@ let make_state ?(config = default_config) db =
     cache_mu = p.cache_mu;
     plan_memo = [];
     ctx = None;
+    frame = new_frame 0;
     index_probes = 0;
     extent_scans = 0;
     range_scans = 0;
@@ -298,7 +334,7 @@ let rec eval (st : state) (env : env) (e : Ast.expr) : Value.t =
           end
           else fail "unbound variable or unknown class: %s" x)
   | Ast.Path (e, attr) -> eval_path st (eval st env e) attr
-  | Ast.Unop ("not", e) -> Value.VBool (not (Value.as_bool (eval st env e)))
+  | Ast.Unop ("not", e) -> Value.VBool (not (coerce "not" Value.as_bool (eval st env e)))
   | Ast.Unop ("-", e) -> (
       match eval st env e with
       | Value.VInt i -> Value.VInt (-i)
@@ -306,13 +342,27 @@ let rec eval (st : state) (env : env) (e : Ast.expr) : Value.t =
       | v -> fail "cannot negate %a" Value.pp v)
   | Ast.Unop (op, _) -> fail "unknown unary operator %s" op
   | Ast.Binop ("and", a, b) ->
-      Value.VBool (Value.as_bool (eval st env a) && Value.as_bool (eval st env b))
+      let cond e = coerce "and" Value.as_bool (eval st env e) in
+      Value.VBool (cond a && cond b)
   | Ast.Binop ("or", a, b) ->
-      Value.VBool (Value.as_bool (eval st env a) || Value.as_bool (eval st env b))
+      let cond e = coerce "or" Value.as_bool (eval st env e) in
+      Value.VBool (cond a || cond b)
   | Ast.Binop (op, a, b) -> eval_binop st op (eval st env a) (eval st env b)
   | Ast.Downcast (cls, e) -> eval_downcast st cls (eval st env e)
   | Ast.Call (f, args) -> eval_call st env f args
   | Ast.Select s -> eval_select st env s
+  | Ast.Slot (i, e) -> (
+      let f = st.frame in
+      match f.cells.(i) with
+      | Some v ->
+          f.reuses <- f.reuses + 1;
+          v
+      | None ->
+          (* kept only once computed: a raise leaves the cell empty *)
+          let v = eval st env e in
+          f.cells.(i) <- Some v;
+          f.evals <- f.evals + 1;
+          v)
 
 and eval_path st (recv : Value.t) attr : Value.t =
   match recv with
@@ -348,7 +398,9 @@ and eval_binop _st op (a : Value.t) (b : Value.t) : Value.t =
   | ">" -> Value.VBool (Value.compare_value a b > 0)
   | ">=" -> Value.VBool (Value.compare_value a b >= 0)
   | "in" -> Value.VBool (List.exists (Value.equal_value a) (elements b))
-  | "like" -> Value.VBool (like_eval (Value.as_string a) (Value.as_string b))
+  | "like" ->
+      let str = coerce "like" Value.as_string in
+      Value.VBool (like_eval (str a) (str b))
   | "union" -> Value.vset (elements a @ elements b)
   | "inter" ->
       let eb = elements b in
@@ -415,9 +467,9 @@ and eval_call st env f (arg_exprs : Ast.expr list) : Value.t =
     let l = Lazy.force args in
     if n < List.length l then List.nth l n else fail "%s: missing argument %d" f (n + 1)
   in
-  let oid_arg n = Value.as_ref (arg n) in
-  let str_arg n = Value.as_string (arg n) in
-  let int_arg n = Value.as_int (arg n) in
+  let oid_arg n = coerce f Value.as_ref (arg n) in
+  let str_arg n = coerce f Value.as_string (arg n) in
+  let int_arg n = coerce f Value.as_int (arg n) in
   let nargs () = List.length (Lazy.force args) in
   match f with
   (* collection builders *)
@@ -438,7 +490,7 @@ and eval_call st env f (arg_exprs : Ast.expr list) : Value.t =
       match elements (arg 0) with
       | [] -> Value.VNull
       | l ->
-          let s = List.fold_left (fun acc v -> acc +. Value.as_float v) 0. l in
+          let s = List.fold_left (fun acc v -> acc +. coerce f Value.as_float v) 0. l in
           Value.VFloat (s /. float_of_int (List.length l)))
   | "min" -> (
       match elements (arg 0) with
@@ -471,8 +523,8 @@ and eval_call st env f (arg_exprs : Ast.expr list) : Value.t =
         (List.map
            (fun (r : Obj.t) -> Value.VRef (Obj.origin r))
            (Database.incoming st.db ?context:(ctx_arg st (Lazy.force args) 2) ~rel_name:(str_arg 1) (oid_arg 0)))
-  | "origin" -> Value.VRef (Obj.origin (Database.get_exn st.db (oid_arg 0)))
-  | "destination" -> Value.VRef (Obj.destination (Database.get_exn st.db (oid_arg 0)))
+  | "origin" -> Value.VRef (coerce f Obj.origin (Database.get_exn st.db (oid_arg 0)))
+  | "destination" -> Value.VRef (coerce f Obj.destination (Database.get_exn st.db (oid_arg 0)))
   | "context_of" -> (
       match Obj.context (Database.get_exn st.db (oid_arg 0)) with
       | Some c -> Value.VRef c
@@ -480,7 +532,7 @@ and eval_call st env f (arg_exprs : Ast.expr list) : Value.t =
   (* graph exploration and extraction (thesis 5.1.1.3) *)
   | "traverse" ->
       let ctx = ctx_arg st (Lazy.force args) 4 in
-      let max_depth = match arg 3 with Value.VNull -> None | v -> Some (Value.as_int v) in
+      let max_depth = match arg 3 with Value.VNull -> None | _ -> Some (int_arg 3) in
       refs_of_oidset
         (Pgraph.Traverse.descendants st.db ?context:ctx ~csr:st.config.use_csr
            ~min_depth:(int_arg 2) ?max_depth ~rel:(str_arg 1) (oid_arg 0))
@@ -694,8 +746,19 @@ and prepare st (b : Plan.binding) : string * exec =
           (b.Plan.var, Hash_probe (tbl, probe_expr, cands))
       | None -> (b.Plan.var, Candidates cands))
 
+(* Add a finished select's slot counts to the cumulative totals: once
+   per execution, not once per row, so reader domains sharing a
+   database do not contend on the counters. *)
+and note_invariants st (f : frame) =
+  if f.evals > 0 || f.reuses > 0 then begin
+    ignore (Atomic.fetch_and_add st.totals.t_invariant_evals f.evals);
+    ignore (Atomic.fetch_and_add st.totals.t_invariant_reuses f.reuses);
+    Pobs.Metrics.addi m_invariant_evals f.evals;
+    Pobs.Metrics.addi m_invariant_reuses f.reuses
+  end
+
 and eval_select st (env : env) (s : Ast.select) : Value.t =
-  let saved_ctx = st.ctx in
+  let saved_ctx = st.ctx and saved_frame = st.frame in
   (match s.Ast.context with
   | Some c -> (
       match eval st env c with
@@ -704,12 +767,15 @@ and eval_select st (env : env) (s : Ast.select) : Value.t =
       | v -> fail "in context: expected a context reference, got %a" Value.pp v)
   | None -> ());
   Fun.protect
-    ~finally:(fun () -> st.ctx <- saved_ctx)
+    ~finally:(fun () ->
+      if st.frame != saved_frame then note_invariants st st.frame;
+      st.ctx <- saved_ctx;
+      st.frame <- saved_frame)
     (fun () ->
       let rows = ref [] in
-      let finish env =
+      let finish where env =
         let keep =
-          match s.Ast.where with Some w -> Value.as_bool (eval st env w) | None -> true
+          match where with Some w -> coerce "where" Value.as_bool (eval st env w) | None -> true
         in
         if keep then begin
           let row =
@@ -727,37 +793,53 @@ and eval_select st (env : env) (s : Ast.select) : Value.t =
       in
       (if st.config.planner then begin
          let plan = plan_for st env s in
-         let execs = List.map (prepare st) plan.Plan.bindings in
-         let rec bind env = function
-           | [] -> finish env
-           | (var, Candidates vs) :: rest ->
-               List.iter (fun v -> bind ((var, v) :: env) rest) vs
-           | (var, Per_row e) :: rest ->
-               List.iter (fun v -> bind ((var, v) :: env) rest) (elements (eval st env e))
-           | (var, Hash_probe (tbl, probe_expr, cands)) :: rest ->
-               if cands <> [] then begin
-                 match
-                   try Some (norm_key (eval st env probe_expr)) with Eval_error _ -> None
-                 with
-                 | Some k -> (
-                     match Hashtbl.find_opt tbl k with
-                     | None -> ()
-                     | Some oids ->
-                         List.iter (fun o -> bind ((var, Value.VRef o) :: env) rest) !oids)
-                 | None ->
-                     (* probe key failed to evaluate: replay the nested
-                        loop so the WHERE clause raises (or not) exactly
-                        as the legacy interpreter would *)
-                     List.iter (fun v -> bind ((var, v) :: env) rest) cands
-               end
+         let where, levels, cells =
+           match plan.Plan.hoisted with
+           | Some (w, levels) ->
+               let f = new_frame (Array.length levels) in
+               st.frame <- f;
+               (Some w, levels, f.cells)
+           | None -> (s.Ast.where, [||], [||])
          in
-         bind env execs
+         let execs = List.map (prepare st) plan.Plan.bindings in
+         (* binding range [i] afresh empties the slots that depend on it *)
+         let rebind i =
+           for j = 0 to Array.length levels - 1 do
+             if levels.(j) > i then cells.(j) <- None
+           done
+         in
+         let rec bind env i = function
+           | [] -> finish where env
+           | (var, exec) :: rest -> (
+               let each v =
+                 rebind i;
+                 bind ((var, v) :: env) (i + 1) rest
+               in
+               match exec with
+               | Candidates vs -> List.iter each vs
+               | Per_row e -> List.iter each (elements (eval st env e))
+               | Hash_probe (tbl, probe_expr, cands) ->
+                   if cands <> [] then begin
+                     match try Some (norm_key (eval st env probe_expr)) with _ -> None with
+                     | Some k -> (
+                         match Hashtbl.find_opt tbl k with
+                         | None -> ()
+                         | Some oids -> List.iter (fun o -> each (Value.VRef o)) !oids)
+                     | None ->
+                         (* probe key failed to evaluate, whatever the
+                            exception: replay the nested loop so the
+                            WHERE clause raises (or not) exactly as the
+                            legacy interpreter would *)
+                         List.iter each cands
+                   end)
+         in
+         bind env 0 execs
        end
        else begin
          let probe = index_probe st s in
          let rec bind env ranges =
            match ranges with
-           | [] -> finish env
+           | [] -> finish s.Ast.where env
            | (src, var) :: rest ->
                let candidates =
                  match (probe, ranges == s.Ast.ranges) with

@@ -3,7 +3,8 @@
     [compile] turns a [select] into a physical plan: one {!binding} per
     range variable, each with an access path and an optional hash-join
     key.  The evaluator executes the plan but always re-evaluates the
-    *full* WHERE clause per candidate row, so an access path only needs
+    *full* WHERE clause per candidate row (reading loop-invariant
+    subexpressions from slots, below), so an access path only needs
     to produce a {e superset} of the qualifying objects — in ascending
     oid order, which is also the order the legacy extent scan uses.
     That invariant is what makes optimized results bit-identical to the
@@ -25,6 +26,18 @@
     not on [var] or later ones, is executed by building a hash table
     over the range's candidates keyed on [attr] (once), then probing
     with [e] per outer row — replacing the nested extent rescans.
+
+    Loop-invariant subexpressions: each maximal [Call] or [Select]
+    subexpression of the WHERE clause that does not depend on the last
+    range variable is wrapped in a numbered [Ast.Slot] in the plan's own
+    copy of the clause ({!field:hoisted}).  Its {e level} is one plus the
+    index of the last range binding one of its free variables (0: none
+    does); the evaluator computes a slot the first time the WHERE
+    reaches it and keeps the value until a range below that level is
+    rebound — once per outer binding instead of once per candidate
+    row.  When anything is hoisted the evaluator runs this copy, not
+    the query's own clause, so a plan taken from the cache (built from
+    an earlier parse of the same text) hoists exactly as a fresh one.
 
     Plans contain no oids or values read from the data, only schema
     facts (which indexes exist, which names denote class extents), so a
@@ -53,7 +66,14 @@ type binding = {
       (* (build attr of this range, probe expression over outer bindings) *)
 }
 
-type t = { bindings : binding list }
+type t = {
+  bindings : binding list;
+  hoisted : (Ast.expr * int array) option;
+      (* the WHERE clause with its loop-invariant subexpressions in
+         [Slot]s, and each slot's level; [None] when nothing is hoisted
+         and the query's own clause runs (a cached plan then keeps no
+         copy of it) *)
+}
 
 (* --- free variables (with range-variable shadowing) -------------------- *)
 
@@ -83,6 +103,7 @@ let rec free_vars (e : Ast.expr) : SSet.t =
         | Some ps -> List.fold_left (fun acc (e, _) -> SSet.union acc (under e)) free ps
       in
       List.fold_left (fun acc (e, _) -> SSet.union acc (under e)) free s.Ast.order_by
+  | Ast.Slot (_, e) -> free_vars e
 
 (* --- conjunct analysis -------------------------------------------------- *)
 
@@ -148,6 +169,44 @@ let fact_of var (c : Ast.expr) : fact option =
           | _ -> None)
       | _ -> None)
   | _ -> None
+
+(* --- loop-invariant subexpressions --------------------------------------- *)
+
+module SMap = Map.Make (String)
+
+(** Wrap each maximal [Call] or [Select] subexpression of [w] whose
+    level is below the number of [ranges] in a [Slot], numbered left to
+    right; return the rewritten clause and the slot levels, or [None]
+    when there is nothing to hoist.  A range name bound twice denotes
+    its last binding, as in the WHERE clause itself.  A [Select] that
+    is not hoisted whole is left alone: its own plan hoists within its
+    scope. *)
+let hoist (ranges : string list) (w : Ast.expr) : (Ast.expr * int array) option =
+  let n = List.length ranges in
+  let index = SMap.of_seq (List.to_seq (List.mapi (fun i v -> (v, i)) ranges)) in
+  let level e =
+    SSet.fold
+      (fun x acc -> match SMap.find_opt x index with Some i -> max acc (i + 1) | None -> acc)
+      (free_vars e) 0
+  in
+  let levels = ref [] in
+  let rec go (e : Ast.expr) : Ast.expr =
+    match e with
+    | (Ast.Call _ | Ast.Select _) when level e < n ->
+        let slot = List.length !levels in
+        levels := level e :: !levels;
+        Ast.Slot (slot, e)
+    | Ast.Call (f, args) -> Ast.Call (f, List.map go args)
+    | Ast.Path (a, attr) -> Ast.Path (go a, attr)
+    | Ast.Unop (op, a) -> Ast.Unop (op, go a)
+    | Ast.Binop (op, a, b) ->
+        let a = go a in
+        Ast.Binop (op, a, go b)
+    | Ast.Downcast (cls, a) -> Ast.Downcast (cls, go a)
+    | Ast.Lit _ | Ast.Var _ | Ast.Select _ | Ast.Slot _ -> e
+  in
+  let w = go w in
+  if !levels = [] then None else Some (w, Array.of_list (List.rev !levels))
 
 (* --- compilation -------------------------------------------------------- *)
 
@@ -256,7 +315,10 @@ let compile db ~bound (s : Ast.select) : t =
         in
         { var; access; hash_key } :: build (SSet.add var outer_vars) (idx + 1) rest
   in
-  { bindings = build SSet.empty 0 s.Ast.ranges }
+  {
+    bindings = build SSet.empty 0 s.Ast.ranges;
+    hoisted = Option.bind s.Ast.where (hoist (List.map snd s.Ast.ranges));
+  }
 
 (* --- description (EXPLAIN-style, used by tests and the CLI) ------------- *)
 
@@ -276,4 +338,8 @@ let describe (t : t) : string =
        (fun b ->
          Printf.sprintf "%s<-%s%s" b.var (describe_access b.access)
            (match b.hash_key with Some (attr, _) -> Printf.sprintf " hash(%s)" attr | None -> ""))
-       t.bindings)
+       t.bindings
+    @
+    match t.hoisted with
+    | Some (_, levels) -> List.map (Printf.sprintf "hoist@%d") (Array.to_list levels)
+    | None -> [])

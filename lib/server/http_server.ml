@@ -215,6 +215,8 @@ let stats_json ?serving (db : Database.t) : string =
             ("extent_scans", Int q.Pool_lang.Eval.extent_scans);
             ("plan_cache_hits", Int q.Pool_lang.Eval.plan_cache_hits);
             ("plan_cache_misses", Int q.Pool_lang.Eval.plan_cache_misses);
+            ("invariant_evals", Int q.Pool_lang.Eval.invariant_evals);
+            ("invariant_reuses", Int q.Pool_lang.Eval.invariant_reuses);
             ("adjacency_rebuilds", Int q.Pool_lang.Eval.adjacency_rebuilds);
             ("adjacency_patches", Int q.Pool_lang.Eval.adjacency_patches);
           ] );

@@ -18,7 +18,10 @@
      clock) and of per-database layer state under a 4-domain hammer;
    - a group-commit rollback reaching [On_abort] subscribers, and CSR
      snapshots patched on one domain while others traverse the ones
-     they hold and the group writer links and unlinks. *)
+     they hold and the group writer links and unlinks;
+   - POOL queries with loop-invariant WHERE subexpressions run by
+     several domains over one shared view, their cached plans shared,
+     while the group writer commits. *)
 
 open Pstore
 module F = Fault
@@ -533,6 +536,63 @@ let test_csr_patch_hammer () =
   Alcotest.(check bool) "patched" true (Pgraph.Csr.patch_count db > 0);
   D.close db
 
+(* --- 10. hoisted subexpressions across domains --------------------------- *)
+
+(* Each query hoists a WHERE subexpression, at level 0 or 1; every
+   domain after the first takes its plan from the view's shared plan
+   cache, so one immutable plan's slots are filled by several domains
+   at once, each in its own frame. *)
+let hoisting_queries =
+  [
+    Printf.sprintf
+      "select r.n from %s r where r in descendants(first(select x from %s x where x.n = 1), '%s')"
+      value_cls value_cls tree_rel;
+    Printf.sprintf
+      "select a.n, b.n from %s a, %s b where a.n < 4 and b in descendants(a, '%s') and b.n < 40"
+      value_cls value_cls tree_rel;
+    Printf.sprintf
+      "select a.n, b.n from %s a, %s b where a.n < 3 and b.n < 30 and b in (select x from %s x \
+       where x.n > a.n * 9)"
+      value_cls value_cls value_cls;
+  ]
+
+let test_hoisting_shared_view () =
+  let db = mk_db (F.create ()) "mvcc10.db" in
+  let nodes, edge_of = hammer_tree db in
+  let view = D.snapshot db in
+  let answer ?config q = Pool_lang.Pool.query ?config view q in
+  let expected = List.map (answer ~config:Pool_lang.Pool.legacy_config) hoisting_queries in
+  let w = D.Writer.start db in
+  let readers =
+    List.init 3 (fun _ ->
+        Domain.spawn (fun () ->
+            let ok = ref true in
+            for _ = 1 to 8 do
+              List.iter2
+                (fun q e -> if Pmodel.Value.compare_value (answer q) e <> 0 then ok := false)
+                hoisting_queries expected
+            done;
+            !ok))
+  in
+  for k = 0 to 59 do
+    ignore (D.Writer.submit w (fun db -> hammer_step db nodes edge_of k))
+  done;
+  List.iter
+    (fun d -> Alcotest.(check bool) "every answer = legacy at the view's LSN" true (Domain.join d))
+    readers;
+  D.Writer.stop w;
+  let s = Pool_lang.Pool.stats view in
+  Alcotest.(check bool) "plans came from the shared cache" true
+    (s.Pool_lang.Eval.plan_cache_hits > 0);
+  Alcotest.(check bool) "invariants reused" true (s.Pool_lang.Eval.invariant_reuses > 0);
+  (* the parent moved on: its answers differ from the frozen view's *)
+  Alcotest.(check bool) "writer changed the parent" true
+    (List.exists2
+       (fun q e -> Pmodel.Value.compare_value (Pool_lang.Pool.query db q) e <> 0)
+       hoisting_queries expected);
+  D.close view;
+  D.close db
+
 (* ---------------------------------------------------------------------- *)
 
 let () =
@@ -560,5 +620,7 @@ let () =
           Alcotest.test_case "obs counters and clock" `Quick test_obs_domain_safety;
           Alcotest.test_case "layer-state hammer on shared view" `Quick test_ext_hammer;
           Alcotest.test_case "CSR patched across domains" `Quick test_csr_patch_hammer;
+          Alcotest.test_case "hoisting queries over a shared view" `Quick
+            test_hoisting_shared_view;
         ] );
     ]

@@ -392,6 +392,8 @@ let test_metrics_exposition_grammar () =
           ("pdb_queries_total", "counter");
           ("pdb_query_exec_ns", "histogram");
           ("pdb_plan_cache_misses_total", "counter");
+          ("pdb_query_invariant_evals_total", "counter");
+          ("pdb_query_invariant_reuses_total", "counter");
           (* rules *)
           ("pdb_rule_firings_total", "counter");
           ("pdb_rule_violations_total", "counter");

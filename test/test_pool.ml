@@ -239,7 +239,34 @@ let test_query_in_context () =
           (P.query ~env db
              "count(descendants(root, 'ChildOf', null))")
       in
-      Alcotest.(check int) "null context = unscoped" 2 nall)
+      Alcotest.(check int) "null context = unscoped" 2 nall;
+      (* descendants(root, ..) does not depend on t: it is computed once
+         per run and reused for the other two Taxon rows — on the first
+         run and on the second, whose plan comes from the cache *)
+      let q c =
+        "select t from Taxon t where t in descendants(root, 'ChildOf') in context " ^ c
+      in
+      Alcotest.(check string) "EXPLAIN lists the hoist" "t<-extent(Taxon); hoist@0"
+        (P.explain ~env db (q "ctx1"));
+      let hits0 = (P.stats db).Pool_lang.Eval.plan_cache_hits in
+      for _ = 1 to 2 do
+        List.iter
+          (fun (c, rows) ->
+            let s0 = P.stats db in
+            let n = List.length (P.rows ~env db (q c)) in
+            let s1 = P.stats db in
+            Alcotest.(check (list int))
+              ("rows, evals, reuses in " ^ c)
+              [ rows; 1; 2 ]
+              [
+                n;
+                s1.Pool_lang.Eval.invariant_evals - s0.Pool_lang.Eval.invariant_evals;
+                s1.Pool_lang.Eval.invariant_reuses - s0.Pool_lang.Eval.invariant_reuses;
+              ])
+          [ ("ctx1", 1); ("ctx2", 2) ]
+      done;
+      Alcotest.(check bool) "second runs hit the plan cache" true
+        ((P.stats db).Pool_lang.Eval.plan_cache_hits >= hits0 + 2))
 
 (* --- index optimisation --------------------------------------------------- *)
 
@@ -338,14 +365,21 @@ let test_eval_errors () =
       let expect_eval_error q =
         match P.query db q with
         | exception Pool_lang.Eval.Eval_error _ -> ()
-        | exception (Invalid_argument _) -> ()
         | v -> Alcotest.failf "expected error for %s, got %s" q (V.to_string v)
       in
       expect_eval_error "select x from NoSuchClass x";
       expect_eval_error "1 / 0";
       expect_eval_error "unknownfn(3)";
       expect_eval_error "1 + 'a'";
-      expect_eval_error "'a'.name")
+      expect_eval_error "'a'.name";
+      (* wrong argument and condition types are evaluation errors too *)
+      expect_eval_error "strlen(1)";
+      expect_eval_error "attr(3, 'x')";
+      expect_eval_error "first(descendants(99999, 'R'))";
+      expect_eval_error "not 3";
+      expect_eval_error "1 like 'a'";
+      expect_eval_error "select p from Person p where p.age";
+      expect_eval_error "select p from Person p where origin(p) = p")
 
 let test_like_edge_cases () =
   with_db (fun db ->

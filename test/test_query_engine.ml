@@ -209,6 +209,26 @@ let test_hash_join_mixed_numerics () =
   Alcotest.check value_testable "int/float join"
     (V.VList [ V.VList [ V.VFloat 1.0; vint 1 ] ]) r
 
+let test_hash_probe_key_raises () =
+  (* The probe key [strlen(p.age)] is evaluated ahead of the WHERE
+     clause, which never reaches it ([p.age > 100] is false for every
+     row): whatever the probe raises, the join must replay the nested
+     loop and answer as the interpreter does. *)
+  with_db @@ fun db ->
+  let _ = setup db in
+  let q = "select p.name, q.name from Person p, Person q where p.age > 100 and q.age = strlen(p.age)" in
+  Alcotest.(check bool) "planned as a hash join" true
+    (String.starts_with ~prefix:"p<-extent(Person); q<-extent(Person) hash(age)" (P.explain db q));
+  let r = check_both db q in
+  Alcotest.check value_testable "no rows" (V.VList []) r;
+  (* a dangling reference: the probe raises the model's error *)
+  let env = [ ("ghost", V.VRef 99999) ] in
+  let q = "select p.name, q.name from Person p, Person q where p.age > 100 and q.age = attr(ghost, p.name)" in
+  Alcotest.(check bool) "hash join again" true
+    (String.starts_with ~prefix:"p<-extent(Person); q<-extent(Person) hash(age)" (P.explain ~env db q));
+  let r = check_both db ~env q in
+  Alcotest.check value_testable "still no rows" (V.VList []) r
+
 (* --- plan cache -------------------------------------------------------- *)
 
 let test_plan_cache () =
@@ -498,10 +518,36 @@ let test_like_eval_equiv =
 
 (* --- randomized plan-vs-legacy equivalence ----------------------------- *)
 
+(* Outcome of a query: its value, or the text of what it raised. *)
+let outcome ?env ?config db q =
+  match P.query ?env ?config db q with
+  | v -> Ok v
+  | exception e -> Error (Printexc.to_string e)
+
+let same_outcome a b =
+  match (a, b) with
+  | Ok x, Ok y -> Value.compare_value x y = 0
+  | Error x, Error y -> x = y
+  | _ -> false
+
+let pp_outcome ppf = function
+  | Ok v -> Value.pp ppf v
+  | Error e -> Format.fprintf ppf "raised %s" e
+
+(* Pushdown and join predicates, and predicates with a loop-invariant
+   subexpression over [p] or over no range at all.  A raising predicate
+   comes last: a row on which the interpreter reaches it passes every
+   conjunct before it, pushed down or not, so both engines raise on the
+   same row.  The second range list rebinds [q] last, so [q] in the
+   WHERE is range 2 and a subexpression over it is not invariant.  The
+   rebound name is not [p]: the interpreter's first-range index probe
+   ignores shadowing, so for [Person p, Person q, Person p] it applies
+   [p.age = 30] to the first [p] and drops rows. *)
 let query_gen =
   let open QCheck.Gen in
   let name_lit = oneofl [ "'alice'"; "'bob'"; "'a%'"; "'%o%'"; "'x'" ] in
   let age_lit = map string_of_int (int_range 0 60) in
+  let small = map string_of_int (int_range 0 4) in
   let pred =
     oneof
       [
@@ -515,31 +561,138 @@ let query_gen =
         return "p.age = q.age";
         return "p.name != q.name";
         return "q.age < p.age";
+        return "q in descendants(p, 'Manages')";
+        return "p in descendants(q, 'Manages')";
+        return "q in (select x from Person x where x.age > p.age)";
+        map (fun v -> Printf.sprintf "p in (select x from Person x where x.age > %s)" v) age_lit;
+        map (fun n -> Printf.sprintf "count(select x from Person x where x.age < p.age) > %s" n) small;
+        map2 (fun a b -> Printf.sprintf "strlen(p.name) between %s and %s" a b) small small;
+        map (fun v -> Printf.sprintf "count(select x from Person x where x.age >= %s) between 1 and 3" v)
+          age_lit;
+        return "exists(select x from Person x where x in descendants(p, 'Manages') and x.age < q.age)";
       ]
   in
-  let preds = list_size (int_range 1 3) pred in
+  let raising =
+    oneofl
+      [
+        [];
+        [ "(p.age < 0 and strlen(p.age) > 0)" ];
+        [ "(false and strlen(p.age) > 0)" ];
+        [ "strlen(p.age) > 0" ];
+        [ "strlen(p.age - p.age) > 0" ];
+        [ "(strlen(p.name) > 0 or strlen(p.age) > 0)" ];
+      ]
+  in
+  let preds = map2 ( @ ) (list_size (int_range 1 3) pred) raising in
+  let from = oneofl [ "Person p, Person q"; "Person q, Person p, Person q" ] in
   let order = oneofl [ ""; " order by p.name"; " order by p.age desc, p.name" ] in
   let distinct = oneofl [ ""; "distinct " ] in
   map3
-    (fun ps ob d ->
-      Printf.sprintf "select %sp.name, q.age from Person p, Person q where %s%s" d
-        (String.concat " and " ps) ob)
-    preds order distinct
+    (fun (ps, f) ob d ->
+      Printf.sprintf "select %sp.name, q.age from %s where %s%s" d f (String.concat " and " ps) ob)
+    (pair preds from) order distinct
 
 let test_plan_vs_legacy =
-  QCheck.Test.make ~name:"planned results = legacy results" ~count:60
+  QCheck.Test.make ~name:"planned results = legacy results" ~count:120
     (QCheck.make ~print:(fun q -> q) query_gen)
     (fun q ->
       with_db @@ fun db ->
       let _ = setup db in
       Database.create_index db "Person" "age";
       Database.create_index db "Person" "name";
-      let optimized = P.query db q in
-      let legacy = P.query ~config:P.legacy_config db q in
-      if Value.compare_value optimized legacy <> 0 then
-        QCheck.Test.fail_reportf "query %s diverged:@.opt: %a@.leg: %a" q Value.pp optimized
-          Value.pp legacy;
+      let legacy = outcome ~config:P.legacy_config db q in
+      (* the second run takes its plan from the cache *)
+      List.iter
+        (fun run ->
+          let optimized = outcome db q in
+          if not (same_outcome optimized legacy) then
+            QCheck.Test.fail_reportf "query %s diverged on the %s run:@.opt: %a@.leg: %a" q run
+              pp_outcome optimized pp_outcome legacy)
+        [ "first"; "cached" ];
       true)
+
+(* --- loop-invariant subexpressions ------------------------------------- *)
+
+(* Invariant evaluations and reuses [f] causes. *)
+let invariant_delta db f =
+  let s0 = P.stats db in
+  let r = f () in
+  let s1 = P.stats db in
+  ( r,
+    s1.Pool_lang.Eval.invariant_evals - s0.Pool_lang.Eval.invariant_evals,
+    s1.Pool_lang.Eval.invariant_reuses - s0.Pool_lang.Eval.invariant_reuses )
+
+let check_invariants db ?env q ~evals ~reuses =
+  let r, e, u = invariant_delta db (fun () -> check_both db ?env q) in
+  Alcotest.(check (pair int int)) (Printf.sprintf "evals, reuses of %s" q) (evals, reuses) (e, u);
+  r
+
+let test_once_per_outer_binding () =
+  with_db @@ fun db ->
+  let _ = setup db in
+  (* level 0: once per execution, 4 Person rows *)
+  let r =
+    check_invariants db "select p.name from Person p where p in (select x from Person x where x.age > 30)"
+      ~evals:1 ~reuses:3
+  in
+  Alcotest.check value_testable "older people" (V.VList [ str "bob"; str "carol" ]) r;
+  (* level 1: once per p, reused over the 4 q rows of each *)
+  let q =
+    "select p.name, q.name from Person p, Person q where q in (select x from Person x where x.age > p.age)"
+  in
+  Alcotest.(check string) "EXPLAIN" "p<-extent(Person); q<-extent(Person); hoist@1" (P.explain db q);
+  let r = check_invariants db q ~evals:4 ~reuses:12 in
+  Alcotest.(check int) "pairs with an older second" 6 (List.length (V.as_elements r));
+  (* the querying-by-context shape: a sub-select range, then an
+     invariant over it — once per binding of the first range *)
+  let q =
+    "select q.name from (select x from Person x where x.age > 45) g, Person q where q in \
+     descendants(g, 'Manages')"
+  in
+  Alcotest.(check string) "EXPLAIN" "g<-expr; q<-extent(Person); hoist@1" (P.explain db q);
+  let r = check_invariants db q ~evals:1 ~reuses:3 in
+  Alcotest.check value_testable "carol's reports" (V.VList [ str "alice"; str "bob"; str "dave" ]) r;
+  (* a select depending on the last range is not hoisted *)
+  ignore
+    (check_invariants db
+       "select p.name, q.name from Person p, Person q where p in (select x from Person x where x.age > q.age)"
+       ~evals:0 ~reuses:0)
+
+let test_correlated_subselect_own_invariant () =
+  (* the outer WHERE depends on its only range, so nothing hoists
+     there; the sub-select's plan hoists descendants(p, ..), which is
+     invariant in its own range x: once per outer row *)
+  with_db @@ fun db ->
+  let _ = setup db in
+  let r =
+    check_invariants db
+      "select p.name from Person p where exists(select x from Person x where x in descendants(p, \
+       'Manages'))"
+      ~evals:4 ~reuses:12
+  in
+  Alcotest.check value_testable "managers" (V.VList [ str "bob"; str "carol" ]) r
+
+let test_invariant_errors_not_kept () =
+  with_db @@ fun db ->
+  let _ = setup db in
+  (* short-circuit: the invariant behind a false conjunct never runs *)
+  ignore
+    (check_invariants db "select p.name from Person p where false and strlen(1) > 0" ~evals:0
+       ~reuses:0);
+  (* a raising invariant is not kept: the error surfaces on the first
+     row that reaches it, with the interpreter's message *)
+  let q = "select p.name from Person p where p.age > 45 and strlen(2) > 0" in
+  let _, e, _ =
+    invariant_delta db (fun () ->
+        let o = outcome db q and l = outcome ~config:P.legacy_config db q in
+        Alcotest.(check bool) "raises as legacy" true (same_outcome o l);
+        match o with
+        | Error m ->
+            Alcotest.(check bool) "an evaluation error naming strlen" true
+              (String.starts_with ~prefix:"Pool_lang.Eval.Eval_error(\"strlen:" m)
+        | Ok _ -> Alcotest.fail "strlen(2) should raise")
+  in
+  Alcotest.(check int) "nothing computed" 0 e
 
 (* --- POOL-level graph builtins under both engines ---------------------- *)
 
@@ -571,6 +724,7 @@ let () =
         [
           Alcotest.test_case "hash join" `Quick test_hash_join;
           Alcotest.test_case "mixed numerics" `Quick test_hash_join_mixed_numerics;
+          Alcotest.test_case "probe key raises" `Quick test_hash_probe_key_raises;
         ] );
       ( "plan cache",
         [
@@ -591,6 +745,12 @@ let () =
         [
           Alcotest.test_case "contains_sub" `Quick test_contains_sub;
           QCheck_alcotest.to_alcotest test_like_eval_equiv;
+        ] );
+      ( "invariants",
+        [
+          Alcotest.test_case "once per outer binding" `Quick test_once_per_outer_binding;
+          Alcotest.test_case "correlated sub-select" `Quick test_correlated_subselect_own_invariant;
+          Alcotest.test_case "errors are not kept" `Quick test_invariant_errors_not_kept;
         ] );
       ( "equivalence",
         [

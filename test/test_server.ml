@@ -139,6 +139,24 @@ let test_query_endpoint () =
       if not (contains (body_of r) "syntax error") then
         Alcotest.fail "syntax error body names the problem")
 
+let test_query_type_error_400 () =
+  (* a value of the wrong type is the query's fault: the evaluation
+     error answer, naming the function, never a 500 *)
+  with_server (fun port ->
+      List.iter
+        (fun (q, fn) ->
+          let r = get port ("/query?q=" ^ q) in
+          check_status (q ^ " answers 400") "HTTP/1.0 400 Bad Request" r;
+          if not (contains (body_of r) ("evaluation error: " ^ fn ^ ":")) then
+            Alcotest.failf "%s: body should name %s, got %s" q fn (body_of r))
+        [
+          ("strlen(1)", "strlen");
+          ("attr(3,%20'x')", "attr");
+          ("first(descendants(99999,%20'R'))", "descendants");
+          ("abs('x')", "abs");
+          ("not%203", "not");
+        ])
+
 let test_check_endpoint () =
   with_server (fun port ->
       let ok = get port "/check?q=select%20t.rank%20from%20Taxon%20t" in
@@ -448,6 +466,7 @@ let () =
             test_schema_contexts_stats_metrics;
           Alcotest.test_case "/repl passthrough" `Quick test_repl_status_endpoint;
           Alcotest.test_case "/repl 404 without hook" `Quick test_repl_404_without_hook;
+          Alcotest.test_case "/query type error 400" `Quick test_query_type_error_400;
         ] );
       ( "abuse",
         [
