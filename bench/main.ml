@@ -3,11 +3,11 @@
    mapping from thesis experiment to harness section and for the
    recorded results.
 
-   Usage: main.exe [all|raw|queries|struct|fig44|fig45|fig46|tax|ablation|tables|schema|micro|recovery|storage|query|obs|repl|integrity|mvcc|serving]
+   Usage: main.exe [all|raw|queries|struct|fig44|fig45|fig46|tax|ablation|tables|schema|micro|recovery|query|obs|repl|integrity|mvcc|serving|loadgen|cluster]
                    [--out DIR]
 
    Sections that emit machine-readable trajectory records
-   (BENCH_PR2.json .. BENCH_PR8.json) write them to the
+   (BENCH_PR3.json .. BENCH_PR10.json) write them to the
    current directory by default; --out DIR redirects them so CI can
    validate fresh records without clobbering the committed ones. *)
 
@@ -603,175 +603,6 @@ let bench_recovery () =
     [ 16; 128; 1024 ]
 
 (* ------------------------------------------------------------------ *)
-(* Section: storage hot paths (pager/journal overhaul)                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Measures the pager's hot paths with the optimisations on
-   ([Pager.default_config]) against the faithful pre-overhaul paths
-   ([Pager.legacy_config]: per-frame three-copy journal appends,
-   unconditional checkpoint flush/fsync, hash-order per-page writeback,
-   full-cache sort eviction), in three environments:
-
-   - inmem-faultvfs: the in-memory fault VFS with no injection — zero
-     device cost, isolating the software path the overhaul targets;
-   - tmpfs-devshm: real syscalls against tmpfs (fsync is nearly free);
-   - disk-tmp: the real temp filesystem, where fsync dominates and the
-     win is bounded by the 4->3 fsync reduction per commit.
-
-   Results land in BENCH_PR2.json (machine-readable trajectory). *)
-let bench_storage () =
-  let module P = Pstore.Pager in
-  let module S = Pstore.Store in
-  let module F = Pstore.Fault in
-  Printf.printf "\n== storage hot paths (legacy vs optimized pager) ==\n";
-  (* many-small-transactions commit throughput: one 64-byte object per
-     commit, the workload named by the acceptance criterion *)
-  let commit_workload config ~vfs ~path =
-    let s = S.open_ ~config ~vfs path in
-    let payload = String.make 64 'c' in
-    let n = 200 in
-    let (), ms =
-      time_once (fun () ->
-          for _ = 1 to n do
-            S.with_tx s (fun () -> S.put s ~oid:(S.fresh_oid s) payload)
-          done)
-    in
-    S.close s;
-    float_of_int n /. (ms /. 1000.)
-  in
-  (* page-churn scan: rewrite 512 pages through a 64-page cache, so
-     every round is dominated by eviction choice + dirty writeback *)
-  let churn_workload config ~vfs ~path =
-    let p = P.open_file ~cache_pages:64 ~config ~vfs path in
-    let pages = List.init 512 (fun _ -> P.allocate p) in
-    P.flush_all p;
-    let rounds = 20 in
-    let (), ms =
-      time_once (fun () ->
-          for r = 1 to rounds do
-            List.iter (fun no -> P.with_write p no (fun b -> Bytes.set_uint16_le b 0 r)) pages
-          done;
-          P.flush_all p)
-    in
-    P.close p;
-    float_of_int (rounds * List.length pages) /. (ms /. 1000.)
-  in
-  (* journal append rate: transactions that touch 256 pages each, so
-     the cost is dominated by before-image frame encoding + landing *)
-  let journal_workload config ~vfs ~path =
-    let p = P.open_file ~cache_pages:1024 ~config ~vfs path in
-    let pages = List.init 256 (fun _ -> P.allocate p) in
-    P.flush_all p;
-    let rounds = 10 in
-    let (), ms =
-      time_once (fun () ->
-          for r = 1 to rounds do
-            P.begin_tx p;
-            List.iter (fun no -> P.with_write p no (fun b -> Bytes.set_uint16_le b 0 r)) pages;
-            P.commit p
-          done)
-    in
-    let st = P.stats p in
-    P.close p;
-    float_of_int st.P.s_journal_bytes /. 1048576. /. (ms /. 1000.)
-  in
-  let in_memory f =
-    let fs = F.create ~seed:42 () in
-    F.set_short_transfers fs false;
-    f ~vfs:(F.vfs fs) ~path:"bench_pr2.db"
-  in
-  let in_dir dir f =
-    let path =
-      incr tmp_counter;
-      Filename.concat dir (Printf.sprintf "bench_pr2_%d_%d.db" (Unix.getpid ()) !tmp_counter)
-    in
-    Fun.protect ~finally:(fun () -> cleanup path) (fun () -> f ~vfs:Pstore.Vfs.unix ~path)
-  in
-  let envs =
-    [ ("inmem-faultvfs", "in-memory VFS, no device cost (software path only)", in_memory) ]
-    @ (if Sys.file_exists "/dev/shm" && Sys.is_directory "/dev/shm" then
-         [ ("tmpfs-devshm", "tmpfs: real syscalls, near-free fsync", in_dir "/dev/shm") ]
-       else [])
-    @ [ ("disk-tmp", "real filesystem: fsync-bound", in_dir (Filename.get_temp_dir_name ())) ]
-  in
-  let measure workload =
-    (* median of 3 per config; legacy first so cold-start noise, if
-       any, penalises the baseline's opponent not the baseline *)
-    let med config =
-      let samples = List.init 3 (fun _ -> workload config) in
-      match List.sort compare samples with l -> List.nth l 1
-    in
-    let legacy = med P.legacy_config in
-    let optimized = med P.default_config in
-    (legacy, optimized)
-  in
-  let results =
-    List.map
-      (fun (ename, enote, env) ->
-        let commit = measure (fun config -> env (commit_workload config)) in
-        let churn = measure (fun config -> env (churn_workload config)) in
-        let journal = measure (fun config -> env (journal_workload config)) in
-        Printf.printf "%s (%s)\n" ename enote;
-        let line name unit (legacy, optimized) =
-          Printf.printf "  %-24s legacy %12.0f %s   optimized %12.0f %s   (%.2fx)\n" name legacy
-            unit optimized unit (optimized /. legacy)
-        in
-        line "commit throughput" "tx/s" commit;
-        line "page-churn scan" "pages/s" churn;
-        line "journal append" "MiB/s" journal;
-        (ename, enote, commit, churn, journal))
-      envs
-  in
-  let best_commit_speedup =
-    List.fold_left
-      (fun acc (_, _, (l, o), _, _) -> Float.max acc (o /. l))
-      0. results
-  in
-  Printf.printf "best commit-throughput speedup: %.2fx\n" best_commit_speedup;
-  (* machine-readable trajectory *)
-  let buf = Buffer.create 2048 in
-  let fl x = Printf.sprintf "%.1f" x in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"bench\": \"storage_hot_paths\",\n";
-  Buffer.add_string buf "  \"pr\": 2,\n";
-  Buffer.add_string buf (Printf.sprintf "  \"page_size\": %d,\n" P.page_size);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"journal_buffer_frames\": %d,\n" P.journal_buffer_frames);
-  Buffer.add_string buf (Printf.sprintf "  \"max_extent_pages\": %d,\n" P.max_extent_pages);
-  Buffer.add_string buf "  \"environments\": [\n";
-  List.iteri
-    (fun i (ename, enote, commit, churn, journal) ->
-      let metric name unit (legacy, optimized) last =
-        Printf.sprintf
-          "      \"%s\": { \"unit\": \"%s\", \"legacy\": %s, \"optimized\": %s, \"speedup\": \
-           %s }%s\n"
-          name unit (fl legacy) (fl optimized)
-          (Printf.sprintf "%.2f" (optimized /. legacy))
-          (if last then "" else ",")
-      in
-      Buffer.add_string buf "    {\n";
-      Buffer.add_string buf (Printf.sprintf "      \"name\": \"%s\",\n" ename);
-      Buffer.add_string buf (Printf.sprintf "      \"note\": \"%s\",\n" enote);
-      Buffer.add_string buf (metric "commit_tx_per_s" "tx/s" commit false);
-      Buffer.add_string buf (metric "churn_pages_per_s" "pages/s" churn false);
-      Buffer.add_string buf (metric "journal_mib_per_s" "MiB/s" journal true);
-      Buffer.add_string buf
-        (Printf.sprintf "    }%s\n" (if i = List.length results - 1 then "" else ",")))
-    results;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"acceptance\": {\n";
-  Buffer.add_string buf
-    "    \"criterion\": \"commit throughput >= 2x on many-small-transactions vs pre-PR \
-     pager\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "    \"best_commit_speedup\": %.2f,\n" best_commit_speedup);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"pass\": %b\n" (best_commit_speedup >= 2.0));
-  Buffer.add_string buf "  }\n";
-  Buffer.add_string buf "}\n";
-  write_record "BENCH_PR2.json" (Buffer.contents buf)
-
-(* ------------------------------------------------------------------ *)
 (* Section: query engine (compiled plans vs legacy interpreter)        *)
 (* ------------------------------------------------------------------ *)
 
@@ -1263,10 +1094,12 @@ let bench_repl () =
 (* ------------------------------------------------------------------ *)
 
 (* The PR6 acceptance gate: per-page CRC verification must cost < 5%
-   on steady-state verified reads vs. the checksums-off config, on the
-   in-memory fault VFS (so the comparison measures the CRC, not the
-   disk).  Cold full-file scans, scrub throughput and detection are
-   reported alongside, ungated.  Results land in BENCH_PR6.json. *)
+   on steady-state verified reads vs. a checksum-less file (the same
+   store with its header checksum flag cleared, which the pager opens
+   unverified), on the in-memory fault VFS (so the comparison measures
+   the CRC, not the disk).  Cold full-file scans, scrub throughput and
+   detection are reported alongside, ungated.  Results land in
+   BENCH_PR6.json. *)
 let bench_integrity () =
   let module S = Pstore.Store in
   let module P = Pstore.Pager in
@@ -1275,26 +1108,31 @@ let bench_integrity () =
   let median l = List.nth (List.sort compare l) (List.length l / 2) in
   let mib = 1024. *. 1024. in
   let objects = 600 in
-  let checksums_off = { P.default_config with P.checksums = false } in
-  (* one populated store per config, same workload, same VFS seed *)
-  let build config =
+  (* one populated store per mode, same workload, same VFS seed; the
+     "off" store is the same file with its checksum flag cleared *)
+  let build ~checksums =
     let fs = F.create ~seed:6 () in
     F.set_short_transfers fs false;
     let vfs = F.vfs fs in
-    let s = S.open_ ~vfs ~config "bench_integrity.db" in
+    let s = S.open_ ~vfs "bench_integrity.db" in
     for i = 1 to objects do
       S.with_tx s (fun () ->
           S.put s ~oid:i (String.make (100 + (i * 631 mod 3200)) 'i'))
     done;
     S.close s;
+    if not checksums then begin
+      let f = vfs.Pstore.Vfs.open_file "bench_integrity.db" in
+      ignore (f.Pstore.Vfs.pwrite ~buf:(Bytes.make 1 '\000') ~off:0 ~len:1 ~at:P.checksum_flag_off);
+      f.Pstore.Vfs.close ()
+    end;
     (fs, vfs)
   in
   (* steady-state verified reads: verification runs only on cache
      misses, so after one warm-up sweep fills (and verifies) the cache
      the measured sweeps see the as-deployed read path.  The cold_scan
      row below reports the unamortised miss-path cost. *)
-  let read_pass vfs config =
-    let s = S.open_ ~vfs ~config "bench_integrity.db" in
+  let read_pass vfs =
+    let s = S.open_ ~vfs "bench_integrity.db" in
     let sweep () =
       for i = 1 to objects do
         ignore (S.get s ~oid:i)
@@ -1310,15 +1148,15 @@ let bench_integrity () =
     S.close s;
     ms
   in
-  (* interleave the two configs so CPU-frequency / scheduler drift hits
+  (* interleave the two stores so CPU-frequency / scheduler drift hits
      both equally, and take the min: the fastest achievable pass is the
      robust basis for an overhead comparison *)
-  let _fs_on, vfs_on = build P.default_config in
-  let _fs_off, vfs_off = build checksums_off in
+  let _fs_on, vfs_on = build ~checksums:true in
+  let _fs_off, vfs_off = build ~checksums:false in
   let on_samples = ref [] and off_samples = ref [] in
   for _ = 1 to 9 do
-    on_samples := read_pass vfs_on P.default_config :: !on_samples;
-    off_samples := read_pass vfs_off checksums_off :: !off_samples
+    on_samples := read_pass vfs_on :: !on_samples;
+    off_samples := read_pass vfs_off :: !off_samples
   done;
   let on_ms = List.fold_left Float.min infinity !on_samples in
   let off_ms = List.fold_left Float.min infinity !off_samples in
@@ -1326,10 +1164,10 @@ let bench_integrity () =
   Printf.printf "  verified reads  on %7.2f ms   off %7.2f ms   overhead %+.2f%%\n"
     on_ms off_ms overhead_pct;
   (* cold scan: every page of the file read once through a fresh pager *)
-  let cold_scan config =
-    let _fs, vfs = build config in
+  let cold_scan ~checksums =
+    let _fs, vfs = build ~checksums in
     let scan () =
-      let p = P.open_file ~vfs ~config "bench_integrity.db" in
+      let p = P.open_file ~vfs "bench_integrity.db" in
       let n = P.page_count p in
       for no = 0 to n - 1 do
         ignore (P.read p no)
@@ -1341,13 +1179,13 @@ let bench_integrity () =
     let ms = median (List.init 7 (fun _ -> snd (time_once (fun () -> ignore (scan ()))))) in
     (pages, ms)
   in
-  let pages, cold_on_ms = cold_scan P.default_config in
-  let _, cold_off_ms = cold_scan checksums_off in
+  let pages, cold_on_ms = cold_scan ~checksums:true in
+  let _, cold_off_ms = cold_scan ~checksums:false in
   let page_mib n = float_of_int (n * P.page_size) /. mib in
   Printf.printf "  cold scan       on %7.2f ms   off %7.2f ms   (%d pages)\n"
     cold_on_ms cold_off_ms pages;
   (* scrub: the background verifier's full-file throughput *)
-  let _fs, vfs = build P.default_config in
+  let _fs, vfs = build ~checksums:true in
   let p = P.open_file ~vfs "bench_integrity.db" in
   let scrub_ms =
     median
@@ -1361,7 +1199,7 @@ let bench_integrity () =
     scrub_report.P.scrub_scanned scrub_ms;
   (* detection sanity: one flipped bit must surface as Page_corrupt *)
   let detected =
-    let fs, vfs = build P.default_config in
+    let fs, vfs = build ~checksums:true in
     F.flip_bit fs "bench_integrity.db" ~off:((2 * P.page_size) + 99) ~bit:5;
     let p = P.open_file ~vfs "bench_integrity.db" in
     Fun.protect
@@ -2894,7 +2732,6 @@ let () =
     | "ablation" -> bench_ablation ()
     | "tables" -> bench_tables ()
     | "recovery" -> bench_recovery ()
-    | "storage" -> bench_storage ()
     | "query" -> bench_query ()
     | "obs" -> bench_obs ()
     | "repl" -> bench_repl ()
@@ -2922,7 +2759,6 @@ let () =
       bench_ablation ();
       bench_micro ();
       bench_recovery ();
-      bench_storage ();
       bench_query ();
       bench_obs ();
       bench_repl ();

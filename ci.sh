@@ -1,9 +1,9 @@
 #!/bin/sh
 # CI gate: build, full test suite (includes the smoke crash,
-# replication and bit-rot sweeps), bench smoke (micro + storage hot
-# paths + query engine + observability overhead + replication + page
-# integrity + mvcc + serving + loadgen + cluster, which emit
-# BENCH_PR2.json .. BENCH_PR10.json into a temp dir — the committed trajectory records in
+# replication and bit-rot sweeps), bench smoke (micro + query engine +
+# observability overhead + replication + page integrity + mvcc +
+# serving + loadgen + cluster, which emit BENCH_PR3.json ..
+# BENCH_PR10.json into a temp dir — the committed trajectory records in
 # the repo tree are never touched), then the long fixed-seed
 # crash-torture, replication fault and bit-rot sweeps.  Equivalent to
 # `dune build @ci` plus the bench smoke.  Pass `smoke` to skip the
@@ -55,13 +55,7 @@ digest_before="$(records_digest)"
 
 dune exec bench/main.exe -- micro >/dev/null
 
-# storage hot paths (PR2): legacy vs optimized pager
-dune exec bench/main.exe -- storage --out "$BENCH_OUT" >/dev/null
-check_bench_json "$BENCH_OUT/BENCH_PR2.json" \
-  commit_tx_per_s churn_pages_per_s journal_mib_per_s best_commit_speedup \
-  environments acceptance
-
-# query engine (PR3): compiled plans vs the legacy interpreter
+# query engine (PR3): compiled plans vs the reference interpreter
 dune exec bench/main.exe -- query --out "$BENCH_OUT" >/dev/null
 check_bench_json "$BENCH_OUT/BENCH_PR3.json" \
   deep_descent pool_descent join_heavy range_predicate like_prefix \
@@ -79,8 +73,8 @@ check_bench_json "$BENCH_OUT/BENCH_PR5.json" \
   ship_encode apply_replay steady_state_lag mean_lag_lsns \
   final_lsn_equal files_identical workloads acceptance
 
-# page integrity (PR6): verified-read overhead, scrub throughput,
-# bit-rot detection
+# page integrity (PR6): verified-read overhead against a checksum-less
+# file, scrub throughput, bit-rot detection
 dune exec bench/main.exe -- integrity --out "$BENCH_OUT" >/dev/null
 check_bench_json "$BENCH_OUT/BENCH_PR6.json" \
   verified_read cold_scan scrub detection overhead_pct \

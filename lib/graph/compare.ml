@@ -24,7 +24,7 @@ type report = {
 }
 
 (* Leaf tests are set-based, so they can run off the CSR snapshot;
-   [parent_in] stays on the legacy path because it observes list
+   [parent_in] stays on the mirror walk because it observes list
    *order* (first parent), which the snapshot does not preserve. *)
 let is_leaf db ?csr ~rel ctx n : bool =
   if Traverse.use_csr csr then not (Csr.has_out (Csr.get (Csr.handle db) ~context:ctx ~rel ()) n)

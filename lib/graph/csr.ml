@@ -1,6 +1,6 @@
 (** CSR adjacency snapshots for graph traversal.
 
-    Every traversal hop in the legacy path re-queries
+    Every traversal hop of the mirror walk re-queries
     [Database.outgoing]/[incoming]: a hash lookup, an [OidSet] fold, an
     object fetch and a subclass check *per edge per hop*, allocating a
     fresh [Obj.t list] each time.  For the recursive exploration at the
@@ -34,9 +34,8 @@
     the object layer emits the event in the same call that mutates the
     mirror, before any query can run.
 
-    The optimised evaluator enables snapshots per query via
-    [Eval.config]; the module-level {!enabled} switch is the coarse
-    ablation lever used by benchmarks. *)
+    Traversals use snapshots unless given [~csr:false] (the reference
+    interpreter, [Eval.legacy_config], walks the mirror instead). *)
 
 open Pmodel
 open Pevent
@@ -94,11 +93,6 @@ type t = {
   rebuilds : int Atomic.t; (* snapshots built from the mirror (adjacency_rebuilds stat) *)
   patches : int Atomic.t; (* snapshots patched from deltas (adjacency_patches stat) *)
 }
-
-(** Coarse ablation switch consulted when a traversal is not given an
-    explicit [~csr] argument (benchmarks flip it; the evaluator passes
-    its config instead). *)
-let enabled = ref true
 
 (* ---------------------------------------------------------------------- *)
 (* Snapshot construction                                                   *)
@@ -472,7 +466,7 @@ let patch_count = count (fun m -> m.patches)
 
 (** BFS from [root] along [`Out] (descendants) or [`In] (ancestors)
     edges, collecting nodes at depth within [min_depth, max_depth] —
-    the same contract as the legacy {!Traverse.descendants}. *)
+    the same contract as the mirror walk of {!Traverse.descendants}. *)
 let bfs (s : snapshot) ~dir ?(min_depth = 1) ?max_depth root : OidSet.t =
   match slot s root with
   | -1 ->

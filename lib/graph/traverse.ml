@@ -15,10 +15,9 @@
 open Pmodel
 module OidSet = Database.OidSet
 
-(** Whether to take the CSR-snapshot fast path: an explicit [?csr]
-    argument wins, otherwise the module-level {!Csr.enabled} switch
-    (the ablation lever) decides. *)
-let use_csr = function Some b -> b | None -> !Csr.enabled
+(** Whether to take the CSR-snapshot fast path: yes unless the caller
+    passes [~csr:false] (the reference interpreter's mirror walk). *)
+let use_csr = function Some b -> b | None -> true
 
 (** Destinations of outgoing edges of [oid]. *)
 let children db ?context ~rel oid : int list =

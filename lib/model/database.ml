@@ -231,8 +231,8 @@ let register_builtin_classes schema =
       (Meta.define_class schema synonym_class
          [ Meta.attr "a" (Value.TRef Meta.object_class); Meta.attr "b" (Value.TRef Meta.object_class) ])
 
-let open_ ?cache_pages ?config ?vfs ?readonly path : t =
-  let store = Store.open_ ?cache_pages ?config ?vfs ?readonly path in
+let open_ ?cache_pages ?vfs ?readonly path : t =
+  let store = Store.open_ ?cache_pages ?vfs ?readonly path in
   let ro = Store.is_readonly store in
   let schema = Meta.empty () in
   (match Store.get store ~oid:schema_oid with
@@ -945,7 +945,7 @@ let index_range t class_name attr ?lo ?hi () : OidSet.t option =
     non-string key: evaluating [like] on such a row raises in the
     interpreter ([Value.as_string]), and a prefix scan that silently
     skipped the row would turn that error into a success.  Declining
-    the pushdown keeps the optimized path bit-identical to the legacy
+    the pushdown keeps the optimized path bit-identical to the reference
     one, error semantics included.  Strings are one contiguous block of
     the value order, so "only string keys" is just "both extreme keys
     are strings" — two O(log n) probes, no full scan. *)

@@ -12,8 +12,9 @@
     and graph builtins walk {!Pgraph.Csr} adjacency snapshots.  Access
     paths only ever narrow the candidate set (in the same ascending
     oid order the extent scan uses) and the full WHERE clause is still
-    evaluated per row, so results are bit-identical to the legacy
-    interpreter, which {!legacy_config} keeps wired for ablation.  The
+    evaluated per row, so results are bit-identical to the reference
+    tree-walking interpreter ({!legacy_config}), which the tests use as
+    the planned engine's oracle.  The
     WHERE's loop-invariant subexpressions are computed on first use and
     kept for as long as the ranges they depend on stay bound
     ({!Plan.hoist}); a subexpression that raises is never kept, so
@@ -58,19 +59,17 @@ let m_invariant_reuses =
   Pobs.Metrics.counter "pdb_query_invariant_reuses_total"
     ~help:"Loop-invariant WHERE subexpressions answered from their slot"
 
-(** Execution configuration, mirroring the [Pager.config] ablation
-    pattern of the storage layer. *)
-type config = {
-  planner : bool; (* compile access paths + hash joins *)
-  use_csr : bool; (* CSR adjacency snapshots for graph builtins *)
-  plan_cache : bool; (* reuse compiled plans across queries *)
-}
+(** Execution engine.  [Planned] compiles each select to a cached
+    physical plan (access paths, hash joins, hoisted invariants) and
+    walks CSR adjacency snapshots; [Reference] is the tree-walking
+    interpreter: nested extent loops, a single first-range equality
+    probe, per-hop adjacency queries. *)
+type config = Planned | Reference
 
-let default_config = { planner = true; use_csr = true; plan_cache = true }
+let default_config = Planned
 
-(** Today's interpreter: nested extent loops, single first-range
-    equality probe, per-hop adjacency queries. *)
-let legacy_config = { planner = false; use_csr = false; plan_cache = false }
+(** The reference interpreter, the oracle for the planned engine. *)
+let legacy_config = Reference
 
 (** Cumulative per-database counters, reported by [pdb stats] and the
     server's [/stats]. *)
@@ -204,13 +203,13 @@ type env = (string * Value.t) list
 (* Per-binding execution mode, prepared once per select execution.
    Access-path candidates are invariant in the outer bindings, so they
    are hoisted; [Expr] sources are evaluated per outer row exactly as
-   the legacy interpreter does. *)
+   the reference interpreter does. *)
 type exec =
   | Candidates of Value.t list (* hoisted, ascending oid order *)
   | Hash_probe of (Value.t, int list ref) Hashtbl.t * Ast.expr * Value.t list
       (* build table, probe-key expression, full candidate list (the
          fallback when the probe key fails to evaluate — the nested
-         loop then reproduces legacy error behaviour exactly) *)
+         loop then reproduces reference error behaviour exactly) *)
   | Per_row of Ast.expr
 
 (* Hash keys must agree with [Value.equal_value], which equates VInt
@@ -534,24 +533,24 @@ and eval_call st env f (arg_exprs : Ast.expr list) : Value.t =
       let ctx = ctx_arg st (Lazy.force args) 4 in
       let max_depth = match arg 3 with Value.VNull -> None | _ -> Some (int_arg 3) in
       refs_of_oidset
-        (Pgraph.Traverse.descendants st.db ?context:ctx ~csr:st.config.use_csr
+        (Pgraph.Traverse.descendants st.db ?context:ctx ~csr:(st.config = Planned)
            ~min_depth:(int_arg 2) ?max_depth ~rel:(str_arg 1) (oid_arg 0))
   | "closure" ->
       refs_of_oidset
         (Pgraph.Traverse.closure st.db ?context:(ctx_arg st (Lazy.force args) 2)
-           ~csr:st.config.use_csr ~rel:(str_arg 1) (oid_arg 0))
+           ~csr:(st.config = Planned) ~rel:(str_arg 1) (oid_arg 0))
   | "descendants" ->
       refs_of_oidset
         (Pgraph.Traverse.descendants st.db ?context:(ctx_arg st (Lazy.force args) 2)
-           ~csr:st.config.use_csr ~rel:(str_arg 1) (oid_arg 0))
+           ~csr:(st.config = Planned) ~rel:(str_arg 1) (oid_arg 0))
   | "ancestors" ->
       refs_of_oidset
         (Pgraph.Traverse.ancestors st.db ?context:(ctx_arg st (Lazy.force args) 2)
-           ~csr:st.config.use_csr ~rel:(str_arg 1) (oid_arg 0))
+           ~csr:(st.config = Planned) ~rel:(str_arg 1) (oid_arg 0))
   | "reachable" ->
       Value.VBool
         (Pgraph.Traverse.reachable st.db ?context:(ctx_arg st (Lazy.force args) 3)
-           ~csr:st.config.use_csr ~rel:(str_arg 2) (oid_arg 0) (oid_arg 1))
+           ~csr:(st.config = Planned) ~rel:(str_arg 2) (oid_arg 0) (oid_arg 1))
   | "path" -> (
       match
         Pgraph.Traverse.shortest_path st.db ?context:(ctx_arg st (Lazy.force args) 3) ~rel:(str_arg 2)
@@ -562,7 +561,7 @@ and eval_call st env f (arg_exprs : Ast.expr list) : Value.t =
   | "graph" ->
       let g =
         Pgraph.Subgraph.extract st.db ?context:(ctx_arg st (Lazy.force args) 2)
-          ~csr:st.config.use_csr ~rel:(str_arg 1) (oid_arg 0)
+          ~csr:(st.config = Planned) ~rel:(str_arg 1) (oid_arg 0)
       in
       Value.VList
         [ refs_of_oidset g.Pgraph.Subgraph.nodes;
@@ -598,10 +597,14 @@ and eval_call st env f (arg_exprs : Ast.expr list) : Value.t =
 (* --- select ----------------------------------------------------------- *)
 
 (** Try to satisfy the first range via an index probe: look for a
-    top-level conjunct [var.attr = constant] in the WHERE clause. *)
+    top-level conjunct [var.attr = constant] in the WHERE clause.  A
+    later range that rebinds [var] shadows the first one, so the WHERE
+    then constrains that later range and the probe declines. *)
 and index_probe st (s : Ast.select) : OidSet.t option =
   match (s.Ast.ranges, s.Ast.where) with
-  | (Ast.Var cls, var) :: _, Some w when Meta.is_class (Database.schema st.db) cls ->
+  | (Ast.Var cls, var) :: rest, Some w
+    when Meta.is_class (Database.schema st.db) cls
+         && not (List.exists (fun (_, v) -> v = var) rest) ->
       let rec conjuncts e =
         match e with Ast.Binop ("and", a, b) -> conjuncts a @ conjuncts b | e -> [ e ]
       in
@@ -637,50 +640,45 @@ and plan_for st (env : env) (s : Ast.select) : Plan.t =
   | Some (_, p) -> p
   | None ->
       let bound = List.map fst env in
+      let key =
+        Ast.to_string (Ast.Select s) ^ "|" ^ String.concat "," (List.sort_uniq compare bound)
+      in
+      let epoch = Database.index_epoch st.db in
+      let cached =
+        Mutex.lock st.cache_mu;
+        let r =
+          match Hashtbl.find_opt st.cache key with
+          | Some (e, p) when e = epoch -> Some p
+          | _ -> None
+        in
+        Mutex.unlock st.cache_mu;
+        r
+      in
       let p =
-        if st.config.plan_cache then begin
-          let key =
-            Ast.to_string (Ast.Select s) ^ "|" ^ String.concat "," (List.sort_uniq compare bound)
-          in
-          let epoch = Database.index_epoch st.db in
-          let cached =
+        match cached with
+        | Some p ->
+            Atomic.incr st.totals.t_cache_hits;
+            Pobs.Metrics.inc m_cache_hits;
+            p
+        | None ->
+            Atomic.incr st.totals.t_cache_misses;
+            Pobs.Metrics.inc m_cache_misses;
+            (* compile outside the lock: concurrent misses duplicate
+               work, never block each other on the compiler *)
+            let p = Pobs.Trace.with_span "pool.plan" (fun () -> Plan.compile st.db ~bound s) in
             Mutex.lock st.cache_mu;
-            let r =
-              match Hashtbl.find_opt st.cache key with
-              | Some (e, p) when e = epoch -> Some p
-              | _ -> None
-            in
+            if Hashtbl.length st.cache > 512 then Hashtbl.reset st.cache;
+            Hashtbl.replace st.cache key (epoch, p);
             Mutex.unlock st.cache_mu;
-            r
-          in
-          match cached with
-          | Some p ->
-              Atomic.incr st.totals.t_cache_hits;
-              Pobs.Metrics.inc m_cache_hits;
-              p
-          | None ->
-              Atomic.incr st.totals.t_cache_misses;
-              Pobs.Metrics.inc m_cache_misses;
-              (* compile outside the lock: concurrent misses duplicate
-                 work, never block each other on the compiler *)
-              let p =
-                Pobs.Trace.with_span "pool.plan" (fun () -> Plan.compile st.db ~bound s)
-              in
-              Mutex.lock st.cache_mu;
-              if Hashtbl.length st.cache > 512 then Hashtbl.reset st.cache;
-              Hashtbl.replace st.cache key (epoch, p);
-              Mutex.unlock st.cache_mu;
-              p
-        end
-        else Pobs.Trace.with_span "pool.plan" (fun () -> Plan.compile st.db ~bound s)
+            p
       in
       st.plan_memo <- (s, p) :: st.plan_memo;
       p
 
 (* Candidate oids for an access path, with statistics.  An index that
    disappeared since planning (the epoch check makes this rare, but a
-   cacheless config can still race a drop) falls back to the extent —
-   a superset, so correctness is unaffected. *)
+   drop can still race a cached plan) falls back to the extent — a
+   superset, so correctness is unaffected. *)
 and oidset_of_access st (a : Plan.access) : OidSet.t =
   let bump_probe () =
     st.index_probes <- st.index_probes + 1;
@@ -791,7 +789,7 @@ and eval_select st (env : env) (s : Ast.select) : Value.t =
           rows := (row, sort_key) :: !rows
         end
       in
-      (if st.config.planner then begin
+      (if st.config = Planned then begin
          let plan = plan_for st env s in
          let where, levels, cells =
            match plan.Plan.hoisted with
@@ -829,7 +827,7 @@ and eval_select st (env : env) (s : Ast.select) : Value.t =
                          (* probe key failed to evaluate, whatever the
                             exception: replay the nested loop so the
                             WHERE clause raises (or not) exactly as the
-                            legacy interpreter would *)
+                            reference interpreter would *)
                          List.iter each cands
                    end)
          in

@@ -6,9 +6,9 @@
     *full* WHERE clause per candidate row (reading loop-invariant
     subexpressions from slots, below), so an access path only needs
     to produce a {e superset} of the qualifying objects — in ascending
-    oid order, which is also the order the legacy extent scan uses.
+    oid order, which is also the order the reference extent scan uses.
     That invariant is what makes optimized results bit-identical to the
-    legacy interpreter: pushdown can never change which rows survive or
+    reference interpreter: pushdown can never change which rows survive or
     how they are ordered, only how many candidates are inspected.
 
     Access paths recognised from top-level WHERE conjuncts over an

@@ -12,9 +12,10 @@ type plan = { ast : Ast.expr; used_index : bool }
 
 let parse = Parser.parse
 
-(** Execution configuration: {!Eval.default_config} runs the
-    plan-then-run engine (index pushdown, hash joins, CSR traversal),
-    {!Eval.legacy_config} the original tree-walking interpreter. *)
+(** Execution engine: {!Eval.default_config} runs the plan-then-run
+    engine (index pushdown, hash joins, CSR traversal),
+    {!Eval.legacy_config} the reference tree-walking interpreter that
+    tests compare it against. *)
 let default_config = Eval.default_config
 
 let legacy_config = Eval.legacy_config
@@ -40,7 +41,7 @@ let m_exec_ns =
 
 (* The dominant access path actually taken, from the per-query state
    counters — no plan plumbing needed, and it is accurate for the
-   legacy interpreter too. *)
+   reference interpreter too. *)
 let kind_of_state (st : Eval.state) : string =
   if st.Eval.hash_joins > 0 then "hash_join"
   else if st.Eval.index_probes > 0 then "index_probe"

@@ -92,14 +92,15 @@ module Dec = struct
     s
 end
 
-(** CRC-32 (IEEE 802.3 polynomial), used to validate journal frames.
+(** CRC-32 (IEEE 802.3 polynomial), used to validate journal frames
+    and page trailers.
 
     The digest runs once per 4 KiB journal frame on the transaction
     commit path, so it is computed with native-[int] arithmetic: OCaml
-    [Int32] values are boxed, and the original [Int32]-based loop
-    allocated on every byte, costing ~26 us per frame — more than the
-    rest of the frame encode put together.  The unboxed loop below is
-    an order of magnitude faster and bit-identical. *)
+    [Int32] values are boxed, and an [Int32]-based loop allocates on
+    every byte (~26 us per frame, more than the rest of the frame encode
+    put together).  The slicing-by-4 loop below is an order of magnitude
+    faster. *)
 module Crc32 = struct
   let poly = 0xEDB88320
 
@@ -151,28 +152,4 @@ module Crc32 = struct
   let digest s = digest_sub s 0 (String.length s)
   let digest_bytes b = digest (Bytes.unsafe_to_string b)
   let digest_bytes_sub b pos len = digest_sub (Bytes.unsafe_to_string b) pos len
-
-  (* The pre-overhaul boxed-[Int32] implementation, kept wired into the
-     legacy journal path ([Pager.legacy_config]) so ablation benchmarks
-     measure the commit path the overhaul actually replaced. *)
-  let table_boxed =
-    lazy
-      (Array.init 256 (fun n ->
-           let c = ref (Int32.of_int n) in
-           for _ = 0 to 7 do
-             if Int32.logand !c 1l <> 0l then
-               c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else c := Int32.shift_right_logical !c 1
-           done;
-           !c))
-
-  let digest_bytes_boxed b =
-    let s = Bytes.unsafe_to_string b in
-    let table = Lazy.force table_boxed in
-    let c = ref 0xFFFFFFFFl in
-    for i = 0 to String.length s - 1 do
-      let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code s.[i]))) 0xffl) in
-      c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
-    done;
-    Int32.logxor !c 0xFFFFFFFFl
 end

@@ -24,10 +24,7 @@
     point; eviction picks victims from an O(log n) LRU map instead of
     sorting the whole cache; and a dirty counter lets [begin_tx] skip
     its checkpoint flush/fsync when the cache is already clean (the
-    common case right after a commit).  Each optimisation can be
-    switched back to the pre-overhaul behaviour through {!config} —
-    [legacy_config] reproduces the old hot paths for ablation
-    benchmarks ([bench/main.exe storage]).
+    common case right after a commit).
 
     All file I/O goes through a {!Vfs.t} (defaulting to {!Vfs.unix}),
     so the crash-recovery protocol can be proven correct under the
@@ -52,8 +49,7 @@
     while any snapshot at an older LSN is live and are reclaimed at
     each commit by a min-active-LSN watermark.  Version bookkeeping is
     skipped entirely while no snapshot is registered, so the PR 2
-    write paths are unchanged when the feature is idle, and
-    {!config}[.mvcc] ablates it outright.
+    write paths are unchanged when the feature is idle.
 
     A group-commit batch (driven by [Store.Group]) runs several
     transactions inside one journal lifetime: {!soft_begin} /
@@ -67,11 +63,10 @@ let page_size = 4096
 
 (** Per-page checksum trailer: the last {!trailer_size} bytes of every
     page hold a CRC-32 over the first {!page_capacity} bytes.  The
-    trailer is part of the page layout regardless of configuration —
-    higher layers (heap, free list) never place data there — so the
-    same file format serves both the checksummed and the ablation
-    (no-verify) pager; {!config}[.checksums] only controls whether the
-    trailer is stamped on writeback and verified on read. *)
+    trailer is part of every page layout — higher layers (heap, free
+    list) never place data there — so a checksum-less file (header flag
+    0, see {!checksum_flag_off}) has the same format; only whether the
+    trailer is stamped on writeback and verified on read differs. *)
 let trailer_size = 4
 
 (** Bytes of a page available to higher layers ([page_size] minus the
@@ -195,9 +190,10 @@ let lsn_header_off = 28
     {!checksum_flag_on} when the file's pages carry stamped CRC
     trailers, 0 otherwise.  Written together with the LSN at every
     page-dirtying commit, so the flag is journaled and rolls back with
-    the data.  A file whose flag is 0 is never verified even under a
-    checksumming config (its trailers were never maintained); vacuum
-    rewrites every page and so upgrades such a file.  The "on" value is
+    the data.  A file whose flag is 0 (written before checksums
+    existed) is opened unverified and stays so — its trailers were never
+    maintained; vacuum rewrites every page and so upgrades such a file.
+    The pager never creates such a file itself.  The "on" value is
     a bit pattern rather than 1 so that any {e single-bit} flip of the
     flag byte itself yields an invalid value — detected as header
     corruption — instead of silently disabling verification. *)
@@ -219,57 +215,6 @@ type page = {
   mutable dirty : bool;
   mutable lru : int; (* last-touch tick, for eviction *)
 }
-
-(** Hot-path switches.  The default is all optimisations on; each
-    [false] re-enables the corresponding pre-overhaul code path so
-    benchmarks can measure every optimisation against the pager it
-    replaced. *)
-type config = {
-  coalesce : bool;
-      (** sort dirty pages, merge contiguous runs into extent writes
-          (off: one write per page, cache-hash order) *)
-  group_journal : bool;
-      (** encode before-image frames in place into a reusable buffer,
-          one journal write per sync point (off: three 4 KiB copies
-          and one write per frame) *)
-  lazy_checkpoint : bool;
-      (** track dirtiness so a clean cache skips the [begin_tx]
-          checkpoint flush/fsync and an empty journal skips the
-          commit-time truncate/fsync (off: unconditional) *)
-  logn_evict : bool;
-      (** pick eviction victims from an O(log n) LRU map (off: sort
-          the whole cache by last touch on every eviction) *)
-  checksums : bool;
-      (** stamp a CRC-32 trailer into every page on writeback and
-          verify it on every cache-miss read, raising {!Page_corrupt}
-          on mismatch (off: trailers neither stamped nor checked — the
-          ablation path; the page layout is identical either way) *)
-  mvcc : bool;
-      (** maintain LSN-keyed page versions so {!snapshot} can hand out
-          frozen-LSN read handles to concurrent domains (off: snapshots
-          refuse; zero version bookkeeping anywhere) *)
-}
-
-let default_config =
-  {
-    coalesce = true;
-    group_journal = true;
-    lazy_checkpoint = true;
-    logn_evict = true;
-    checksums = true;
-    mvcc = true;
-  }
-
-(** The pre-overhaul pager, kept wired for ablation benchmarks. *)
-let legacy_config =
-  {
-    coalesce = false;
-    group_journal = false;
-    lazy_checkpoint = false;
-    logn_evict = false;
-    checksums = false;
-    mvcc = false;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Page checksum helpers                                               *)
@@ -334,11 +279,9 @@ type t = {
   journal_path : string;
   created : bool; (* the file was empty when opened (after recovery) *)
   readonly : bool;
-  cfg : config;
   mutable verify : bool;
-      (* checksums active for this file: [cfg.checksums] and the file
-         actually carries stamped trailers (created by us, or header
-         flag set) *)
+      (* checksums active for this file: it carries stamped trailers
+         (created by us, or header flag set) *)
   quarantined : (int, unit) Hashtbl.t;
       (* known-corrupt pages awaiting repair: reads skip verification
          (so a repair transaction can journal the damaged before-image)
@@ -354,7 +297,7 @@ type t = {
   cache : (int, page) Hashtbl.t;
   mutable cache_cap : int;
   mutable tick : int;
-  mutable lru_map : page Lru.t; (* maintained only when [cfg.logn_evict] *)
+  mutable lru_map : page Lru.t;
   mutable dirty_list : page list;
       (* pages that turned dirty since the last flush; entries whose
          page was cleaned in the meantime (eviction writeback) are
@@ -498,43 +441,24 @@ let journal_flush t =
     t.jbuf_len <- 0
   end
 
-(* The pre-overhaul append: a fresh encoder per frame — three full-page
-   copies (Buffer, to_string, of_string), a boxed-Int32 CRC, and one
-   write. *)
-let journal_append_legacy t jfd page_no (data : Bytes.t) =
-  let e = Codec.Enc.create ~size:journal_frame_size () in
-  Codec.Enc.u32 e journal_frame_magic;
-  Codec.Enc.i64 e (Int64.of_int page_no);
-  Codec.Enc.u32 e (Int32.to_int (Codec.Crc32.digest_bytes_boxed data) land 0xffffffff);
-  Codec.Enc.raw e (Bytes.to_string data);
-  really_write ~path:t.journal_path jfd
-    (Bytes.of_string (Codec.Enc.to_string e))
-    ~off:0 ~len:journal_frame_size ~file_off:t.journal_len;
-  t.journal_len <- t.journal_len + journal_frame_size;
-  t.journal_bytes <- t.journal_bytes + journal_frame_size;
-  Pobs.Metrics.addi m_journal_bytes journal_frame_size
-
 let journal_append t page_no (data : Bytes.t) =
-  let jfd = journal_open t in
-  if not t.cfg.group_journal then journal_append_legacy t jfd page_no data
-  else begin
-    let cap = journal_buffer_frames * journal_frame_size in
-    if Bytes.length t.jbuf < cap then begin
-      let b = Bytes.create cap in
-      Bytes.blit t.jbuf 0 b 0 t.jbuf_len;
-      t.jbuf <- b
-    end;
-    if t.jbuf_len + journal_frame_size > cap then journal_flush t;
-    (* encode the frame in place: header stores + one page blit, no
-       intermediate copies *)
-    let off = t.jbuf_len in
-    Codec.Put.u32 t.jbuf off journal_frame_magic;
-    Codec.Put.i64 t.jbuf (off + 4) (Int64.of_int page_no);
-    Codec.Put.u32 t.jbuf (off + 12)
-      (Int32.to_int (Codec.Crc32.digest_bytes data) land 0xffffffff);
-    Bytes.blit data 0 t.jbuf (off + 16) page_size;
-    t.jbuf_len <- off + journal_frame_size
+  ignore (journal_open t);
+  let cap = journal_buffer_frames * journal_frame_size in
+  if Bytes.length t.jbuf < cap then begin
+    let b = Bytes.create cap in
+    Bytes.blit t.jbuf 0 b 0 t.jbuf_len;
+    t.jbuf <- b
   end;
+  if t.jbuf_len + journal_frame_size > cap then journal_flush t;
+  (* encode the frame in place: header stores + one page blit, no
+     intermediate copies *)
+  let off = t.jbuf_len in
+  Codec.Put.u32 t.jbuf off journal_frame_magic;
+  Codec.Put.i64 t.jbuf (off + 4) (Int64.of_int page_no);
+  Codec.Put.u32 t.jbuf (off + 12)
+    (Int32.to_int (Codec.Crc32.digest_bytes data) land 0xffffffff);
+  Bytes.blit data 0 t.jbuf (off + 16) page_size;
+  t.jbuf_len <- off + journal_frame_size;
   t.journal_synced <- false
 
 let journal_truncate t =
@@ -546,7 +470,7 @@ let journal_truncate t =
   | Some fd ->
       (* A journal that is already empty on disk has nothing to cut; a
          commit that journaled nothing then skips both syscalls. *)
-      if t.journal_len > 0 || not t.cfg.lazy_checkpoint then begin
+      if t.journal_len > 0 then begin
         io ~op:"truncate" ~path:t.journal_path (fun () -> fd.Vfs.truncate 0);
         fsync_file ~path:t.journal_path fd
       end
@@ -618,7 +542,7 @@ let journal_read_frames ~(vfs : Vfs.t) path =
 
 let touch t (p : page) =
   t.tick <- t.tick + 1;
-  if t.cfg.logn_evict && p.no <> 0 then begin
+  if p.no <> 0 then begin
     if p.lru > 0 then t.lru_map <- Lru.remove p.lru t.lru_map;
     t.lru_map <- Lru.add t.tick p t.lru_map
   end;
@@ -658,9 +582,8 @@ let coalesce_runs (nos : int list) : (int * int) list =
 (* Write a batch of dirty pages back to the data file, enforcing the
    steal barrier: if any page in the batch has a journaled
    before-image, the journal is flushed and fsynced before the first
-   data write.  With [cfg.coalesce] the batch is sorted by page number
-   and contiguous runs land as single extent writes; otherwise one
-   write per page, in the order given (the pre-overhaul path). *)
+   data write.  The batch is sorted by page number and contiguous runs
+   land as single extent writes. *)
 let write_batch t (pages : page list) =
   if pages <> [] then begin
     (* Stamp trailers in place (the cached image keeps the stamp, so
@@ -670,44 +593,33 @@ let write_batch t (pages : page list) =
     if t.in_tx && List.exists (fun p -> Hashtbl.mem t.journaled p.no) pages then
       journal_sync t;
     t.unsynced_writes <- true;
-    if not t.cfg.coalesce then
-      List.iter
-        (fun p ->
-          really_write ~path:t.path t.fd p.data ~off:0 ~len:page_size
-            ~file_off:(p.no * page_size);
-          t.writes <- t.writes + 1;
-          Pobs.Metrics.inc m_page_writes;
-          mark_clean t p)
-        pages
-    else begin
-      let arr = Array.of_list pages in
-      Array.sort (fun a b -> compare a.no b.no) arr;
-      let runs = coalesce_runs (Array.to_list (Array.map (fun p -> p.no) arr)) in
-      let idx = ref 0 in
-      List.iter
-        (fun (start, len) ->
-          if len = 1 then
-            really_write ~path:t.path t.fd arr.(!idx).data ~off:0 ~len:page_size
-              ~file_off:(start * page_size)
-          else begin
-            let bytes = len * page_size in
-            if Bytes.length t.wbuf < bytes then t.wbuf <- Bytes.create (max_extent_pages * page_size);
-            for k = 0 to len - 1 do
-              Bytes.blit arr.(!idx + k).data 0 t.wbuf (k * page_size) page_size
-            done;
-            really_write_extent ~path:t.path t.fd t.wbuf ~off:0 ~len:bytes
-              ~file_off:(start * page_size);
-            Pobs.Metrics.inc m_coalesced_runs;
-            Pobs.Metrics.addi m_extent_pages len
-          end;
+    let arr = Array.of_list pages in
+    Array.sort (fun a b -> compare a.no b.no) arr;
+    let runs = coalesce_runs (Array.to_list (Array.map (fun p -> p.no) arr)) in
+    let idx = ref 0 in
+    List.iter
+      (fun (start, len) ->
+        if len = 1 then
+          really_write ~path:t.path t.fd arr.(!idx).data ~off:0 ~len:page_size
+            ~file_off:(start * page_size)
+        else begin
+          let bytes = len * page_size in
+          if Bytes.length t.wbuf < bytes then t.wbuf <- Bytes.create (max_extent_pages * page_size);
           for k = 0 to len - 1 do
-            mark_clean t arr.(!idx + k)
+            Bytes.blit arr.(!idx + k).data 0 t.wbuf (k * page_size) page_size
           done;
-          t.writes <- t.writes + len;
-          Pobs.Metrics.addi m_page_writes len;
-          idx := !idx + len)
-        runs
-    end
+          really_write_extent ~path:t.path t.fd t.wbuf ~off:0 ~len:bytes
+            ~file_off:(start * page_size);
+          Pobs.Metrics.inc m_coalesced_runs;
+          Pobs.Metrics.addi m_extent_pages len
+        end;
+        for k = 0 to len - 1 do
+          mark_clean t arr.(!idx + k)
+        done;
+        t.writes <- t.writes + len;
+        Pobs.Metrics.addi m_page_writes len;
+        idx := !idx + len)
+      runs
   end
 
 let evict_if_needed t =
@@ -715,31 +627,20 @@ let evict_if_needed t =
   if n > t.cache_cap then begin
     (* Evict the ~25% least recently used pages (page 0 is pinned). *)
     let n_evict = max 1 (n / 4) in
-    let victims =
-      if t.cfg.logn_evict then begin
-        (* pop the smallest ticks from the LRU map *)
-        let rec take k seq acc =
-          if k = 0 then acc
-          else
-            match seq () with
-            | Seq.Nil -> acc
-            | Seq.Cons ((_, p), rest) -> take (k - 1) rest (p :: acc)
-        in
-        List.rev (take n_evict (Lru.to_seq t.lru_map) [])
-      end
-      else begin
-        (* pre-overhaul path: sort the whole cache by last touch *)
-        let pages = Hashtbl.fold (fun _ p acc -> p :: acc) t.cache [] in
-        let sorted = List.sort (fun a b -> compare a.lru b.lru) pages in
-        List.filteri (fun i _ -> i < n_evict) sorted
-        |> List.filter (fun p -> p.no <> 0)
-      end
+    (* pop the smallest ticks from the LRU map *)
+    let rec take k seq acc =
+      if k = 0 then acc
+      else
+        match seq () with
+        | Seq.Nil -> acc
+        | Seq.Cons ((_, p), rest) -> take (k - 1) rest (p :: acc)
     in
+    let victims = List.rev (take n_evict (Lru.to_seq t.lru_map) []) in
     write_batch t (List.filter (fun p -> p.dirty) victims);
     List.iter
       (fun p ->
         Hashtbl.remove t.cache p.no;
-        if t.cfg.logn_evict then t.lru_map <- Lru.remove p.lru t.lru_map;
+        t.lru_map <- Lru.remove p.lru t.lru_map;
         t.evictions <- t.evictions + 1;
         Pobs.Metrics.inc m_evictions)
       victims
@@ -804,8 +705,7 @@ let recover_from_journal ~(vfs : Vfs.t) path journal_path =
   if vfs.Vfs.exists journal_path then
     io ~op:"remove" ~path:journal_path (fun () -> vfs.Vfs.remove journal_path)
 
-let open_file ?(cache_pages = 2048) ?(config = default_config) ?(vfs = Vfs.unix)
-    ?(readonly = false) path =
+let open_file ?(cache_pages = 2048) ?(vfs = Vfs.unix) ?(readonly = false) path =
   let journal_path = path ^ ".journal" in
   if readonly then begin
     (* A read-only pager must not write — and recovery both writes the
@@ -829,8 +729,7 @@ let open_file ?(cache_pages = 2048) ?(config = default_config) ?(vfs = Vfs.unix)
     journal_path;
     created = size = 0;
     readonly;
-    cfg = config;
-    verify = size = 0 && config.checksums;
+    verify = size = 0;
     quarantined = Hashtbl.create 4;
     page_count = max page_count 1;
     lsn = 0;
@@ -879,19 +778,17 @@ let open_file ?(cache_pages = 2048) ?(config = default_config) ?(vfs = Vfs.unix)
     let hdr = (load_page t 0).data in
     t.lsn <- Int64.to_int (Bytes.get_int64_le hdr lsn_header_off);
     let flag = Bytes.get_uint8 hdr checksum_flag_off in
-    if config.checksums then begin
-      (* An invalid flag value is itself header corruption: the flag is
-         only ever written as [checksum_flag_on] or 0, so a flipped bit
-         in the byte cannot silently disable verification.  An all-zero
-         header is a store whose initialisation was rolled back — treat
-         it as fresh and start (re)stamping. *)
-      if flag <> 0 && flag <> checksum_flag_on then begin
-        Pobs.Metrics.inc m_page_corrupt;
-        raise (Page_corrupt { page = 0; expected = stored_crc hdr; got = image_crc hdr })
-      end;
-      t.verify <- flag = checksum_flag_on || is_zero_page hdr;
-      if flag = checksum_flag_on then verify_image ~page:0 hdr
-    end
+    (* An invalid flag value is itself header corruption: the flag is
+       only ever written as [checksum_flag_on] or 0, so a flipped bit
+       in the byte cannot silently disable verification.  An all-zero
+       header is a store whose initialisation was rolled back — treat
+       it as fresh and start (re)stamping. *)
+    if flag <> 0 && flag <> checksum_flag_on then begin
+      Pobs.Metrics.inc m_page_corrupt;
+      raise (Page_corrupt { page = 0; expected = stored_crc hdr; got = image_crc hdr })
+    end;
+    t.verify <- flag = checksum_flag_on || is_zero_page hdr;
+    if flag = checksum_flag_on then verify_image ~page:0 hdr
   end;
   t
 
@@ -925,8 +822,8 @@ let cached t no = Hashtbl.mem t.cache no
 (* Integrity: verification, quarantine, scrub                          *)
 (* ------------------------------------------------------------------ *)
 
-(** Whether pages of this file are actively checksummed: the config
-    asks for it and the file carries stamped trailers. *)
+(** Whether pages of this file are actively checksummed: false only
+    for a checksum-less file (header flag 0) not yet vacuumed. *)
 let checksums_enabled t = t.verify
 
 (** Mark page [no] known-corrupt: it is dropped from the cache and
@@ -939,7 +836,7 @@ let quarantine t no =
   | Some p ->
       mark_clean t p;
       Hashtbl.remove t.cache no;
-      if t.cfg.logn_evict && p.lru > 0 then t.lru_map <- Lru.remove p.lru t.lru_map
+      if p.lru > 0 then t.lru_map <- Lru.remove p.lru t.lru_map
   | None -> ());
   Hashtbl.replace t.quarantined no ()
 
@@ -1075,7 +972,7 @@ let flush_all t =
     write_batch t ds
   end
   else t.dirty_list <- [];
-  if t.unsynced_writes || not t.cfg.lazy_checkpoint then begin
+  if t.unsynced_writes then begin
     fsync_file ~path:t.path t.fd;
     t.unsynced_writes <- false
   end
@@ -1094,8 +991,7 @@ let begin_tx t =
      the gate on so their "newest = committed" invariant is maintained
      until the next watermark prune empties them. *)
   t.tx_protect <-
-    t.cfg.mvcc
-    && (Atomic.get t.active_snaps > 0 || not (Pmap.is_empty (Atomic.get t.versions)));
+    Atomic.get t.active_snaps > 0 || not (Pmap.is_empty (Atomic.get t.versions));
   (* Checkpoint: pre-transaction state must be durable on disk, because
      abort discards the cache and reconstructs state from the file plus
      the journal's before-images.  A clean, synced cache — the common
@@ -1103,8 +999,7 @@ let begin_tx t =
      flush and its fsync entirely.  If the checkpoint fails, no
      transaction has begun: release the registry lock on the way out. *)
   (try
-     if (not t.cfg.lazy_checkpoint) || t.dirty_count > 0 || t.unsynced_writes then
-       flush_all t
+     if t.dirty_count > 0 || t.unsynced_writes then flush_all t
    with e ->
      Mutex.unlock t.snap_mu;
      raise e);
@@ -1141,9 +1036,8 @@ let capture_publish ?lsn t =
     with_write t 0 (fun hdr ->
         Bytes.set_int64_le hdr lsn_header_off (Int64.of_int next);
         (* Keep the checksum flag truthful at every commit: set while
-           trailers are being maintained, cleared by the first commit
-           under a no-checksum config (whose writeback stops refreshing
-           them). *)
+           trailers are being maintained, still 0 on a checksum-less
+           file that has not been vacuumed. *)
         Bytes.set_uint8 hdr checksum_flag_off (if t.verify then checksum_flag_on else 0));
     t.lsn <- next
   end;
@@ -1447,7 +1341,6 @@ module Snapshot = struct
      transaction (or group batch) is running: snapshots freeze only at
      commit boundaries. *)
   let create ?(cache_pages = 1024) (t : pager) : t =
-    if not t.cfg.mvcc then fail "snapshot: disabled by config (mvcc = false)";
     Mutex.lock t.snap_mu;
     let id = t.next_snap_id in
     t.next_snap_id <- id + 1;

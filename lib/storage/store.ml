@@ -102,8 +102,8 @@ let header_all_zero hdr =
   let rec go i = i >= Bytes.length hdr || (Bytes.get hdr i = '\000' && go (i + 1)) in
   go 0
 
-let open_ ?cache_pages ?config ?(vfs = Vfs.unix) ?readonly path =
-  let pager = Pager.open_file ?cache_pages ?config ~vfs ?readonly path in
+let open_ ?cache_pages ?(vfs = Vfs.unix) ?readonly path =
+  let pager = Pager.open_file ?cache_pages ~vfs ?readonly path in
   let hdr = Pager.read pager 0 in
   (* A brand-new store is an empty file, or one whose header page
      recovery rolled back to zeros (a crash during initialisation).  A

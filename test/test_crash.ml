@@ -248,13 +248,15 @@ let write_file (vfs : V.t) path (chunks : string list) =
   fd.V.fsync ();
   fd.V.close ()
 
-let page_of c = String.make P.page_size c
-
-(* The fabricated db images above are raw byte patterns with no
-   checksum trailers (and a garbage header flag byte), so the journal
-   unit tests open them with verification off.  The real crash sweeps
-   all run through checksummed stores. *)
-let nock = { P.default_config with P.checksums = false }
+(* A fabricated page image filled with [c], valid under verification:
+   the header checksum flag is set (any image may land on page 0) and
+   the trailer stamped, so the journal unit tests open their raw files
+   verified, as production does. *)
+let page_of c =
+  let b = Bytes.make P.page_size c in
+  Bytes.set_uint8 b P.checksum_flag_off P.checksum_flag_on;
+  P.stamp_image b;
+  Bytes.to_string b
 
 let read_page p no =
   let b = P.read p no in
@@ -271,7 +273,7 @@ let test_torn_frame () =
   let f1 = frame 1 (page_of 'A') in
   let torn = String.sub (frame 0 (page_of 'Z')) 0 14 (* cut mid-CRC *) in
   write_file vfs "t.db.journal" [ f1; torn ];
-  let p = P.open_file ~config:nock ~vfs "t.db" in
+  let p = P.open_file ~vfs "t.db" in
   Alcotest.(check string) "frame applied" (page_of 'A') (read_page p 1);
   Alcotest.(check string) "torn frame ignored" (page_of 'H') (read_page p 0);
   Alcotest.(check bool) "journal removed" false (vfs.V.exists "t.db.journal");
@@ -293,7 +295,7 @@ let test_bad_crc_stops_replay () =
   in
   let after = frame 0 (page_of 'Q') in
   write_file vfs "t.db.journal" [ f1; bad; after ];
-  let p = P.open_file ~config:nock ~vfs "t.db" in
+  let p = P.open_file ~vfs "t.db" in
   Alcotest.(check string) "valid prefix applied" (page_of 'A') (read_page p 1);
   Alcotest.(check string) "frames after bad CRC ignored" (page_of 'H')
     (read_page p 0);
@@ -308,7 +310,7 @@ let test_duplicate_before_images () =
   write_file vfs "t.db" [ page_of 'H'; page_of 'B' ];
   write_file vfs "t.db.journal"
     [ frame 1 (page_of 'A'); frame 1 (page_of 'X') ];
-  let p = P.open_file ~config:nock ~vfs "t.db" in
+  let p = P.open_file ~vfs "t.db" in
   Alcotest.(check string) "first before-image wins" (page_of 'A')
     (read_page p 1);
   P.close p

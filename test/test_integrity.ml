@@ -3,10 +3,12 @@
 
    Layers, bottom up:
 
-   - crc: the boxed legacy CRC-32 and the slicing-by-4 implementation
-     are bit-identical (the legacy path stays a pure ablation switch).
+   - crc: the slicing-by-4 CRC-32 agrees with a byte-at-a-time
+     reference and with the standard check value.
    - recovery: a torn/corrupt journal tail is counted and logged, not
      silently swallowed.
+   - checksum-less files: a store whose header flag is 0 opens
+     unverified (rot goes unreported) until vacuum upgrades it.
    - rot (the tentpole sweep): a populated store on the fault VFS gets
      one bit flipped in *every* page, one page at a time; each flip
      must be detected as a typed [Page_corrupt] naming that page — 100%
@@ -43,7 +45,15 @@ let seed =
   | None -> 0x5C12
 
 let cval (c : Pobs.Metrics.counter) = int_of_float (Pobs.Metrics.counter_value c)
-let page_of c = String.make P.page_size c
+
+(* A fabricated page image filled with [c], valid under verification:
+   the header checksum flag is set (any image may land on page 0) and
+   the trailer stamped. *)
+let page_of c =
+  let b = Bytes.make P.page_size c in
+  Bytes.set_uint8 b P.checksum_flag_off P.checksum_flag_on;
+  P.stamp_image b;
+  Bytes.to_string b
 
 (* ------------------------------------------------------------------ *)
 (* Helpers                                                             *)
@@ -83,8 +93,19 @@ let frame page_no (data : string) =
   Codec.Enc.raw e data;
   Codec.Enc.to_string e
 
-(* Fabricated raw images carry no checksum trailers. *)
-let nock = { P.default_config with P.checksums = false }
+(* Overwrite / read back one byte of a file through the VFS. *)
+let poke (vfs : V.t) path ~at v =
+  let fd = vfs.V.open_file path in
+  assert (fd.V.pwrite ~buf:(Bytes.make 1 (Char.chr v)) ~off:0 ~len:1 ~at = 1);
+  fd.V.fsync ();
+  fd.V.close ()
+
+let peek (vfs : V.t) path ~at =
+  let fd = vfs.V.open_file path in
+  let b = Bytes.create 1 in
+  assert (fd.V.pread ~buf:b ~off:0 ~len:1 ~at = 1);
+  fd.V.close ();
+  Bytes.get_uint8 b 0
 
 (* XOR one bit of a real on-disk file (the unix-VFS rot injector). *)
 let patch_byte path off =
@@ -118,20 +139,33 @@ let wait ?(timeout = 20.) msg cond =
   if not (cond ()) then Alcotest.failf "timeout waiting for %s" msg
 
 (* ------------------------------------------------------------------ *)
-(* CRC equivalence (satellite: one CRC-32, boxed variant = ablation)   *)
+(* CRC equivalence: slicing-by-4 against a byte-at-a-time reference    *)
 (* ------------------------------------------------------------------ *)
+
+(* The textbook bitwise CRC-32 (reflected, polynomial 0xEDB88320). *)
+let reference_crc32 (b : Bytes.t) =
+  let c = ref 0xFFFFFFFF in
+  Bytes.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    b;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
 
 let test_crc_equivalence () =
   let rng = Random.State.make [| seed; 0xC2C |] in
   for _ = 1 to 300 do
     let len = Random.State.int rng 6000 in
     let b = Bytes.init len (fun _ -> Char.chr (Random.State.int rng 256)) in
-    Alcotest.(check int32) "boxed CRC = slicing-by-4 CRC"
-      (Codec.Crc32.digest_bytes_boxed b)
+    Alcotest.(check int32) "reference CRC = slicing-by-4 CRC" (reference_crc32 b)
       (Codec.Crc32.digest_bytes b)
   done;
-  Alcotest.(check int32) "empty input" (Codec.Crc32.digest_bytes_boxed Bytes.empty)
-    (Codec.Crc32.digest_bytes Bytes.empty)
+  Alcotest.(check int32) "empty input" (reference_crc32 Bytes.empty)
+    (Codec.Crc32.digest_bytes Bytes.empty);
+  Alcotest.(check int32) "check value CRC-32(\"123456789\")" 0xCBF43926l
+    (Codec.Crc32.digest "123456789")
 
 (* ------------------------------------------------------------------ *)
 (* Torn journal tail is counted, not swallowed (satellite)             *)
@@ -145,16 +179,71 @@ let test_torn_tail_counter () =
   write_file vfs "t.db.journal"
     [ frame 1 (page_of 'A'); String.sub (frame 0 (page_of 'Z')) 0 14 ];
   let before = cval P.m_torn_tail in
-  let p = P.open_file ~config:nock ~vfs "t.db" in
+  let p = P.open_file ~vfs "t.db" in
   P.close p;
   Alcotest.(check int) "torn-tail counter fired once" (before + 1)
     (cval P.m_torn_tail);
   (* a journal of only complete, valid frames must not fire it *)
   write_file vfs "t.db.journal" [ frame 1 (page_of 'A') ];
-  let p = P.open_file ~config:nock ~vfs "t.db" in
+  let p = P.open_file ~vfs "t.db" in
   P.close p;
   Alcotest.(check int) "clean journal does not fire" (before + 1)
     (cval P.m_torn_tail)
+
+(* ------------------------------------------------------------------ *)
+(* Checksum-less files: opened unverified, upgraded by vacuum          *)
+(* ------------------------------------------------------------------ *)
+
+(* A file whose header flag is 0 (written before page checksums
+   existed) is the only way to get an unverified pager: it must open,
+   read and commit without verifying or re-flagging, and [Store.vacuum]
+   must turn it into a verified file. *)
+let test_checksumless_file () =
+  let fs = F.create ~seed:(seed + 3) () in
+  let vfs = F.vfs fs in
+  let s = populate ~txs:20 vfs "nc.db" in
+  let records = List.init 20 (fun i -> S.get s ~oid:(i + 1)) in
+  S.close s;
+  poke vfs "nc.db" ~at:P.checksum_flag_off 0;
+  let rot_page = 3 in
+  let off = (rot_page * P.page_size) + 777 and bit = 2 in
+  let read_rot () =
+    let p = P.open_file ~vfs "nc.db" in
+    Fun.protect
+      ~finally:(fun () -> P.close p)
+      (fun () ->
+        match P.read p rot_page with
+        | _ -> (P.checksums_enabled p, false)
+        | exception P.Page_corrupt { page; _ } ->
+            Alcotest.(check int) "the damaged page is blamed" rot_page page;
+            (P.checksums_enabled p, true))
+  in
+  F.flip_bit fs "nc.db" ~off ~bit;
+  Alcotest.(check (pair bool bool)) "unverified: flip not reported" (false, false)
+    (read_rot ());
+  F.flip_bit fs "nc.db" ~off ~bit;
+  (* a commit on the checksum-less file keeps it checksum-less *)
+  let s = S.open_ ~vfs "nc.db" in
+  Alcotest.(check bool) "store opens unverified" false
+    (P.checksums_enabled (S.pager s));
+  S.with_tx s (fun () -> S.put s ~oid:1 (Option.get (List.hd records)));
+  Alcotest.(check int) "scrub scans nothing" 0 (S.scrub s).P.scrub_scanned;
+  S.close s;
+  Alcotest.(check int) "flag still 0 after a commit" 0
+    (peek vfs "nc.db" ~at:P.checksum_flag_off);
+  (* vacuum upgrades it *)
+  let s = S.vacuum (S.open_ ~vfs "nc.db") in
+  Alcotest.(check bool) "vacuumed store verified" true (P.checksums_enabled (S.pager s));
+  Alcotest.(check bool) "records survive vacuum" true
+    (List.init 20 (fun i -> S.get s ~oid:(i + 1)) = records);
+  let pages = P.page_count (S.pager s) in
+  S.close s;
+  Alcotest.(check bool) "rot page still in the file" true (rot_page < pages);
+  Alcotest.(check int) "flag reads 0xA5" P.checksum_flag_on
+    (peek vfs "nc.db" ~at:P.checksum_flag_off);
+  F.flip_bit fs "nc.db" ~off ~bit;
+  Alcotest.(check (pair bool bool)) "verified: same flip raises Page_corrupt" (true, true)
+    (read_rot ())
 
 (* ------------------------------------------------------------------ *)
 (* The bit-rot sweep (tentpole): every page, 100% detection            *)
@@ -426,9 +515,11 @@ let () =
   Alcotest.run "integrity"
     [
       ( "crc",
-        [ Alcotest.test_case "boxed and fast CRC-32 agree" `Quick test_crc_equivalence ] );
+        [ Alcotest.test_case "reference and fast CRC-32 agree" `Quick test_crc_equivalence ] );
       ( "recovery",
         [ Alcotest.test_case "torn journal tail counted" `Quick test_torn_tail_counter ] );
+      ( "checksum-less",
+        [ Alcotest.test_case "opened unverified, vacuum upgrades" `Quick test_checksumless_file ] );
       ( "rot",
         [
           Alcotest.test_case "bit-rot sweep: every page detected" `Quick

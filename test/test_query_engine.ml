@@ -516,6 +516,17 @@ let test_like_eval_equiv =
       (* '%'/'_' in the subject are literals there, wildcards in pat *)
       Pool_lang.Eval.like_eval s pat = Pool_lang.Eval.like_match s pat)
 
+(* A range list that rebinds its first name: the WHERE's [p] is the
+   last range, so the reference interpreter's first-range index probe
+   must decline rather than narrow the first [p]. *)
+let test_probe_respects_shadowing () =
+  with_db @@ fun db ->
+  let _ = setup db in
+  Database.create_index db "Person" "age";
+  let r = check_both db "select q.name from Person p, Person q, Person p where p.age = 30" in
+  (* 4 first-[p] rows x 4 [q] rows x alice as the last [p] *)
+  Alcotest.(check int) "every first-range row kept" 16 (List.length (V.as_elements r))
+
 (* --- randomized plan-vs-legacy equivalence ----------------------------- *)
 
 (* Outcome of a query: its value, or the text of what it raised. *)
@@ -538,11 +549,10 @@ let pp_outcome ppf = function
    subexpression over [p] or over no range at all.  A raising predicate
    comes last: a row on which the interpreter reaches it passes every
    conjunct before it, pushed down or not, so both engines raise on the
-   same row.  The second range list rebinds [q] last, so [q] in the
-   WHERE is range 2 and a subexpression over it is not invariant.  The
-   rebound name is not [p]: the interpreter's first-range index probe
-   ignores shadowing, so for [Person p, Person q, Person p] it applies
-   [p.age = 30] to the first [p] and drops rows. *)
+   same row.  The other range lists rebind a name last, so the WHERE
+   sees the last binding: [q] is range 2 and a subexpression over it is
+   not invariant, or [p] is, and the first range (the interpreter's
+   index-probe target) is not the one the WHERE constrains. *)
 let query_gen =
   let open QCheck.Gen in
   let name_lit = oneofl [ "'alice'"; "'bob'"; "'a%'"; "'%o%'"; "'x'" ] in
@@ -584,7 +594,9 @@ let query_gen =
       ]
   in
   let preds = map2 ( @ ) (list_size (int_range 1 3) pred) raising in
-  let from = oneofl [ "Person p, Person q"; "Person q, Person p, Person q" ] in
+  let from =
+    oneofl [ "Person p, Person q"; "Person q, Person p, Person q"; "Person p, Person q, Person p" ]
+  in
   let order = oneofl [ ""; " order by p.name"; " order by p.age desc, p.name" ] in
   let distinct = oneofl [ ""; "distinct " ] in
   map3
@@ -719,6 +731,7 @@ let () =
           Alcotest.test_case "reversed like" `Quick test_reversed_like;
           Alcotest.test_case "prefix null error semantics" `Quick
             test_prefix_null_error_semantics;
+          Alcotest.test_case "probe respects shadowing" `Quick test_probe_respects_shadowing;
         ] );
       ( "joins",
         [
