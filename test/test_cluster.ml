@@ -16,6 +16,8 @@
      a replica is promoted, acknowledged writes survive, tokens are
      never served stale, and the old primary re-bootstraps off the new
      primary's feed to a byte-identical file;
+   - a replica whose applier is frozen is never chosen for a read
+     whose X-PDB-Min-LSN token it is behind;
    - two concurrent elections over the same fleet converge on ONE new
      primary (and an election aborts while a primary is reachable);
    - chained replication: primary -> cascading replica -> downstream
@@ -612,6 +614,86 @@ let test_failover_under_load () =
             (read_disk p1 = read_disk newp_path)))
 
 (* ------------------------------------------------------------------ *)
+(* Lagging replica: tokened reads steer around it                      *)
+(* ------------------------------------------------------------------ *)
+
+(* One of two replicas has its applier frozen: it stays up, healthy and
+   a replica, but its LSN stops.  Once routed writes move the primary
+   past it, every read carrying the last ack as X-PDB-Min-LSN must be
+   answered at or past that LSN — by the live replica or the primary,
+   never by the frozen one.  A backend also re-checks the token and
+   refuses a read it is behind on, so the router must steer around the
+   frozen replica itself, not lean on that refusal. *)
+let test_lagging_replica () =
+  let p1 = tmp_path () and p2 = tmp_path () and p3 = tmp_path () in
+  seed p1;
+  let n1 = Promote.create_leading ~readers:1 ~path:p1 ~host:"127.0.0.1" ~repl_port:0 () in
+  let upstream = Printf.sprintf "127.0.0.1:%d" (feed_port n1) in
+  let l1 = start_node ~path:p1 n1 in
+  let n2 = mk_follower ~upstream p2 in
+  let l2 = start_node ~path:p2 n2 in
+  let n3 = mk_follower ~upstream p3 in
+  let l3 = start_node ~path:p3 n3 in
+  let lr =
+    start_router
+      [
+        ("127.0.0.1", l1.ln_bport);
+        ("127.0.0.1", l2.ln_bport);
+        ("127.0.0.1", l3.ln_bport);
+      ]
+  in
+  let rport = lr.lr_port in
+  Fun.protect
+    ~finally:(fun () ->
+      stop_router lr;
+      List.iter kill_node [ l3; l2; l1 ];
+      List.iter cleanup [ p1; p2; p3 ])
+    (fun () ->
+      let frozen =
+        match n2.Promote.n_state with
+        | Promote.Following f ->
+            f.f_sess.R.running := false;
+            f.f_sess
+        | Promote.Leading _ -> Alcotest.fail "replica is leading"
+      in
+      let acked = ref 0 in
+      for i = 1 to 20 do
+        let r = post rport "/create?class=Taxon&rank=genus" in
+        Alcotest.(check string)
+          (Printf.sprintf "routed write %d ok" i)
+          "HTTP/1.0 200 OK" (status_of r);
+        Option.iter (fun l -> acked := max !acked l) (lsn_of r)
+      done;
+      if R.Apply.last_lsn frozen.R.apply >= !acked then
+        Alcotest.failf "frozen replica kept applying (lsn %d, last ack %d)"
+          (R.Apply.last_lsn frozen.R.apply) !acked;
+      let token = [ ("X-PDB-Min-LSN", string_of_int !acked) ] in
+      let retried () = Atomic.get lr.lr_router.Router.retried in
+      let retried_before = retried () in
+      let stale = Atomic.make 0 and unanswered = Atomic.make 0 in
+      let readers =
+        List.init 8 (fun _ ->
+            Thread.create
+              (fun () ->
+                for _ = 1 to 25 do
+                  match get ~headers:token rport taxon_query with
+                  | r when status_of r = "HTTP/1.0 200 OK" -> (
+                      match lsn_of r with
+                      | Some served when served >= !acked -> ()
+                      | _ -> Atomic.incr stale)
+                  | _ | (exception _) -> Atomic.incr unanswered
+                done)
+              ())
+      in
+      List.iter Thread.join readers;
+      Alcotest.(check int) "zero stale answers" 0 (Atomic.get stale);
+      Alcotest.(check int) "every tokened read answered" 0 (Atomic.get unanswered);
+      (* the router steers at pick time: no read reached the frozen
+         replica only to be refused as behind and retried elsewhere *)
+      Alcotest.(check int) "no read bounced off the frozen replica" 0
+        (retried () - retried_before))
+
+(* ------------------------------------------------------------------ *)
 (* Election edges                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -734,4 +816,7 @@ let () =
         [
           Alcotest.test_case "promotion under load" `Slow test_failover_under_load;
         ] );
+      ( "steering",
+        [ Alcotest.test_case "lagging replica never serves a token" `Quick test_lagging_replica ]
+      );
     ]

@@ -630,6 +630,15 @@ let test_tcp_pair () =
         && sess.R.apply.R.Apply.snapshots_loaded = 1);
       Alcotest.(check bool) "files byte-identical over TCP" true
         (read_disk ppath = read_disk rpath);
+      (* a steady stream of mixed-size commits, written back to back
+         while the replica applies: it still converges to the primary's
+         LSN with identical bytes *)
+      for i = 1 to 150 do
+        S.with_tx s (fun () -> S.put s ~oid:(100 + i) (String.make (200 + (i mod 5 * 800)) 'l'))
+      done;
+      wait "steady-stream catch-up" caught_up;
+      Alcotest.(check bool) "byte-identical after a steady stream" true
+        (read_disk ppath = read_disk rpath);
       (* the admin documents name their roles *)
       Alcotest.(check bool) "primary status" true
         (contains (Feed.status_json feed) "\"role\": \"primary\""

@@ -390,7 +390,40 @@ let test_admission_control_503 () =
           resume (tries - 1)
         end
       in
-      check_status "served again after load drops" "HTTP/1.0 200 OK" (resume 40))
+      check_status "served again after load drops" "HTTP/1.0 200 OK" (resume 40);
+      (* a burst far past the bound: every connection is answered, 200
+         or 503 + Retry-After, none reset or closed without a reply *)
+      let burst = 32 in
+      let served = Atomic.make 0 and rejected = Atomic.make 0 and dropped = Atomic.make 0 in
+      let fds =
+        List.init burst (fun _ ->
+            let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+            Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+            fd)
+      in
+      List.map
+        (fun fd ->
+          Thread.create
+            (fun () ->
+              (match
+                 let req = "GET / HTTP/1.0\r\nHost: x\r\n\r\n" in
+                 ignore (Unix.write_substring fd req 0 (String.length req));
+                 recv_all fd
+               with
+              | r when status_of r = "HTTP/1.0 200 OK" -> Atomic.incr served
+              | r
+                when status_of r = "HTTP/1.0 503 Service Unavailable"
+                     && contains r "Retry-After:" ->
+                  Atomic.incr rejected
+              | _ | (exception _) -> Atomic.incr dropped);
+              try Unix.close fd with Unix.Unix_error _ -> ())
+            ())
+        fds
+      |> List.iter Thread.join;
+      Alcotest.(check int) "burst: none dropped without a 503" 0 (Atomic.get dropped);
+      Alcotest.(check int) "burst: every connection answered" burst
+        (Atomic.get served + Atomic.get rejected);
+      Alcotest.(check bool) "burst went past the bound" true (Atomic.get rejected > 0))
 
 let test_select_fallback_backend () =
   (* PDB_POLLER=select forces the poller's portable backend; the whole

@@ -198,26 +198,37 @@ let taxon_query = "/query?q=select%20t.rank%20from%20Taxon%20t"
 (* --- read-your-writes -------------------------------------------------- *)
 
 (* With the background refresh effectively disabled (10s lag), only the
-   X-PDB-Min-LSN catch-up path can make a write visible on the pool:
-   every tokened read after a write must see all rows written so far,
-   and its served LSN must never run behind the token. *)
-let test_monotonicity () =
+   X-PDB-Min-LSN catch-up path can make a write visible on the pool.
+   [writers] threads each write 20 taxa under their own rank tag and
+   follow every write with a read tokened by its LSN: the read must see
+   all of that writer's writes so far, and its served LSN must never
+   run behind the token.  Several writers make the tokens race the
+   group-commit batches. *)
+let test_monotonicity ~writers () =
   with_server ~readers:2 ~max_lag_ms:10000. (fun ~stop_server:_ port _db ->
-      for i = 1 to 20 do
-        let w = create_taxon port in
-        let l = lsn_of w in
-        let r = get ~headers:[ ("X-PDB-Min-LSN", string_of_int l) ] port taxon_query in
-        Alcotest.(check string)
-          (Printf.sprintf "tokened read %d ok" i)
-          "HTTP/1.0 200 OK" (status_of r);
-        Alcotest.(check int)
-          (Printf.sprintf "read %d sees all writes" i)
-          i
-          (count_sub (body_of r) "genus");
-        let served = lsn_of r in
-        if served < l then
-          Alcotest.failf "served lsn %d behind token %d on read %d" served l i
-      done)
+      let violations = ref [] and m = Mutex.create () in
+      let violation s = Mutex.protect m (fun () -> violations := s :: !violations) in
+      let writer w () =
+        let rank = Printf.sprintf "genus%c" (Char.chr (Char.code 'a' + w)) in
+        for i = 1 to 20 do
+          try
+            let l = lsn_of (post port ("/create?class=Taxon&rank=" ^ rank)) in
+            let r = get ~headers:[ ("X-PDB-Min-LSN", string_of_int l) ] port taxon_query in
+            if status_of r <> "HTTP/1.0 200 OK" then
+              violation (Printf.sprintf "%s read %d: %s" rank i (status_of r))
+            else begin
+              let seen = count_sub (body_of r) rank in
+              if seen <> i then
+                violation (Printf.sprintf "%s read %d sees %d of its writes" rank i seen);
+              let served = lsn_of r in
+              if served < l then
+                violation (Printf.sprintf "%s read %d: served lsn %d behind token %d" rank i served l)
+            end
+          with e -> violation (Printf.sprintf "%s write %d: %s" rank i (Printexc.to_string e))
+        done
+      in
+      List.init writers (fun w -> Thread.create (writer w) ()) |> List.iter Thread.join;
+      Alcotest.(check (list string)) "every tokened read sees its writes" [] !violations)
 
 (* A tokened read that no refresh can ever satisfy (the token is far
    beyond the store's LSN) must fall through to the primary handle and
@@ -435,8 +446,10 @@ let () =
     [
       ( "read-your-writes",
         [
-          Alcotest.test_case "lsn token monotonicity" `Slow test_monotonicity;
+          Alcotest.test_case "lsn token monotonicity" `Slow (test_monotonicity ~writers:1);
           Alcotest.test_case "unreachable token falls through" `Quick test_fallthrough;
+          Alcotest.test_case "lsn tokens under concurrent writers" `Slow
+            (test_monotonicity ~writers:4);
         ] );
       ("refresh", [ Alcotest.test_case "lag bound" `Quick test_refresh_lag ]);
       ( "lifecycle",
