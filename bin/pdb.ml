@@ -95,28 +95,28 @@ let http_get_url (url : string) : string =
             exit 2)
     | None -> (hostport, 80)
   in
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close sock with _ -> ())
-    (fun () ->
-      (try Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
-       with Unix.Unix_error (e, _, _) ->
-         Printf.eprintf "pdb stats: connect %s:%d: %s\n" host port (Unix.error_message e);
-         exit 1);
+  let fail m =
+    Printf.eprintf "pdb stats: %s\n" m;
+    exit 1
+  in
+  let link = try Prepl.Link.connect ~host ~port with Prepl.Link.Link_down m -> fail m in
+  Fun.protect ~finally:link.close (fun () ->
       let req =
         Printf.sprintf "GET %s HTTP/1.0\r\nHost: %s\r\nConnection: close\r\n\r\n" path host
       in
-      let _ = Unix.write_substring sock req 0 (String.length req) in
       let buf = Buffer.create 4096 in
       let chunk = Bytes.create 4096 in
       let rec drain () =
-        match Unix.read sock chunk 0 (Bytes.length chunk) with
+        match link.recv chunk ~off:0 ~len:(Bytes.length chunk) with
         | 0 -> ()
         | n ->
             Buffer.add_subbytes buf chunk 0 n;
             drain ()
       in
-      drain ();
+      (try
+         Prepl.Link.really_send link (Bytes.unsafe_of_string req) ~off:0 ~len:(String.length req);
+         drain ()
+       with Prepl.Link.Link_down m -> fail m);
       let all = Buffer.contents buf in
       (* strip the header block *)
       let n = String.length all in

@@ -54,6 +54,15 @@ let really_recv (l : t) buf ~off ~len =
     pos := !pos + n
   done
 
+(* --- reconnect backoff --------------------------------------------------- *)
+
+(** The one reconnect backoff of every dialler — the replica session,
+    the router's backend channels and [Pserver.Client.connect_retry]:
+    the first retry waits 50 ms, each failure doubles it, capped at 2 s. *)
+let backoff_first = 0.05
+
+let backoff_next delay = Float.min 2.0 (delay *. 2.)
+
 (* --- TCP --------------------------------------------------------------- *)
 
 (* A peer that vanishes mid-send must surface as EPIPE → Link_down, not
@@ -99,6 +108,7 @@ let of_fd fd : t =
     | [], _, _ -> false
     | _ -> true
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+    | exception Unix.Unix_error (e, _, _) -> down "poll: %s" (Unix.error_message e)
   in
   let close () =
     Mutex.lock cm;

@@ -279,9 +279,6 @@ end
 (* Client session: connect, handshake, apply, ack, reconnect           *)
 (* ------------------------------------------------------------------ *)
 
-let backoff_initial = 0.05
-let backoff_cap = 2.0
-
 (* How long a repair waits for the primary's [PageData] before giving
    up on this connection (the reconnect path retries from scratch). *)
 let fetch_timeout_s = 10.
@@ -455,7 +452,7 @@ let start ?(vfs = Vfs.unix) ?scrub_every_s ~host ~port path : session =
   let th =
     Thread.create
       (fun () ->
-        let delay = ref backoff_initial in
+        let delay = ref Link.backoff_first in
         while !(s.running) do
           s.made_progress <- false;
           (match run_once s with
@@ -468,12 +465,12 @@ let start ?(vfs = Vfs.unix) ?scrub_every_s ~host ~port path : session =
           (* a run that reached the stream resets the backoff — keyed on
              the flag, not on [last_error], which the failure that ended
              the run has already overwritten *)
-          if s.made_progress then delay := backoff_initial;
+          if s.made_progress then delay := Link.backoff_first;
           if !(s.running) then begin
             s.reconnects <- s.reconnects + 1;
             Pobs.Metrics.inc m_reconnects;
             Thread.delay !delay;
-            delay := min (!delay *. 2.) backoff_cap
+            delay := Link.backoff_next !delay
           end
         done)
       ()

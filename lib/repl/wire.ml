@@ -1,12 +1,5 @@
-(** The replication wire protocol: length-prefixed, CRC-protected frames.
-
-    {v
-      off 0 : u32  magic "PDRL"
-      off 4 : u8   frame type
-      off 5 : u32  payload length
-      off 9 : payload bytes
-      then  : u32  CRC-32 of the payload
-    v}
+(** The replication wire protocol: {!Frame} envelopes with magic
+    "PDRL", whose payloads this module encodes.
 
     Payloads (all little-endian, via {!Pstore.Codec}):
 
@@ -31,9 +24,10 @@
       LSN (the refusal that sends the replica to re-bootstrap).
 
     Anything malformed — bad magic, unknown type, oversized payload,
-    CRC mismatch, or a mid-frame EOF — raises {!Wire_error}; the
-    connection is abandoned and the replica's reconnect/resume protocol
-    recovers, so a torn frame can never be half-applied. *)
+    CRC mismatch — raises {!Wire_error}, and a mid-frame EOF
+    {!Link.Link_down}; the connection is abandoned and the replica's
+    reconnect/resume protocol recovers, so a torn frame can never be
+    half-applied. *)
 
 open Pstore
 
@@ -41,12 +35,12 @@ exception Wire_error of string
 
 let err fmt = Format.kasprintf (fun s -> raise (Wire_error s)) fmt
 
-let magic = 0x5044524C (* "PDRL" *)
-let header_size = 9
+(** The payload cap is a snapshot of a ~1 GiB database file; anything
+    larger is treated as a corrupt length field. *)
+let spec = { Frame.magic = 0x5044524C (* "PDRL" *); max_payload = 1 lsl 30 }
 
-(** Upper bound on a payload: a snapshot of a ~1 GiB database file.
-    Anything larger is treated as a corrupt length field. *)
-let max_payload = 1 lsl 30
+let header_size = Frame.header_size
+let max_payload = spec.max_payload
 
 type frame =
   | Hello of { stream_id : int; last_lsn : int }
@@ -155,40 +149,17 @@ let decode_payload ty (payload : string) : frame =
 
 (** The complete on-wire encoding of a frame.  A payload over
     {!max_payload} (a snapshot of a > 1 GiB database) raises here, on
-    the {e sender}: the receiver would reject the length field anyway,
-    and failing at the source is the only place the error is visible. *)
+    the sender. *)
 let encode (f : frame) : string =
-  let payload = encode_payload f in
-  if String.length payload > max_payload then
-    err "frame payload of %d bytes exceeds the %d-byte limit"
-      (String.length payload) max_payload;
-  let e = Codec.Enc.create ~size:(header_size + String.length payload + 4) () in
-  Codec.Enc.u32 e magic;
-  Codec.Enc.u8 e (type_byte f);
-  Codec.Enc.u32 e (String.length payload);
-  Codec.Enc.raw e payload;
-  Codec.Enc.u32 e (Int32.to_int (Codec.Crc32.digest payload) land 0xffffffff);
-  Codec.Enc.to_string e
+  try Frame.encode spec ~ty:(type_byte f) (encode_payload f)
+  with Frame.Damaged m -> raise (Wire_error m)
 
-let to_link (l : Link.t) (f : frame) : unit =
-  let s = encode f in
-  Link.really_send l (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
+let to_link (l : Link.t) (f : frame) : unit = Frame.write l (encode f)
 
 (** Read one frame off the link.  Mid-frame EOF surfaces as
     {!Link.Link_down} (the transport died); structural damage — the
     bytes arrived but are not a frame — as {!Wire_error}. *)
 let from_link (l : Link.t) : frame =
-  let hdr = Bytes.create header_size in
-  Link.really_recv l hdr ~off:0 ~len:header_size;
-  let m = Int32.to_int (Bytes.get_int32_le hdr 0) land 0xffffffff in
-  if m <> magic then err "bad frame magic 0x%08x" m;
-  let ty = Bytes.get_uint8 hdr 4 in
-  let len = Int32.to_int (Bytes.get_int32_le hdr 5) land 0xffffffff in
-  if len > max_payload then err "frame payload of %d bytes exceeds limit" len;
-  let body = Bytes.create (len + 4) in
-  Link.really_recv l body ~off:0 ~len:(len + 4);
-  let payload = Bytes.sub_string body 0 len in
-  let crc = Int32.to_int (Bytes.get_int32_le body len) land 0xffffffff in
-  if Int32.to_int (Codec.Crc32.digest payload) land 0xffffffff <> crc then
-    err "frame CRC mismatch";
-  decode_payload ty payload
+  match Frame.read spec l with
+  | ty, payload -> decode_payload ty payload
+  | exception Frame.Damaged m -> raise (Wire_error m)

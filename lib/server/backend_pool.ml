@@ -18,11 +18,8 @@
     [~force:true] to bypass the gate, so probe cadence — not request
     traffic — decides when a recovered backend is re-admitted. *)
 
-let backoff_initial = 0.05
-let backoff_cap = 2.0
-
-(* The reader's poll tick: SO_RCVTIMEO on the connection, so an idle
-   reader wakes this often to expire stale requests and notice close. *)
+(* The reader's poll tick: an idle reader wakes this often to expire
+   stale requests and notice close. *)
 let reader_tick_s = 0.25
 
 type slot = {
@@ -73,7 +70,7 @@ let fail_channel_locked (ch : chan) (msg : string) =
   Hashtbl.reset ch.c_pending;
   ch.c_outstanding <- 0;
   ch.c_next_try <- Unix.gettimeofday () +. ch.c_delay;
-  ch.c_delay <- Float.min backoff_cap (ch.c_delay *. 2.);
+  ch.c_delay <- Prepl.Link.backoff_next ch.c_delay;
   Condition.broadcast ch.cv
 
 (* Dedicated per-channel reader: dispatch answers by id; on transport
@@ -89,8 +86,8 @@ let reader_loop (t : t) (ch : chan) =
     else begin
       let conn = Option.get ch.c_conn in
       Mutex.unlock ch.cm;
-      (match Client.recv_frame conn with
-      | f ->
+      (match Client.recv_frame_within conn reader_tick_s with
+      | Some f ->
           Mutex.lock ch.cm;
           (* [==] on the payload: a fresh [Some] box would never be
              physically equal *)
@@ -103,9 +100,8 @@ let reader_loop (t : t) (ch : chan) =
                  Condition.broadcast ch.cv
              | None -> () (* answer to nothing we sent: ignore *));
           Mutex.unlock ch.cm
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-          (* receive-timeout tick: expire requests past the deadline —
+      | None ->
+          (* idle tick: expire requests past the deadline —
              a timed-out request poisons the channel, because its
              answer may still arrive and must not be matched to a
              recycled id on a fresh exchange *)
@@ -144,7 +140,7 @@ let create ?(channels = 2) ?(timeout_s = 10.) ~host ~port () : t =
       c_pending = Hashtbl.create 16;
       c_outstanding = 0;
       c_next_try = 0.;
-      c_delay = backoff_initial;
+      c_delay = Prepl.Link.backoff_first;
       c_closed = false;
       c_reader = None;
     }
@@ -177,14 +173,12 @@ let ensure_conn_locked (t : t) (ch : chan) ~force =
              (Printf.sprintf "%s:%d down (in backoff)" t.host t.port));
       (match Client.connect ~host:t.host ~port:t.port () with
       | conn ->
-          (try Unix.setsockopt_float (Client.fd conn) Unix.SO_RCVTIMEO reader_tick_s
-           with Unix.Unix_error _ | Invalid_argument _ -> ());
           ch.c_conn <- Some conn;
-          ch.c_delay <- backoff_initial;
+          ch.c_delay <- Prepl.Link.backoff_first;
           Condition.broadcast ch.cv (* wake the reader *)
       | exception Client.Backend_down m ->
           ch.c_next_try <- Unix.gettimeofday () +. ch.c_delay;
-          ch.c_delay <- Float.min backoff_cap (ch.c_delay *. 2.);
+          ch.c_delay <- Prepl.Link.backoff_next ch.c_delay;
           raise (Client.Backend_down m))
 
 (* Least-outstanding channel, preferring live connections. *)
@@ -200,78 +194,63 @@ let outstanding (t : t) : int =
 let connected (t : t) : int =
   Array.fold_left (fun acc ch -> acc + if ch.c_conn <> None then 1 else 0) 0 t.chans
 
-(** Send one frame (built around a fresh id by [mk]) and wait for its
-    answer.  Raises {!Client.Backend_down} on transport failure or
-    timeout, {!Client.Protocol_error} on framing damage. *)
-let request ?(force = false) (t : t) (mk : int -> Binary_proto.frame) :
-    Binary_proto.frame =
+(** Send one frame (built around a fresh id by [mk]) and decode its
+    answer with [answer] (one of {!Client}'s decoders).  Raises
+    {!Client.Backend_down} on transport failure or timeout,
+    {!Client.Protocol_error} on framing damage. *)
+let request ?(force = false) (t : t) (mk : int -> Binary_proto.frame)
+    (answer : int -> Binary_proto.frame -> 'a) : 'a =
   let ch = pick t in
   Mutex.lock ch.cm;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock ch.cm)
-    (fun () ->
-      (try ensure_conn_locked t ch ~force
-       with e ->
-         Atomic.incr t.failed;
-         raise e);
-      let conn = Option.get ch.c_conn in
-      let id = Client.fresh_id conn in
-      let slot = { s_at = Unix.gettimeofday (); s_reply = None; s_fail = None } in
-      Hashtbl.replace ch.c_pending id slot;
-      ch.c_outstanding <- ch.c_outstanding + 1;
-      (try Client.send_frame conn (mk id)
-       with e ->
-         Atomic.incr t.failed;
-         fail_channel_locked ch
-           (match e with Client.Backend_down m -> m | e -> Printexc.to_string e);
-         raise
-           (match e with
-           | Client.Backend_down _ -> e
-           | e -> Client.Backend_down (Printexc.to_string e)));
-      Atomic.incr t.sent;
-      while slot.s_reply = None && slot.s_fail = None do
-        Condition.wait ch.cv ch.cm
-      done;
-      match (slot.s_reply, slot.s_fail) with
-      | Some f, _ -> f
-      | None, Some m ->
-          Atomic.incr t.failed;
-          raise (Client.Backend_down m)
-      | None, None -> assert false)
+  let id, reply =
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock ch.cm)
+      (fun () ->
+        (try ensure_conn_locked t ch ~force
+         with e ->
+           Atomic.incr t.failed;
+           raise e);
+        let conn = Option.get ch.c_conn in
+        let id = Client.fresh_id conn in
+        let slot = { s_at = Unix.gettimeofday (); s_reply = None; s_fail = None } in
+        Hashtbl.replace ch.c_pending id slot;
+        ch.c_outstanding <- ch.c_outstanding + 1;
+        (try Client.send_frame conn (mk id)
+         with e ->
+           Atomic.incr t.failed;
+           fail_channel_locked ch
+             (match e with Client.Backend_down m -> m | e -> Printexc.to_string e);
+           raise
+             (match e with
+             | Client.Backend_down _ -> e
+             | e -> Client.Backend_down (Printexc.to_string e)));
+        Atomic.incr t.sent;
+        while slot.s_reply = None && slot.s_fail = None do
+          Condition.wait ch.cv ch.cm
+        done;
+        match (slot.s_reply, slot.s_fail) with
+        | Some f, _ -> (id, f)
+        | None, Some m ->
+            Atomic.incr t.failed;
+            raise (Client.Backend_down m)
+        | None, None -> assert false)
+  in
+  answer id reply
 
 (* --- typed request surface --------------------------------------------- *)
 
 let http ?(headers = []) ?(body = "") (t : t) ~meth ~target :
     int * (string * string) list * string =
-  let headers = if body = "" then headers else ("x-pdb-body", body) :: headers in
-  match request t (fun id -> Binary_proto.Hreq { id; meth; target; headers }) with
-  | Binary_proto.Hresp { status; headers; body; _ } -> (status, headers, body)
-  | Binary_proto.Error { msg; _ } -> raise (Client.Protocol_error msg)
-  | _ -> raise (Client.Protocol_error "unexpected frame type in http answer")
+  request t (Client.hreq ~meth ~target ~headers ~body) Client.hresp_of
 
 let ping ?(force = true) (t : t) : Client.pong =
-  match request ~force t (fun id -> Binary_proto.Ping { id }) with
-  | Binary_proto.Pong p ->
-      {
-        Client.p_role = p.role;
-        p_lsn = p.lsn;
-        p_stream_id = p.stream_id;
-        p_repl_port = p.repl_port;
-      }
-  | Binary_proto.Error { msg; _ } -> raise (Client.Protocol_error msg)
-  | _ -> raise (Client.Protocol_error "unexpected frame type in ping answer")
+  request ~force t (fun id -> Binary_proto.Ping { id }) Client.pong_of
 
 let ctl (t : t) ~verb ~arg : Client.answer =
-  match request t (fun id -> Binary_proto.Ctl { id; verb; arg }) with
-  | Binary_proto.Result { v; _ } -> Client.Ok v
-  | Binary_proto.Error { msg; _ } -> Client.Err msg
-  | _ -> raise (Client.Protocol_error "unexpected frame type in ctl answer")
+  request t (fun id -> Binary_proto.Ctl { id; verb; arg }) Client.answer_of
 
 let query (t : t) (q : string) : Client.answer =
-  match request t (fun id -> Binary_proto.Query { id; q }) with
-  | Binary_proto.Result { v; _ } -> Client.Ok v
-  | Binary_proto.Error { msg; _ } -> Client.Err msg
-  | _ -> raise (Client.Protocol_error "unexpected frame type in query answer")
+  request t (fun id -> Binary_proto.Query { id; q }) Client.answer_of
 
 let close (t : t) =
   Array.iter

@@ -1,15 +1,5 @@
-(** Compact binary wire protocol for POOL queries.
-
-    Same envelope discipline as the replication link ([Prepl.Wire]):
-
-    {v
-      off 0 : u32  magic "PDBQ"
-      off 4 : u8   frame type
-      off 5 : u32  payload length
-      off 9 : payload bytes
-      then  : u32  CRC-32 of the payload
-    v}
-
+(** Compact binary wire protocol for POOL queries: {!Prepl.Frame}
+    envelopes with magic "PDBQ", whose payloads this module encodes.
     The magic is distinct from the replication magic ("PDRL") so a
     client pointed at the wrong port fails loudly instead of decoding
     garbage.  Payloads are capped at 1 MiB — a query text or printed
@@ -42,9 +32,10 @@
     - [Ctl {id; verb; arg}] — a control verb ("promote", "demote",
       "follow") used during failover; answered with [Result]/[Error]. *)
 
-let magic = 0x50444251 (* "PDBQ" *)
-let header_size = 9 (* magic u32 + type u8 + length u32 *)
-let max_payload = 1 lsl 20
+let spec = { Prepl.Frame.magic = 0x50444251 (* "PDBQ" *); max_payload = 1 lsl 20 }
+let magic = spec.magic
+let header_size = Prepl.Frame.header_size
+let max_payload = spec.max_payload
 let max_batch = 4096
 
 let max_headers = 64
@@ -207,59 +198,27 @@ let decode_payload (ty : int) (payload : string) : frame =
     f
   with Corrupt m -> raise (Malformed m)
 
-let crc_of (payload : string) : int =
-  Int32.to_int (Pstore.Codec.Crc32.digest payload) land 0xffffffff
-
 (** The complete on-wire encoding of a frame.  Oversized payloads raise
-    [Malformed] on the sender — the receiver would reject the length
-    field anyway, and failing at the source is where the bug is
-    visible. *)
+    [Malformed] on the sender. *)
 let encode (f : frame) : string =
-  let open Pstore.Codec in
-  let payload = encode_payload f in
-  if String.length payload > max_payload then
-    raise
-      (Malformed
-         (Printf.sprintf "frame payload of %d bytes exceeds the %d-byte cap"
-            (String.length payload) max_payload));
-  let e = Enc.create ~size:(header_size + String.length payload + 4) () in
-  Enc.u32 e magic;
-  Enc.u8 e (tag f);
-  Enc.u32 e (String.length payload);
-  Enc.raw e payload;
-  Enc.u32 e (crc_of payload);
-  Enc.to_string e
+  try Prepl.Frame.encode spec ~ty:(tag f) (encode_payload f)
+  with Prepl.Frame.Damaged m -> raise (Malformed m)
 
 type parsed = Frame of frame * int | Need_more | Bad of string
 
-let u32_at (buf : string) (at : int) : int =
-  Char.code buf.[at]
-  lor (Char.code buf.[at + 1] lsl 8)
-  lor (Char.code buf.[at + 2] lsl 16)
-  lor (Char.code buf.[at + 3] lsl 24)
+(** Decode one envelope-level parse result.  Any envelope violation —
+    wrong magic, oversized length, CRC mismatch — or a malformed payload
+    is [Bad]: there is no resynchronising a byte stream after corrupt
+    framing, the connection must die. *)
+let decode : Prepl.Frame.parsed -> parsed = function
+  | Prepl.Frame.Parsed { ty; payload; size } -> (
+      match decode_payload ty payload with
+      | f -> Frame (f, size)
+      | exception Malformed m -> Bad m)
+  | Prepl.Frame.Need_more -> Need_more
+  | Prepl.Frame.Bad m -> Bad m
 
 (** Try to extract one frame starting at [off] in a stream buffer.
-    [Frame (f, n)] means [n] bytes were consumed.  Any envelope
-    violation — wrong magic, unknown type, oversized length, CRC
-    mismatch, malformed payload — is [Bad]: there is no resynchronising
-    a byte stream after corrupt framing, the connection must die. *)
+    [Frame (f, n)] means [n] bytes were consumed. *)
 let parse (buf : string) ~(off : int) : parsed =
-  let avail = String.length buf - off in
-  if avail < header_size then Need_more
-  else
-    let m = u32_at buf off in
-    if m <> magic then Bad (Printf.sprintf "bad magic 0x%08x" m)
-    else
-      let ty = Char.code buf.[off + 4] in
-      let len = u32_at buf (off + 5) in
-      if len > max_payload then
-        Bad (Printf.sprintf "oversized frame (%d-byte payload)" len)
-      else if avail < header_size + len + 4 then Need_more
-      else
-        let payload = String.sub buf (off + header_size) len in
-        let expect = u32_at buf (off + header_size + len) in
-        if crc_of payload <> expect then Bad "frame CRC mismatch"
-        else
-          match decode_payload ty payload with
-          | f -> Frame (f, header_size + len + 4)
-          | exception Malformed m -> Bad m
+  decode (Prepl.Frame.parse spec buf ~off ~stop:(String.length buf))

@@ -1,23 +1,30 @@
 (** Blocking client for the binary POOL protocol.
 
-    Deliberately small and dependency-free: connect, send
-    {!Binary_proto} frames, read answers.  [query] is the one-shot
-    path; [batch] is the amortisation path — one [Batch] frame out, N
-    answers back in request order, one write syscall and one read burst
-    instead of N round trips.  The load generator, the router's backend
-    pool and the protocol tests are all built on this module, and it is
-    the reference implementation for anyone speaking the protocol from
-    another language.
+    Deliberately small: connect, send {!Binary_proto} frames, read
+    answers.  [query] is the one-shot path; [batch] is the amortisation
+    path — one [Batch] frame out, N answers back in request order, one
+    write syscall and one read burst instead of N round trips.  The load
+    generator, the router's backend pool and the protocol tests are all
+    built on this module, and it is the reference implementation for
+    anyone speaking the protocol from another language.
 
-    Transport failures — refused connects, resets, EOF mid-frame — are
-    surfaced as the typed {!Backend_down} instead of raw [Unix_error],
-    so callers distinguish "this backend is gone, try a peer" from
-    programming errors.  {!Protocol_error} still means framing damage:
-    the stream cannot be resynchronised and the connection must die. *)
+    The transport is a {!Prepl.Link.t} — a TCP socket from {!connect},
+    or any in-memory link from {!of_link} — so the dialling, hostname
+    resolution and error mapping are the replication link's.  Transport
+    failures (refused connects, resets, EOF mid-frame) surface as the
+    typed {!Backend_down}, so callers distinguish "this backend is gone,
+    try a peer" from programming errors.  {!Protocol_error} means
+    framing damage: the stream cannot be resynchronised and the
+    connection must die. *)
+
+module Link = Prepl.Link
 
 type t = {
-  fd : Unix.file_descr;
-  mutable buf : string; (* received, not yet parsed *)
+  link : Link.t;
+  mutable buf : Bytes.t;
+      (* the read chunk: one [recv] usually brings a whole answer *)
+  mutable lo : int; (* first byte not yet parsed *)
+  mutable hi : int; (* end of the received bytes *)
   mutable next_id : int;
 }
 
@@ -27,109 +34,89 @@ exception Backend_down of string
 exception Protocol_error of string
 
 let down fmt = Printf.ksprintf (fun m -> raise (Backend_down m)) fmt
+let on_link f = try f () with Link.Link_down m -> raise (Backend_down m)
+let chunk_size = 65536
 
-(* Map transport-level Unix errors to the typed failure; anything else
-   (EBADF from a caller bug, say) still escapes as Unix_error. *)
-let transport_errors =
-  Unix.
-    [
-      ECONNREFUSED;
-      ECONNRESET;
-      ECONNABORTED;
-      EPIPE;
-      ETIMEDOUT;
-      EHOSTUNREACH;
-      ENETUNREACH;
-      ENETDOWN;
-      EHOSTDOWN;
-      EADDRNOTAVAIL;
-    ]
-
-let wrap_unix (what : string) (f : unit -> 'a) : 'a =
-  try f ()
-  with Unix.Unix_error (e, _, _) when List.mem e transport_errors ->
-    down "%s: %s" what (Unix.error_message e)
+let of_link (link : Link.t) : t =
+  { link; buf = Bytes.create chunk_size; lo = 0; hi = 0; next_id = 0 }
 
 let connect ?(host = "127.0.0.1") ~port () : t =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-  (try
-     wrap_unix
-       (Printf.sprintf "connect %s:%d" host port)
-       (fun () ->
-         Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port)))
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  { fd; buf = ""; next_id = 0 }
+  of_link (on_link (fun () -> Link.connect ~host ~port))
 
-(** Connect with capped exponential backoff: [attempts] tries, delays
-    [base_s], 2*[base_s], ... capped at [cap_s].  Raises the last
-    {!Backend_down} if every attempt fails. *)
-let connect_retry ?(host = "127.0.0.1") ~port ?(attempts = 5)
-    ?(base_s = 0.05) ?(cap_s = 2.0) () : t =
+(** Connect with {!Link}'s capped exponential backoff: [attempts] tries.
+    Raises the last {!Backend_down} if every attempt fails. *)
+let connect_retry ?(host = "127.0.0.1") ~port ?(attempts = 5) () : t =
   let rec go n delay =
     match connect ~host ~port () with
     | t -> t
     | exception Backend_down _ when n < attempts ->
         Thread.delay delay;
-        go (n + 1) (Float.min cap_s (delay *. 2.))
+        go (n + 1) (Link.backoff_next delay)
   in
-  go 1 base_s
+  go 1 Link.backoff_first
 
-let close (t : t) = try Unix.close t.fd with Unix.Unix_error _ -> ()
-let fd (t : t) = t.fd
+let close (t : t) = t.link.close ()
 
 let fresh_id (t : t) : int =
   let id = t.next_id in
   t.next_id <- id + 1;
   id
 
-let send_all (t : t) (s : string) =
-  let b = Bytes.unsafe_of_string s in
-  let off = ref 0 in
-  wrap_unix "write" (fun () ->
-      while !off < String.length s do
-        match Unix.write t.fd b !off (String.length s - !off) with
-        | 0 -> down "write: no progress"
-        | n -> off := !off + n
-      done)
-
 let send_frame (t : t) (f : Binary_proto.frame) =
-  send_all t (Binary_proto.encode f)
+  on_link (fun () -> Prepl.Frame.write t.link (Binary_proto.encode f))
+
+(* The next whole frame already buffered, if any. *)
+let buffered (t : t) : Binary_proto.frame option =
+  match
+    Binary_proto.decode
+      (Prepl.Frame.parse Binary_proto.spec (Bytes.unsafe_to_string t.buf) ~off:t.lo
+         ~stop:t.hi)
+  with
+  | Binary_proto.Frame (f, n) ->
+      t.lo <- t.lo + n;
+      if t.lo = t.hi then begin
+        t.lo <- 0;
+        t.hi <- 0
+      end;
+      Some f
+  | Binary_proto.Bad m -> raise (Protocol_error m)
+  | Binary_proto.Need_more -> None
+
+(* One [recv] into the chunk after the partial frame, which first slides
+   to the front; a frame bigger than the chunk doubles it. *)
+let fill (t : t) =
+  if t.lo > 0 then begin
+    Bytes.blit t.buf t.lo t.buf 0 (t.hi - t.lo);
+    t.hi <- t.hi - t.lo;
+    t.lo <- 0
+  end;
+  if t.hi = Bytes.length t.buf then t.buf <- Bytes.extend t.buf 0 (Bytes.length t.buf);
+  match on_link (fun () -> t.link.recv t.buf ~off:t.hi ~len:(Bytes.length t.buf - t.hi)) with
+  | 0 -> down "connection closed mid-frame"
+  | n -> t.hi <- t.hi + n
 
 (** Read frames until one arrives; framing damage raises
     {!Protocol_error}, connection loss raises {!Backend_down}. *)
-let recv_frame (t : t) : Binary_proto.frame =
-  let chunk = Bytes.create 65536 in
-  let rec go () =
-    match Binary_proto.parse t.buf ~off:0 with
-    | Binary_proto.Frame (f, consumed) ->
-        t.buf <- String.sub t.buf consumed (String.length t.buf - consumed);
-        f
-    | Binary_proto.Bad m -> raise (Protocol_error m)
-    | Binary_proto.Need_more -> (
-        match
-          wrap_unix "read" (fun () -> Unix.read t.fd chunk 0 (Bytes.length chunk))
-        with
-        | 0 -> down "connection closed mid-frame"
-        | n ->
-            t.buf <- t.buf ^ Bytes.sub_string chunk 0 n;
-            go ())
-  in
-  go ()
+let rec recv_frame (t : t) : Binary_proto.frame =
+  match buffered t with
+  | Some f -> f
+  | None ->
+      fill t;
+      recv_frame t
 
-(** True when a frame is already buffered or bytes are readable within
-    [timeout_s]; lets a pool reader wait without committing to a read. *)
-let poll ?(timeout_s = 0.) (t : t) : bool =
-  (match Binary_proto.parse t.buf ~off:0 with
-  | Binary_proto.Frame _ | Binary_proto.Bad _ -> true
-  | Binary_proto.Need_more -> false)
-  ||
-  match Unix.select [ t.fd ] [] [] timeout_s with
-  | [], _, _ -> false
-  | _ -> true
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+(** {!recv_frame}, giving up with [None] once [timeout_s] pass without a
+    byte arriving; a partial frame stays buffered for the next call. *)
+let rec recv_frame_within (t : t) (timeout_s : float) : Binary_proto.frame option =
+  match buffered t with
+  | Some f -> Some f
+  | None ->
+      if on_link (fun () -> t.link.poll timeout_s) then begin
+        fill t;
+        recv_frame_within t timeout_s
+      end
+      else None
+
+(* --- answer decoders (shared with {!Backend_pool}) ---------------------- *)
 
 let answer_of (id : int) (f : Binary_proto.frame) : answer =
   match f with
@@ -138,6 +125,30 @@ let answer_of (id : int) (f : Binary_proto.frame) : answer =
   | Binary_proto.Result _ | Binary_proto.Error _ ->
       raise (Protocol_error "answer id does not match query id")
   | _ -> raise (Protocol_error "unexpected frame type in answer")
+
+(** An HTTP-shaped request.  A request body rides in the ["x-pdb-body"]
+    header — mutation bodies are small form-encoded strings, far under
+    the frame cap. *)
+let hreq ~meth ~target ~headers ~body (id : int) : Binary_proto.frame =
+  let headers = if body = "" then headers else ("x-pdb-body", body) :: headers in
+  Binary_proto.Hreq { id; meth; target; headers }
+
+let hresp_of (id : int) (f : Binary_proto.frame) : int * (string * string) list * string =
+  match f with
+  | Binary_proto.Hresp r when r.id = id -> (r.status, r.headers, r.body)
+  | Binary_proto.Error e when e.id = id -> raise (Protocol_error e.msg)
+  | _ -> raise (Protocol_error "unexpected frame type in http answer")
+
+type pong = { p_role : string; p_lsn : int; p_stream_id : int; p_repl_port : int }
+
+let pong_of (id : int) (f : Binary_proto.frame) : pong =
+  match f with
+  | Binary_proto.Pong p when p.id = id ->
+      { p_role = p.role; p_lsn = p.lsn; p_stream_id = p.stream_id; p_repl_port = p.repl_port }
+  | Binary_proto.Error e when e.id = id -> raise (Protocol_error e.msg)
+  | _ -> raise (Protocol_error "unexpected frame type in ping answer")
+
+(* --- requests ---------------------------------------------------------- *)
 
 (** Run one POOL query; returns its printed value or error text. *)
 let query (t : t) (q : string) : answer =
@@ -153,66 +164,10 @@ let batch (t : t) (qs : string list) : answer list =
   List.map (fun (id, _) -> answer_of id (recv_frame t)) ids
 
 (** One HTTP-shaped request over the binary connection.  Returns
-    (status, headers, body).  A request body rides in the
-    ["x-pdb-body"] header — mutation bodies are small form-encoded
-    strings, far under the frame cap. *)
+    (status, headers, body). *)
 let http (t : t) ~(meth : string) ~(target : string)
     ?(headers : (string * string) list = []) ?(body : string = "") () :
     int * (string * string) list * string =
   let id = fresh_id t in
-  let headers =
-    if body = "" then headers else ("x-pdb-body", body) :: headers
-  in
-  send_frame t (Binary_proto.Hreq { id; meth; target; headers });
-  match recv_frame t with
-  | Binary_proto.Hresp r when r.id = id -> (r.status, r.headers, r.body)
-  | Binary_proto.Error e when e.id = id -> raise (Protocol_error e.msg)
-  | _ -> raise (Protocol_error "unexpected frame type in http answer")
-
-let header_opt (headers : (string * string) list) (k : string) : string option
-    =
-  List.assoc_opt (String.lowercase_ascii k)
-    (List.map (fun (k, v) -> (String.lowercase_ascii k, v)) headers)
-
-(** {!http}, honoring [Retry-After] on 503: sleep the advertised delay
-    (capped at [cap_s]) and retry, up to [attempts] tries.  The final
-    503 is returned, not raised — overload is an answer, not a
-    transport failure. *)
-let http_retry ?(attempts = 3) ?(cap_s = 1.0) (t : t) ~meth ~target ?headers
-    ?body () : int * (string * string) list * string =
-  let rec go n =
-    let ((status, hs, _) as r) = http t ~meth ~target ?headers ?body () in
-    if status = 503 && n < attempts then (
-      let delay =
-        match header_opt hs "retry-after" with
-        | Some s -> ( match float_of_string_opt s with Some f -> f | None -> 0.1)
-        | None -> 0.1
-      in
-      Thread.delay (Float.min cap_s (Float.max 0.01 delay));
-      go (n + 1))
-    else r
-  in
-  go 1
-
-type pong = { p_role : string; p_lsn : int; p_stream_id : int; p_repl_port : int }
-
-(** Health-check probe: who are you, how far have you applied? *)
-let ping (t : t) : pong =
-  let id = fresh_id t in
-  send_frame t (Binary_proto.Ping { id });
-  match recv_frame t with
-  | Binary_proto.Pong p when p.id = id ->
-      {
-        p_role = p.role;
-        p_lsn = p.lsn;
-        p_stream_id = p.stream_id;
-        p_repl_port = p.repl_port;
-      }
-  | Binary_proto.Error e when e.id = id -> raise (Protocol_error e.msg)
-  | _ -> raise (Protocol_error "unexpected frame type in ping answer")
-
-(** Send a cluster control verb ("promote" / "demote" / "follow"). *)
-let ctl (t : t) ~(verb : string) ~(arg : string) : answer =
-  let id = fresh_id t in
-  send_frame t (Binary_proto.Ctl { id; verb; arg });
-  answer_of id (recv_frame t)
+  send_frame t (hreq ~meth ~target ~headers ~body id);
+  hresp_of id (recv_frame t)

@@ -4,10 +4,12 @@
    never silently pass through), oversized-frame and truncation
    handling, and end-to-end equivalence: the same queries answered over
    the binary port and over HTTP /query must agree, one at a time and
-   batched. *)
+   batched.  The client also runs over in-memory links, where every
+   truncation of an answer must surface as Backend_down. *)
 
 open Pmodel
 module BP = Pserver.Binary_proto
+module L = Prepl.Link
 
 let tmp_counter = ref 0
 
@@ -123,6 +125,28 @@ let test_wrong_magic_rejected () =
       if not (String.length m >= 9 && String.sub m 0 9 = "bad magic") then
         Alcotest.fail ("wrong rejection: " ^ m)
   | _ -> Alcotest.fail "wrong magic accepted"
+
+(* The binary twin of the replication link's cut sweep: a query whose
+   answer arrives cut at any byte raises Backend_down — never decodes,
+   never hangs — and the uncut answer decodes. *)
+let test_client_cut_everywhere () =
+  let answer = BP.encode (BP.Result { id = 0; v = "[1, 2, 3]" }) in
+  let ask cut =
+    let link, sent = L.of_string ?cut answer in
+    let r = Pserver.Client.query (Pserver.Client.of_link link) "select 1" in
+    (match BP.parse (Buffer.contents sent) ~off:0 with
+    | BP.Frame (BP.Query { id = 0; q = "select 1" }, _) -> ()
+    | _ -> Alcotest.fail "query frame not sent whole");
+    r
+  in
+  for cut = 0 to String.length answer - 1 do
+    match ask (Some cut) with
+    | _ -> Alcotest.failf "cut@%d: truncated answer decoded" cut
+    | exception Pserver.Client.Backend_down _ -> ()
+  done;
+  match ask None with
+  | Pserver.Client.Ok v -> Alcotest.(check string) "uncut answer decodes" "[1, 2, 3]" v
+  | Pserver.Client.Err e -> Alcotest.fail ("uncut answer is an error: " ^ e)
 
 (* --- end-to-end: binary port vs HTTP ------------------------------------ *)
 
@@ -264,6 +288,20 @@ let test_error_equivalence () =
               if not (String.length e >= 12 && String.sub e 0 12 = "syntax error") then
                 Alcotest.fail ("unexpected error text: " ^ e)))
 
+(* The client dials by name, not only by numeric address. *)
+let test_localhost_resolves () =
+  with_server (fun _http_port bin_port ->
+      let ask host =
+        let cl = Pserver.Client.connect ~host ~port:bin_port () in
+        Fun.protect
+          ~finally:(fun () -> Pserver.Client.close cl)
+          (fun () -> Pserver.Client.query cl (List.hd equiv_queries))
+      in
+      match (ask "localhost", ask "127.0.0.1") with
+      | Pserver.Client.Ok v, Pserver.Client.Ok v' ->
+          Alcotest.(check string) "same answer by name and by address" v' v
+      | _ -> Alcotest.fail "query failed")
+
 let test_server_rejects_damage () =
   with_server (fun _http_port bin_port ->
       (* a corrupt frame gets an Error answer and a closed connection;
@@ -310,6 +348,7 @@ let () =
           Alcotest.test_case "damage matrix" `Quick test_damage_matrix;
           Alcotest.test_case "oversized frame rejected" `Quick test_oversized_frame_rejected;
           Alcotest.test_case "wrong magic rejected" `Quick test_wrong_magic_rejected;
+          Alcotest.test_case "client cut at every byte" `Quick test_client_cut_everywhere;
         ] );
       ( "end-to-end",
         [
@@ -317,5 +356,6 @@ let () =
           Alcotest.test_case "batch equivalence vs HTTP" `Quick test_batch_equivalence;
           Alcotest.test_case "error equivalence" `Quick test_error_equivalence;
           Alcotest.test_case "server rejects damage" `Quick test_server_rejects_damage;
+          Alcotest.test_case "client connects to localhost" `Quick test_localhost_resolves;
         ] );
     ]

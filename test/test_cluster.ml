@@ -363,6 +363,119 @@ let test_backend_pool () =
           Alcotest.(check bool) "fail-fast, no hang" true
             (Unix.gettimeofday () -. t0 < 5.)))
 
+(* A port nothing listens on: bind an ephemeral port, then release it. *)
+let closed_port () =
+  let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  let p = match Unix.getsockname s with Unix.ADDR_INET (_, p) -> p | _ -> 0 in
+  Unix.close s;
+  p
+
+(* A health probe of a backend named by hostname that refuses the
+   connection is a recorded failure, not an exception out of the
+   sweep. *)
+let test_probe_localhost_closed_port () =
+  let topo = Topo.create [ ("localhost", closed_port ()) ] in
+  Fun.protect
+    ~finally:(fun () -> Topo.close topo)
+    (fun () ->
+      let m = Pcluster.Health.create topo in
+      Pcluster.Health.probe_once m;
+      let b = topo.Topo.backends.(0) in
+      Alcotest.(check int) "one failed probe recorded" 1 b.Topo.b_fail_streak)
+
+(* A stand-in backend on an ephemeral port: [serve] runs on each
+   accepted connection until the pool hangs up.  Returns the port, the
+   number of connections accepted so far, and a stopper. *)
+let fake_backend (serve : Client.t -> unit) =
+  let l = L.listen ~host:"127.0.0.1" ~port:0 in
+  let accepted = Atomic.make 0 and stop = Atomic.make false in
+  let th =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stop) do
+          if L.poll_listener l 0.05 then begin
+            let c = Client.of_link (L.accept l) in
+            Atomic.incr accepted;
+            ignore
+              (Thread.create
+                 (fun () ->
+                   (try serve c with Client.Backend_down _ | Client.Protocol_error _ -> ());
+                   Client.close c)
+                 ())
+          end
+        done;
+        L.close_listener l)
+      ()
+  in
+  (l.L.bound_port, accepted, fun () -> Atomic.set stop true; Thread.join th)
+
+(* A backend that accepts and never answers: the request fails with
+   "request timed out" once the timeout passes, at the reader's next
+   tick, instead of hanging. *)
+let test_pool_request_timeout () =
+  let port, _, stop =
+    fake_backend (fun c ->
+        while true do
+          ignore (Client.recv_frame c)
+        done)
+  in
+  Fun.protect ~finally:stop (fun () ->
+      let timeout_s = 0.5 in
+      let pool = BP.create ~channels:1 ~timeout_s ~host:"127.0.0.1" ~port () in
+      Fun.protect
+        ~finally:(fun () -> BP.close pool)
+        (fun () ->
+          (* asked on a thread, so a reader that never expires the
+             request fails the test instead of hanging it *)
+          let t0 = Unix.gettimeofday () in
+          let outcome = Atomic.make None in
+          ignore
+            (Thread.create
+               (fun () ->
+                 Atomic.set outcome
+                   (Some (try Ok (BP.query pool "select 1") with e -> Error e)))
+               ());
+          wait ~timeout:(timeout_s +. 5.) "the request to end" (fun () ->
+              Atomic.get outcome <> None);
+          let took = Unix.gettimeofday () -. t0 in
+          (match Atomic.get outcome with
+          | Some (Error (Client.Backend_down m)) ->
+              Alcotest.(check string) "failure names the timeout" "request timed out" m
+          | Some (Error e) -> Alcotest.failf "unexpected failure: %s" (Printexc.to_string e)
+          | _ -> Alcotest.fail "a silent backend answered");
+          if took < timeout_s || took > timeout_s +. BP.reader_tick_s +. 0.5 then
+            Alcotest.failf "timed out after %.2fs (timeout %.2fs, tick %.2fs)" took timeout_s
+              BP.reader_tick_s))
+
+(* An idle channel outlives several reader ticks and serves the next
+   request on the same connection. *)
+let test_pool_idle_channel_survives () =
+  let port, accepted, stop =
+    fake_backend (fun c ->
+        while true do
+          match Client.recv_frame c with
+          | Pserver.Binary_proto.Query { id; _ } ->
+              Client.send_frame c (Pserver.Binary_proto.Result { id; v = "ok" })
+          | _ -> ()
+        done)
+  in
+  Fun.protect ~finally:stop (fun () ->
+      let pool = BP.create ~channels:1 ~host:"127.0.0.1" ~port () in
+      Fun.protect
+        ~finally:(fun () -> BP.close pool)
+        (fun () ->
+          let ask () =
+            match BP.query pool "select 1" with
+            | Client.Ok v -> Alcotest.(check string) "answer" "ok" v
+            | Client.Err e -> Alcotest.fail e
+          in
+          ask ();
+          Thread.delay (4. *. BP.reader_tick_s);
+          Alcotest.(check int) "still connected after idle ticks" 1 (BP.connected pool);
+          ask ();
+          Alcotest.(check int) "no reconnect" 1 (Atomic.get accepted)))
+
 (* ------------------------------------------------------------------ *)
 (* Feed shutdown vs in-flight PageFetch (satellite)                    *)
 (* ------------------------------------------------------------------ *)
@@ -803,7 +916,14 @@ let () =
             test_concurrent_elections_one_winner;
         ] );
       ( "pool",
-        [ Alcotest.test_case "pipelined typed requests" `Quick test_backend_pool ] );
+        [
+          Alcotest.test_case "pipelined typed requests" `Quick test_backend_pool;
+          Alcotest.test_case "probe of localhost on a closed port" `Quick
+            test_probe_localhost_closed_port;
+          Alcotest.test_case "silent backend times out" `Quick test_pool_request_timeout;
+          Alcotest.test_case "idle channel survives ticks" `Quick
+            test_pool_idle_channel_survives;
+        ] );
       ( "feed",
         [
           Alcotest.test_case "stop with fetch in flight" `Quick
