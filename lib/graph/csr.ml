@@ -1,10 +1,11 @@
 (** CSR adjacency snapshots for graph traversal.
 
     Every traversal hop of the mirror walk re-queries
-    [Database.outgoing]/[incoming]: a hash lookup, an [OidSet] fold, an
-    object fetch and a subclass check *per edge per hop*, allocating a
-    fresh [Obj.t list] each time.  For the recursive exploration at the
-    heart of taxonomic workloads (thesis 5.1.1.3) that cost dominates.
+    [Database.targets]/[sources]: a hash lookup and a scan of the
+    endpoint's whole adjacency, filtering every edge by class and
+    context, allocating a fresh [int list] each time.  For the
+    recursive exploration at the heart of taxonomic workloads (thesis
+    5.1.1.3) that cost adds up.
 
     This module snapshots the adjacency of one [(relationship class,
     context)] key into compressed-sparse-row form — flat int arrays of

@@ -20,12 +20,10 @@ module OidSet = Database.OidSet
 let use_csr = function Some b -> b | None -> true
 
 (** Destinations of outgoing edges of [oid]. *)
-let children db ?context ~rel oid : int list =
-  List.map Obj.destination (Database.outgoing db ?context ~rel_name:rel oid)
+let children db ?context ~rel oid : int list = Database.targets db ?context ~rel_name:rel oid
 
 (** Origins of incoming edges of [oid]. *)
-let parents db ?context ~rel oid : int list =
-  List.map Obj.origin (Database.incoming db ?context ~rel_name:rel oid)
+let parents db ?context ~rel oid : int list = Database.sources db ?context ~rel_name:rel oid
 
 (** Breadth-first descent.  Returns all nodes reachable from [root]
     through outgoing [rel] edges at depth [>= min_depth] and

@@ -58,8 +58,10 @@ type t = {
   (* in-memory mirror *)
   objects : (int, Obj.t) Hashtbl.t;
   extents : (string, OidSet.t ref) Hashtbl.t; (* exact class -> oids *)
-  out_rels : (int, OidSet.t ref) Hashtbl.t; (* origin oid -> rel oids *)
-  in_rels : (int, OidSet.t ref) Hashtbl.t; (* destination oid -> rel oids *)
+  (* relationship edges per endpoint (see {!Adj}): origin -> outgoing,
+     destination -> incoming *)
+  out_adj : Adj.t;
+  in_adj : Adj.t;
   (* secondary attribute indexes: (class, attr) -> ordered value map -> oids *)
   indexes : (string * string, OidSet.t ValueMap.t ref) Hashtbl.t;
   (* bumped on create_index/drop_index and on class/relationship
@@ -188,8 +190,11 @@ let mirror_insert t (o : Obj.t) =
   Hashtbl.replace t.objects o.Obj.oid o;
   add_to t.extents o.Obj.class_name o.Obj.oid;
   if is_rel_instance t o then begin
-    add_to t.out_rels (Obj.origin o) o.Obj.oid;
-    add_to t.in_rels (Obj.destination o) o.Obj.oid
+    let cls = Meta.rel_id t.schema o.Obj.class_name and rel = o.Obj.oid in
+    let origin = Obj.origin o and destination = Obj.destination o in
+    let ctx = Adj.context_key (Obj.context o) in
+    Adj.add t.out_adj origin ~cls ~rel ~far:destination ~ctx;
+    Adj.add t.in_adj destination ~cls ~rel ~far:origin ~ctx
   end;
   if o.Obj.class_name = synonym_class then begin
     (* union the two endpoints *)
@@ -204,16 +209,16 @@ let mirror_remove t (o : Obj.t) =
   Hashtbl.remove t.objects o.Obj.oid;
   remove_from t.extents o.Obj.class_name o.Obj.oid;
   if is_rel_instance t o then begin
-    remove_from t.out_rels (Obj.origin o) o.Obj.oid;
-    remove_from t.in_rels (Obj.destination o) o.Obj.oid
+    Adj.remove t.out_adj (Obj.origin o) ~rel:o.Obj.oid;
+    Adj.remove t.in_adj (Obj.destination o) ~rel:o.Obj.oid
   end;
   index_remove t o
 
 let rebuild_mirror t =
   Hashtbl.reset t.objects;
   Hashtbl.reset t.extents;
-  Hashtbl.reset t.out_rels;
-  Hashtbl.reset t.in_rels;
+  Adj.reset t.out_adj;
+  Adj.reset t.in_adj;
   Hashtbl.reset t.syn_parent;
   Hashtbl.iter (fun _ table -> table := ValueMap.empty) t.indexes;
   Store.iter t.store (fun oid data ->
@@ -251,8 +256,8 @@ let open_ ?cache_pages ?vfs ?readonly path : t =
       bus;
       objects = Hashtbl.create 1024;
       extents = Hashtbl.create 64;
-      out_rels = Hashtbl.create 1024;
-      in_rels = Hashtbl.create 1024;
+      out_adj = Adj.create ();
+      in_adj = Adj.create ();
       indexes = Hashtbl.create 8;
       index_epoch = 0;
       ext = Hashtbl.create 4;
@@ -300,8 +305,8 @@ let of_store_snapshot ~(store : Store.t) (snap : Store.Snapshot.s)
       bus;
       objects = Hashtbl.create 1024;
       extents = Hashtbl.create 64;
-      out_rels = Hashtbl.create 1024;
-      in_rels = Hashtbl.create 1024;
+      out_adj = Adj.create ();
+      in_adj = Adj.create ();
       indexes = Hashtbl.create 8;
       index_epoch = 0;
       ext = Hashtbl.create 4;
@@ -456,7 +461,7 @@ let validated_attrs t ~class_name (attrs : (string * Value.t) list) : (string * 
   List.iter
     (fun (k, _) ->
       if Obj.is_reserved_attr k then ()
-      else if not (List.exists (fun (d : Meta.attr_def) -> d.Meta.attr_name = k) defs) then
+      else if not (Meta.mem_attr k defs) then
         fail "class %s has no attribute %s" class_name k)
     attrs;
   List.filter_map
@@ -527,8 +532,8 @@ let rec delete t oid : unit =
       else begin
         (* Remove all relationship instances touching this object; apply
            lifetime dependency along outgoing relationships. *)
-        let outgoing = OidSet.elements (set_of t.out_rels oid) in
-        let incoming = OidSet.elements (set_of t.in_rels oid) in
+        let outgoing = Adj.rel_oids t.out_adj oid in
+        let incoming = Adj.rel_oids t.in_adj oid in
         let cascade_candidates = ref [] in
         List.iter
           (fun rel_oid ->
@@ -554,16 +559,13 @@ let rec delete t oid : unit =
             match get t dest with
             | None -> ()
             | Some _ ->
-                let still_supported =
-                  OidSet.exists
-                    (fun rel_oid ->
-                      match get t rel_oid with
-                      | None -> false
-                      | Some r ->
-                          (Meta.rel_exn t.schema r.Obj.class_name).Meta.lifetime_dep)
-                    (set_of t.in_rels dest)
+                let a = Adj.find t.in_adj dest in
+                let rec still_supported i =
+                  i < Adj.count a
+                  && ((Meta.rel_of_id t.schema (Adj.cls a i)).Meta.lifetime_dep
+                     || still_supported (i + 1))
                 in
-                if not still_supported then delete t dest)
+                if not (still_supported 0) then delete t dest)
           !cascade_candidates
       end
 
@@ -584,47 +586,73 @@ and delete_rel_instance t (r : Obj.t) =
 (* Relationships                                                           *)
 (* ---------------------------------------------------------------------- *)
 
+(* Every accessor below reads the endpoints' adjacency (see {!Adj}):
+   the subclass test is one lookup of [rel_name]'s interned subclass
+   ids, and a relationship object is looked up only for a matching
+   edge, and only by the accessors that return objects.  Lists come out
+   in descending relationship-oid order. *)
+
+let rel_obj t rel_oid = Hashtbl.find t.objects rel_oid
+
+(* relationship objects of the matching edges at [oid], consed onto [acc] *)
+let collect_rels t adj ids ctx_filter oid acc =
+  let a = Adj.find adj oid in
+  let acc = ref acc in
+  for i = 0 to Adj.count a - 1 do
+    if Adj.matches a i ids ctx_filter then acc := rel_obj t (Adj.rel_at a i) :: !acc
+  done;
+  !acc
+
+let collect_far adj ids ctx_filter oid =
+  let a = Adj.find adj oid in
+  let acc = ref [] in
+  for i = 0 to Adj.count a - 1 do
+    if Adj.matches a i ids ctx_filter then acc := Adj.far a i :: !acc
+  done;
+  !acc
+
+let count_edges adj ids ctx_filter oid =
+  let a = Adj.find adj oid in
+  let n = ref 0 in
+  for i = 0 to Adj.count a - 1 do
+    if Adj.matches a i ids ctx_filter then incr n
+  done;
+  !n
+
+(** Instances of exactly [rel_name] from [origin] to [destination]. *)
 let rel_instances_between t ~rel_name ~origin ~destination =
-  OidSet.filter
-    (fun rel_oid ->
-      match get t rel_oid with
-      | Some r -> r.Obj.class_name = rel_name && Obj.destination r = destination
-      | None -> false)
-    (set_of t.out_rels origin)
+  let cls = Meta.rel_id t.schema rel_name and a = Adj.find t.out_adj origin in
+  let acc = ref OidSet.empty in
+  for i = 0 to Adj.count a - 1 do
+    if Adj.cls a i = cls && Adj.far a i = destination then acc := OidSet.add (Adj.rel_at a i) !acc
+  done;
+  !acc
 
 (** Incoming instances of relationship class [rel_name] (including its
     sub-relationship-classes) at [destination], optionally filtered by
     classification context. *)
 let incoming t ?context ~rel_name destination : Obj.t list =
-  OidSet.fold
-    (fun rel_oid acc ->
-      match get t rel_oid with
-      | Some r
-        when Meta.is_subclass t.schema ~sub:r.Obj.class_name ~super:rel_name
-             && (match context with None -> true | Some c -> Obj.context r = Some c) ->
-          r :: acc
-      | _ -> acc)
-    (set_of t.in_rels destination)
+  collect_rels t t.in_adj (Meta.rel_sub_ids t.schema rel_name) (Adj.filter_key context) destination
     []
 
 let outgoing t ?context ~rel_name origin : Obj.t list =
-  OidSet.fold
-    (fun rel_oid acc ->
-      match get t rel_oid with
-      | Some r
-        when Meta.is_subclass t.schema ~sub:r.Obj.class_name ~super:rel_name
-             && (match context with None -> true | Some c -> Obj.context r = Some c) ->
-          r :: acc
-      | _ -> acc)
-    (set_of t.out_rels origin)
-    []
+  collect_rels t t.out_adj (Meta.rel_sub_ids t.schema rel_name) (Adj.filter_key context) origin []
 
-(** All relationship instances touching [oid] (either end). *)
+(** Destinations of {!outgoing}, in the same order, without looking up
+    any relationship object. *)
+let targets t ?context ~rel_name origin : int list =
+  collect_far t.out_adj (Meta.rel_sub_ids t.schema rel_name) (Adj.filter_key context) origin
+
+(** Origins of {!incoming}, in the same order. *)
+let sources t ?context ~rel_name destination : int list =
+  collect_far t.in_adj (Meta.rel_sub_ids t.schema rel_name) (Adj.filter_key context) destination
+
+(** All relationship instances touching [oid]: the outgoing ones, then
+    the incoming ones (a self-link appears in both). *)
 let rels_of t oid : Obj.t list =
-  let collect set acc =
-    OidSet.fold (fun r acc -> match get t r with Some o -> o :: acc | None -> acc) set acc
-  in
-  collect (set_of t.out_rels oid) (collect (set_of t.in_rels oid) [])
+  let all = Meta.rel_sub_ids t.schema Meta.object_class in
+  collect_rels t t.out_adj all Adj.any_context oid
+    (collect_rels t t.in_adj all Adj.any_context oid [])
 
 let check_endpoint t ~rel_name ~role ~expected oid =
   match class_of t oid with
@@ -634,45 +662,30 @@ let check_endpoint t ~rel_name ~role ~expected oid =
         fail "%s: %s object #%d has class %s, expected %s" rel_name role oid c expected
 
 let semantic_checks t (rdef : Meta.rel_def) ~origin ~destination ~context =
-  let ctx = context in
+  let ids = Meta.rel_sub_ids t.schema rdef.Meta.rel_name in
+  (* the counts below are per context: none is a context of its own *)
+  let ctx = Adj.context_key context in
   (* exclusivity: at most one incoming instance of this relationship
      class per destination within one context *)
-  if rdef.Meta.exclusive then begin
-    let existing = incoming t ?context:None ~rel_name:rdef.Meta.rel_name destination in
-    let same_ctx = List.filter (fun r -> Obj.context r = ctx) existing in
-    if same_ctx <> [] then
-      fail "%s: destination #%d already classified in this context (exclusive relationship)"
-        rdef.Meta.rel_name destination
-  end;
+  if rdef.Meta.exclusive && count_edges t.in_adj ids ctx destination > 0 then
+    fail "%s: destination #%d already classified in this context (exclusive relationship)"
+      rdef.Meta.rel_name destination;
   (* sharability: if not sharable, at most one incoming instance across
      all contexts *)
-  if not rdef.Meta.sharable then begin
-    let existing = incoming t ~rel_name:rdef.Meta.rel_name destination in
-    if existing <> [] then
-      fail "%s: destination #%d is already part of a non-sharable relationship"
-        rdef.Meta.rel_name destination
-  end;
+  if (not rdef.Meta.sharable) && count_edges t.in_adj ids Adj.any_context destination > 0 then
+    fail "%s: destination #%d is already part of a non-sharable relationship" rdef.Meta.rel_name
+      destination;
   (* maximum cardinalities (minima are validated at commit) *)
   (match rdef.Meta.card_out.Meta.cmax with
   | Some m ->
-      let n =
-        List.length
-          (List.filter
-             (fun r -> Obj.context r = ctx)
-             (outgoing t ~rel_name:rdef.Meta.rel_name origin))
-      in
+      let n = count_edges t.out_adj ids ctx origin in
       if n >= m then
         fail "%s: origin #%d already has %d outgoing instances (max %d)" rdef.Meta.rel_name origin
           n m
   | None -> ());
   match rdef.Meta.card_in.Meta.cmax with
   | Some m ->
-      let n =
-        List.length
-          (List.filter
-             (fun r -> Obj.context r = ctx)
-             (incoming t ~rel_name:rdef.Meta.rel_name destination))
-      in
+      let n = count_edges t.in_adj ids ctx destination in
       if n >= m then
         fail "%s: destination #%d already has %d incoming instances (max %d)" rdef.Meta.rel_name
           destination n m
@@ -790,22 +803,16 @@ let iter_objects t f = Hashtbl.iter (fun _ o -> f o) t.objects
 let get_attr t oid attr : Value.t =
   let o = get_exn t oid in
   match Obj.get o attr with
-  | Value.VNull
-    when not (List.exists (fun (d : Meta.attr_def) -> d.Meta.attr_name = attr)
-                (Meta.all_attrs t.schema o.Obj.class_name)) -> (
-      (* look for an inherited (role) attribute on incoming relationships *)
-      let candidates =
-        OidSet.fold
-          (fun rel_oid acc ->
-            match get t rel_oid with
-            | Some r ->
-                let rdef = Meta.rel_exn t.schema r.Obj.class_name in
-                if List.mem attr rdef.Meta.inherited_attrs then Obj.get r attr :: acc else acc
-            | None -> acc)
-          (set_of t.in_rels oid)
-          []
-      in
-      match candidates with
+  | Value.VNull when not (Meta.has_attr t.schema o.Obj.class_name attr) -> (
+      (* look for an inherited (role) attribute on incoming relationships;
+         only the classes that declare [attr] inherited are looked up *)
+      let a = Adj.find t.in_adj oid in
+      let candidates = ref [] in
+      for i = 0 to Adj.count a - 1 do
+        if List.mem attr (Meta.rel_of_id t.schema (Adj.cls a i)).Meta.inherited_attrs then
+          candidates := Obj.get (rel_obj t (Adj.rel_at a i)) attr :: !candidates
+      done;
+      match !candidates with
       | [] -> Value.VNull
       | [ v ] -> v
       | vs -> Value.vset vs (* several roles: the object sees the set *))
@@ -813,7 +820,8 @@ let get_attr t oid attr : Value.t =
 
 (** Does [oid] currently play a role conferred by relationship class
     [rel_name] (i.e. is it the destination of such a relationship)? *)
-let has_role t oid ~rel_name = incoming t ~rel_name oid <> []
+let has_role t oid ~rel_name =
+  count_edges t.in_adj (Meta.rel_sub_ids t.schema rel_name) Adj.any_context oid > 0
 
 (* ---------------------------------------------------------------------- *)
 (* Classification contexts (thesis 4.6)                                    *)
@@ -994,7 +1002,10 @@ let validate_min_cards t : string list =
             (if rdef.Meta.card_out.Meta.cmin > 0
                && Meta.is_subclass t.schema ~sub:o.Obj.class_name ~super:rdef.Meta.origin
              then
-               let n = List.length (outgoing t ~rel_name:rdef.Meta.rel_name oid) in
+               let n =
+                 count_edges t.out_adj (Meta.rel_sub_ids t.schema rdef.Meta.rel_name)
+                   Adj.any_context oid
+               in
                if n < rdef.Meta.card_out.Meta.cmin then
                  errors :=
                    Format.asprintf "%s: origin #%d has %d outgoing instances, minimum %d"
@@ -1003,7 +1014,10 @@ let validate_min_cards t : string list =
             if rdef.Meta.card_in.Meta.cmin > 0
                && Meta.is_subclass t.schema ~sub:o.Obj.class_name ~super:rdef.Meta.destination
             then
-              let n = List.length (incoming t ~rel_name:rdef.Meta.rel_name oid) in
+              let n =
+                count_edges t.in_adj (Meta.rel_sub_ids t.schema rdef.Meta.rel_name)
+                  Adj.any_context oid
+              in
               if n < rdef.Meta.card_in.Meta.cmin then
                 errors :=
                   Format.asprintf "%s: destination #%d has %d incoming instances, minimum %d"

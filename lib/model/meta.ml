@@ -119,9 +119,31 @@ let rel ?(supers = []) ?(kind = Association) ?(card_out = many) ?(card_in = many
 (* Schema                                                                  *)
 (* ---------------------------------------------------------------------- *)
 
+module SSet = Set.Make (String)
+
+(* Besides the definitions, a schema holds their closures: supertype
+   sets, subtype lists, flattened attribute lists and the interning of
+   relationship classes to small ints.  Classes are never redefined or
+   dropped and a class's supertypes are defined before it, so each
+   closure is computed once, when its class is registered
+   ({!add_class}, {!add_rel}, {!decode_into}), and reads allocate
+   nothing.  Nothing is filled in lazily on read: one schema is read
+   from several domains at once through a shared snapshot view. *)
 type t = {
   classes : (string, class_def) Hashtbl.t;
   rels : (string, rel_def) Hashtbl.t;
+  (* name -> its supertypes, itself and [Object] included *)
+  ancestors : (string, SSet.t) Hashtbl.t;
+  (* name -> object classes below it, itself included *)
+  class_subs : (string, string list) Hashtbl.t;
+  (* name -> relationship classes below it, itself included *)
+  rel_subs : (string, string list) Hashtbl.t;
+  (* name -> ascending ids of the relationship classes below it *)
+  rel_sub_ids : (string, int array) Hashtbl.t;
+  (* name -> all attributes, inherited ones included *)
+  flat_attrs : (string, attr_def list) Hashtbl.t;
+  rel_ids : (string, int) Hashtbl.t;
+  mutable rel_by_id : rel_def array;
 }
 
 let object_class = "Object"
@@ -139,11 +161,6 @@ let builtin_classes =
     };
   ]
 
-let empty () =
-  let t = { classes = Hashtbl.create 64; rels = Hashtbl.create 64 } in
-  List.iter (fun c -> Hashtbl.replace t.classes c.class_name c) builtin_classes;
-  t
-
 let find_class t name = Hashtbl.find_opt t.classes name
 let find_rel t name = Hashtbl.find_opt t.rels name
 
@@ -159,68 +176,112 @@ let is_rel t name = Hashtbl.mem t.rels name
 let classes t = Hashtbl.fold (fun _ c acc -> c :: acc) t.classes []
 let rels t = Hashtbl.fold (fun _ r acc -> r :: acc) t.rels []
 
-(** All (transitive) superclasses of a class, excluding itself. *)
-let rec superclasses t name : string list =
-  match find_class t name with
-  | None -> []
-  | Some c ->
-      List.concat_map (fun s -> s :: superclasses t s) c.supers |> List.sort_uniq compare
-
-let rec rel_superclasses t name : string list =
-  match find_rel t name with
-  | None -> []
-  | Some r ->
-      List.concat_map (fun s -> s :: rel_superclasses t s) r.rel_supers
-      |> List.sort_uniq compare
+let find_or tbl key default = match Hashtbl.find tbl key with v -> v | exception Not_found -> default
 
 (** [is_subclass t ~sub ~super]: reflexive-transitive subclassing over
-    both object classes and relationship classes. *)
+    both object classes and relationship classes; every class and
+    relationship class is below [Object]. *)
 let is_subclass t ~sub ~super =
-  sub = super
-  || List.mem super (superclasses t sub)
-  || List.mem super (rel_superclasses t sub)
-  || (super = object_class && (is_class t sub || is_rel t sub))
+  String.equal sub super || SSet.mem super (find_or t.ancestors sub SSet.empty)
 
 (** Direct and transitive subclasses of [name] (including itself). *)
-let subclasses t name : string list =
-  Hashtbl.fold
-    (fun n _ acc -> if is_subclass t ~sub:n ~super:name then n :: acc else acc)
-    t.classes []
+let subclasses t name : string list = find_or t.class_subs name []
 
-let rel_subclasses t name : string list =
-  Hashtbl.fold
-    (fun n _ acc -> if is_subclass t ~sub:n ~super:name then n :: acc else acc)
-    t.rels []
+let rel_subclasses t name : string list = find_or t.rel_subs name []
 
 (** All attributes of a class or relationship class, including
     inherited ones.  Subclass definitions override superclass
     definitions of the same name (covariant redefinition). *)
-let all_attrs t name : attr_def list =
-  let seen = Hashtbl.create 8 in
-  let out = ref [] in
-  let add a =
-    if not (Hashtbl.mem seen a.attr_name) then begin
-      Hashtbl.replace seen a.attr_name ();
-      out := a :: !out
-    end
-  in
-  let rec walk n =
-    (match find_class t n with
-    | Some c ->
-        List.iter add c.attrs;
-        List.iter walk c.supers
-    | None -> ());
-    match find_rel t n with
-    | Some r ->
-        List.iter add r.rel_attrs;
-        List.iter walk r.rel_supers
-    | None -> ()
-  in
-  walk name;
-  List.rev !out
+let all_attrs t name : attr_def list = find_or t.flat_attrs name []
 
-let find_attr t name attr_name =
-  List.find_opt (fun a -> a.attr_name = attr_name) (all_attrs t name)
+let rec find_attr_in attr_name = function
+  | [] -> None
+  | a :: rest -> if String.equal a.attr_name attr_name then Some a else find_attr_in attr_name rest
+
+let find_attr t name attr_name = find_attr_in attr_name (all_attrs t name)
+
+let rec mem_attr attr_name = function
+  | [] -> false
+  | a :: rest -> String.equal a.attr_name attr_name || mem_attr attr_name rest
+
+(** Does class (or relationship class) [name] define or inherit [attr_name]? *)
+let has_attr t name attr_name = mem_attr attr_name (all_attrs t name)
+
+(** The small int a relationship class is interned to ([-1] for a name
+    that is not a relationship class).  Ids are per schema value, in
+    registration order, and never persisted. *)
+let rel_id t name = find_or t.rel_ids name (-1)
+
+let rel_of_id t id = t.rel_by_id.(id)
+
+(** Ascending ids of the relationship classes below [name] (itself
+    included): every relationship class for [Object], none for a name
+    that is neither. *)
+let rel_sub_ids t name = find_or t.rel_sub_ids name [||]
+
+(* ---------------------------------------------------------------------- *)
+(* Registration: closures computed once per definition                     *)
+(* ---------------------------------------------------------------------- *)
+
+(* A supertype's attributes come after the class's own, in [supers]
+   order, first definition of a name winning: the depth-first walk of
+   the hierarchy, taken from the supertypes' own flattened lists. *)
+let flatten t own supers =
+  let seen = Hashtbl.create 8 in
+  List.filter
+    (fun a ->
+      (not (Hashtbl.mem seen a.attr_name))
+      && (Hashtbl.replace seen a.attr_name ();
+          true))
+    (own @ List.concat_map (all_attrs t) supers)
+
+let closure t name supers =
+  List.fold_left
+    (fun acc s -> SSet.union acc (find_or t.ancestors s (SSet.singleton s)))
+    (SSet.of_list [ name; object_class ])
+    supers
+
+let push tbl key v = Hashtbl.replace tbl key (v :: find_or tbl key [])
+
+(* [c]'s supertypes must be registered already *)
+let register_class t (c : class_def) =
+  Hashtbl.replace t.classes c.class_name c;
+  let anc = closure t c.class_name c.supers in
+  Hashtbl.replace t.ancestors c.class_name anc;
+  SSet.iter (fun a -> push t.class_subs a c.class_name) anc;
+  Hashtbl.replace t.flat_attrs c.class_name (flatten t c.attrs c.supers)
+
+(* [r]'s super relationships must be registered already *)
+let register_rel t (r : rel_def) =
+  Hashtbl.replace t.rels r.rel_name r;
+  let id = Array.length t.rel_by_id in
+  t.rel_by_id <- Array.append t.rel_by_id [| r |];
+  Hashtbl.replace t.rel_ids r.rel_name id;
+  let anc = closure t r.rel_name r.rel_supers in
+  Hashtbl.replace t.ancestors r.rel_name anc;
+  SSet.iter
+    (fun a ->
+      push t.rel_subs a r.rel_name;
+      Hashtbl.replace t.rel_sub_ids a (Array.append (rel_sub_ids t a) [| id |]))
+    anc;
+  Hashtbl.replace t.flat_attrs r.rel_name (flatten t r.rel_attrs r.rel_supers)
+
+let empty () =
+  let t =
+    {
+      classes = Hashtbl.create 64;
+      rels = Hashtbl.create 64;
+      ancestors = Hashtbl.create 64;
+      class_subs = Hashtbl.create 64;
+      rel_subs = Hashtbl.create 64;
+      rel_sub_ids = Hashtbl.create 64;
+      flat_attrs = Hashtbl.create 64;
+      rel_ids = Hashtbl.create 64;
+      rel_by_id = [||];
+    }
+  in
+  List.iter (register_class t) builtin_classes;
+  t
 
 (* ---------------------------------------------------------------------- *)
 (* Schema definition with validation                                       *)
@@ -236,7 +297,7 @@ let add_class t (c : class_def) =
     if c.supers = [] && c.class_name <> object_class then { c with supers = [ object_class ] }
     else c
   in
-  Hashtbl.replace t.classes c.class_name c
+  register_class t c
 
 let define_class t ?(supers = []) ?(abstract = false) class_name attrs =
   add_class t { class_name; supers; attrs; abstract };
@@ -267,7 +328,7 @@ let add_rel t (r : rel_def) =
       if not (List.exists (fun d -> d.attr_name = a) r.rel_attrs) then
         fail "relationship %s: inherited attribute %s is not a relationship attribute" r.rel_name a)
     r.inherited_attrs;
-  Hashtbl.replace t.rels r.rel_name r
+  register_rel t r
 
 let define_rel t ?supers ?kind ?card_out ?card_in ?exclusive ?sharable ?lifetime_dep ?constant
     ?inherited_attrs ?attrs rel_name ~origin ~destination =
@@ -363,47 +424,51 @@ let decode_into t (s : string) =
     let attrs = List.init nattrs (fun _ -> decode_attr d) in
     pending := { class_name; supers; attrs; abstract } :: !pending
   done;
-  let rec drain classes =
-    if classes <> [] then begin
+  (* supertypes register before their subtypes, whatever the stored order *)
+  let rec drain ~defined ~name ~supers register pending =
+    if pending <> [] then begin
       let ready, blocked =
-        List.partition (fun c -> List.for_all (fun s -> Hashtbl.mem t.classes s) c.supers) classes
+        List.partition (fun x -> List.for_all (fun s -> Hashtbl.mem defined s) (supers x)) pending
       in
-      if ready = [] then fail "schema decode: cyclic or dangling class hierarchy";
-      List.iter (fun c -> Hashtbl.replace t.classes c.class_name c) ready;
-      drain blocked
+      if ready = [] then fail "schema decode: cyclic or dangling hierarchy at %s" (name (List.hd blocked));
+      List.iter (register t) ready;
+      drain ~defined ~name ~supers register blocked
     end
   in
-  drain (List.rev !pending);
+  drain ~defined:t.classes ~name:(fun c -> c.class_name) ~supers:(fun c -> c.supers) register_class
+    (List.rev !pending);
   let nrels = Codec.Dec.u32 d in
-  for _ = 1 to nrels do
-    let rel_name = Codec.Dec.string d in
-    let rel_supers = decode_string_list d in
-    let origin = Codec.Dec.string d in
-    let destination = Codec.Dec.string d in
-    let kind = match Codec.Dec.u8 d with 0 -> Aggregation | _ -> Association in
-    let card_out = decode_card d in
-    let card_in = decode_card d in
-    let exclusive = Codec.Dec.bool d in
-    let sharable = Codec.Dec.bool d in
-    let lifetime_dep = Codec.Dec.bool d in
-    let constant = Codec.Dec.bool d in
-    let inherited_attrs = decode_string_list d in
-    let nattrs = Codec.Dec.u16 d in
-    let rel_attrs = List.init nattrs (fun _ -> decode_attr d) in
-    Hashtbl.replace t.rels rel_name
-      {
-        rel_name;
-        rel_supers;
-        origin;
-        destination;
-        kind;
-        card_out;
-        card_in;
-        exclusive;
-        sharable;
-        lifetime_dep;
-        constant;
-        inherited_attrs;
-        rel_attrs;
-      }
-  done
+  let pending =
+    List.init nrels (fun _ ->
+        let rel_name = Codec.Dec.string d in
+        let rel_supers = decode_string_list d in
+        let origin = Codec.Dec.string d in
+        let destination = Codec.Dec.string d in
+        let kind = match Codec.Dec.u8 d with 0 -> Aggregation | _ -> Association in
+        let card_out = decode_card d in
+        let card_in = decode_card d in
+        let exclusive = Codec.Dec.bool d in
+        let sharable = Codec.Dec.bool d in
+        let lifetime_dep = Codec.Dec.bool d in
+        let constant = Codec.Dec.bool d in
+        let inherited_attrs = decode_string_list d in
+        let nattrs = Codec.Dec.u16 d in
+        let rel_attrs = List.init nattrs (fun _ -> decode_attr d) in
+        {
+          rel_name;
+          rel_supers;
+          origin;
+          destination;
+          kind;
+          card_out;
+          card_in;
+          exclusive;
+          sharable;
+          lifetime_dep;
+          constant;
+          inherited_attrs;
+          rel_attrs;
+        })
+  in
+  drain ~defined:t.rels ~name:(fun r -> r.rel_name) ~supers:(fun r -> r.rel_supers) register_rel
+    pending

@@ -74,12 +74,8 @@ let generate (db : Database.t) (p : S.params) : S.handles =
         let rel = if Random.State.bool rng then S.uses_shared else S.uses_private in
         (* the same composite may already be linked to this assembly:
            skip duplicates to keep generation idempotent *)
-        if
-          not
-            (List.exists
-               (fun (r : Obj.t) -> Obj.destination r = comp)
-               (Database.outgoing db ~rel_name:rel ba))
-        then ignore (Database.link db rel ~origin:ba ~destination:comp)
+        if not (List.mem comp (Database.targets db ~rel_name:rel ba)) then
+          ignore (Database.link db rel ~origin:ba ~destination:comp)
       done;
       ba
     end

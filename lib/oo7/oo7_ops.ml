@@ -23,29 +23,27 @@ module Prom = struct
   type ctx = { db : Database.t; h : S.handles }
 
   let components db ba =
-    List.map Obj.destination (Database.outgoing db ~rel_name:S.uses_private ba)
-    @ List.map Obj.destination (Database.outgoing db ~rel_name:S.uses_shared ba)
+    Database.targets db ~rel_name:S.uses_private ba @ Database.targets db ~rel_name:S.uses_shared ba
 
   let rec assemblies db a acc =
     match Database.class_of db a with
     | Some c when c = S.complex_assembly ->
         List.fold_left
-          (fun acc r -> assemblies db (Obj.destination r) acc)
+          (fun acc sub -> assemblies db sub acc)
           acc
-          (Database.outgoing db ~rel_name:S.sub_assembly a)
+          (Database.targets db ~rel_name:S.sub_assembly a)
     | Some c when c = S.base_assembly -> a :: acc
     | _ -> acc
 
   let base_assemblies { db; h } =
-    match Database.outgoing db ~rel_name:S.design_root h.S.module_oid with
-    | r :: _ -> assemblies db (Obj.destination r) []
+    match Database.targets db ~rel_name:S.design_root h.S.module_oid with
+    | root :: _ -> assemblies db root []
     | [] -> []
 
   let dfs_composite db comp (f : int -> unit) : int =
-    match Database.outgoing db ~rel_name:S.root_part comp with
+    match Database.targets db ~rel_name:S.root_part comp with
     | [] -> 0
-    | r :: _ ->
-        let root = Obj.destination r in
+    | root :: _ ->
         let visited = Hashtbl.create 64 in
         let count = ref 0 in
         let rec go a =
@@ -53,9 +51,7 @@ module Prom = struct
             Hashtbl.replace visited a ();
             incr count;
             f a;
-            List.iter
-              (fun (c : Obj.t) -> go (Obj.destination c))
-              (Database.outgoing db ~rel_name:S.connects a)
+            List.iter go (Database.targets db ~rel_name:S.connects a)
           end
         in
         go root;
@@ -112,7 +108,7 @@ module Prom = struct
       (fun acc ba ->
         List.fold_left
           (fun acc comp ->
-            acc + match Database.outgoing db ~rel_name:S.root_part comp with [] -> 0 | _ -> 1)
+            acc + match Database.targets db ~rel_name:S.root_part comp with [] -> 0 | _ -> 1)
           acc (components db ba))
       0 (base_assemblies c)
 
@@ -173,12 +169,11 @@ module Prom = struct
     let n = ref 0 in
     Database.OidSet.iter
       (fun comp ->
-        match Database.outgoing db ~rel_name:S.has_doc comp with
-        | r :: _ ->
-            let doc = Obj.destination r in
+        match Database.targets db ~rel_name:S.has_doc comp with
+        | doc :: _ ->
             (match Database.get_attr db doc "text" with
             | Value.VString t when String.length t > len ->
-                n := !n + List.length (Database.outgoing db ~rel_name:S.has_part comp)
+                n := !n + List.length (Database.targets db ~rel_name:S.has_part comp)
             | _ -> ())
         | [] -> ())
       (Database.extent db S.composite_part);

@@ -515,13 +515,13 @@ and eval_call st env f (arg_exprs : Ast.expr list) : Value.t =
   | "targets" ->
       Value.VList
         (List.map
-           (fun (r : Obj.t) -> Value.VRef (Obj.destination r))
-           (Database.outgoing st.db ?context:(ctx_arg st (Lazy.force args) 2) ~rel_name:(str_arg 1) (oid_arg 0)))
+           (fun o -> Value.VRef o)
+           (Database.targets st.db ?context:(ctx_arg st (Lazy.force args) 2) ~rel_name:(str_arg 1) (oid_arg 0)))
   | "sources" ->
       Value.VList
         (List.map
-           (fun (r : Obj.t) -> Value.VRef (Obj.origin r))
-           (Database.incoming st.db ?context:(ctx_arg st (Lazy.force args) 2) ~rel_name:(str_arg 1) (oid_arg 0)))
+           (fun o -> Value.VRef o)
+           (Database.sources st.db ?context:(ctx_arg st (Lazy.force args) 2) ~rel_name:(str_arg 1) (oid_arg 0)))
   | "origin" -> Value.VRef (coerce f Obj.origin (Database.get_exn st.db (oid_arg 0)))
   | "destination" -> Value.VRef (coerce f Obj.destination (Database.get_exn st.db (oid_arg 0)))
   | "context_of" -> (

@@ -32,12 +32,12 @@ let circumscribe db ~ctx ~group ~item ?(reason = "") () : int =
 
 (** Items directly circumscribed by [group] in [ctx]. *)
 let members db ~ctx group : int list =
-  List.map Obj.destination (Database.outgoing db ~context:ctx ~rel_name:S.circumscribes group)
+  Database.targets db ~context:ctx ~rel_name:S.circumscribes group
 
 (** The group containing [item] in [ctx], if any. *)
 let group_of db ~ctx item : int option =
-  match Database.incoming db ~context:ctx ~rel_name:S.circumscribes item with
-  | r :: _ -> Some (Obj.origin r)
+  match Database.sources db ~context:ctx ~rel_name:S.circumscribes item with
+  | g :: _ -> Some g
   | [] -> None
 
 (** All specimens circumscribed (at any depth) under [group] in [ctx]
@@ -66,13 +66,13 @@ let ascribe_name db ~taxon ~name : int =
 
 (** The calculated (derived) name of a taxon, if derivation ran. *)
 let calculated_name db taxon : int option =
-  match Database.outgoing db ~rel_name:S.calculated_name taxon with
-  | r :: _ -> Some (Obj.destination r)
+  match Database.targets db ~rel_name:S.calculated_name taxon with
+  | n :: _ -> Some n
   | [] -> None
 
 let ascribed_name_of db taxon : int option =
-  match Database.outgoing db ~rel_name:S.ascribed_name taxon with
-  | r :: _ -> Some (Obj.destination r)
+  match Database.targets db ~rel_name:S.ascribed_name taxon with
+  | n :: _ -> Some n
   | [] -> None
 
 (** Give a taxon a provisional working name, used during a revision

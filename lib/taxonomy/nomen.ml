@@ -68,8 +68,8 @@ let rank db n = Tax_schema.rank_of_exn db n
 
 (** The name this name is nomenclaturally placed in, if any. *)
 let placement db n : int option =
-  match Database.outgoing db ~rel_name:S.placed_in n with
-  | r :: _ -> Some (Obj.destination r)
+  match Database.targets db ~rel_name:S.placed_in n with
+  | p :: _ -> Some p
   | [] -> None
 
 (** Taxonomic types of a name: (target oid, kind) pairs. *)
@@ -131,7 +131,7 @@ let full_name db n : string =
 
 (** All names typified (directly) by [target]. *)
 let typified_by db target : int list =
-  List.map Obj.origin (Database.incoming db ~rel_name:S.has_type target)
+  Database.sources db ~rel_name:S.has_type target
   |> List.sort_uniq compare
 
 (** Oldest validly published name among [names] (by year, then oid for

@@ -593,6 +593,49 @@ let test_hoisting_shared_view () =
   D.close view;
   D.close db
 
+(* --- 11. relationship adjacency over a shared view ----------------------- *)
+
+(* Two domains hop over one shared snapshot view (far ends from the
+   per-endpoint adjacency, and the relationship objects) while the
+   writer links and unlinks on the live handle: every answer equals the
+   one a single domain read from the same view before they started. *)
+let test_adjacency_shared_view () =
+  let db = mk_db (F.create ()) "mvcc11.db" in
+  let nodes, edge_of = hammer_tree db in
+  let view = D.snapshot db in
+  let oids = List.map (fun (r : Pmodel.Obj.t) -> r.Pmodel.Obj.oid) in
+  let hops db =
+    Array.map
+      (fun n ->
+        ( D.targets db ~rel_name:tree_rel n,
+          D.sources db ~rel_name:tree_rel n,
+          oids (D.outgoing db ~rel_name:tree_rel n),
+          oids (D.incoming db ~rel_name:tree_rel n) ))
+      nodes
+  in
+  let expected = hops view in
+  let w = D.Writer.start db in
+  let readers =
+    List.init 2 (fun _ ->
+        Domain.spawn (fun () ->
+            let ok = ref true in
+            for _ = 1 to 20 do
+              if hops view <> expected then ok := false
+            done;
+            !ok))
+  in
+  for k = 0 to 59 do
+    ignore (D.Writer.submit w (fun db -> hammer_step db nodes edge_of k))
+  done;
+  List.iter
+    (fun d -> Alcotest.(check bool) "every hop = the single-domain answer" true (Domain.join d))
+    readers;
+  D.Writer.stop w;
+  Alcotest.(check bool) "view unchanged" true (hops view = expected);
+  Alcotest.(check bool) "writer changed the parent" true (hops db <> expected);
+  D.close view;
+  D.close db
+
 (* ---------------------------------------------------------------------- *)
 
 let () =
@@ -622,5 +665,7 @@ let () =
           Alcotest.test_case "CSR patched across domains" `Quick test_csr_patch_hammer;
           Alcotest.test_case "hoisting queries over a shared view" `Quick
             test_hoisting_shared_view;
+          Alcotest.test_case "adjacency hops over a shared view" `Quick
+            test_adjacency_shared_view;
         ] );
     ]

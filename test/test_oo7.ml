@@ -121,6 +121,32 @@ let test_cascade_on_module_delete () =
       Alcotest.(check int) "composites survive (associations)" p.O7.num_comp_per_module
         (Database.count pdb O7.composite_part))
 
+(* Minor-heap words are a host-independent cost: wall time moves with
+   the host's CPU speed, the words an operation allocates do not.  The
+   prom/raw ratios below were, before relationship hops read the
+   per-endpoint adjacency instead of each relationship object (OO7 tiny,
+   this test's setup): T1 2.71, T5 2.55, T6 19.44, Q8 7.68.  Each must
+   stay at or below a third of that. *)
+let words f =
+  ignore (f ());
+  let w0 = Gc.minor_words () in
+  ignore (f ());
+  Gc.minor_words () -. w0
+
+let test_allocation_ratios () =
+  with_pair (fun prom raw _ ->
+      List.iter
+        (fun (op, before, fp, fr) ->
+          let ratio = words fp /. words fr in
+          if ratio > before /. 3. then
+            Alcotest.failf "%s: prom/raw minor words %.2f, above a third of %.2f" op ratio before)
+        [
+          ("T1", 2.71, (fun () -> Ops.Prom.t1 prom), fun () -> Ops.Raw.t1 raw);
+          ("T5", 2.55, (fun () -> Ops.Prom.t5 prom), fun () -> Ops.Raw.t5 raw);
+          ("T6", 19.44, (fun () -> Ops.Prom.t6 prom), fun () -> Ops.Raw.t6 raw);
+          ("Q8", 7.68, (fun () -> Ops.Prom.q8 prom ~len:0), fun () -> Ops.Raw.q8 raw ~len:0);
+        ])
+
 let () =
   Alcotest.run "oo7"
     [
@@ -131,5 +157,6 @@ let () =
           Alcotest.test_case "T2 is an involution" `Quick test_t2_is_undoable;
           Alcotest.test_case "S1/S2 round-trip" `Quick test_s1_s2_roundtrip;
           Alcotest.test_case "module delete cascades" `Quick test_cascade_on_module_delete;
+          Alcotest.test_case "prom/raw allocation ratios" `Quick test_allocation_ratios;
         ] );
     ]

@@ -596,6 +596,423 @@ let prop_pool_count_sum =
                   = List.fold_left max min_int vals)))
 
 (* ------------------------------------------------------------------ *)
+(* Schema closures = their definitions                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The schema's closures as they were computed on every read before
+   [Meta] computed them at definition time: the oracle for the
+   precomputed ones. *)
+module Schema_oracle = struct
+  let rec superclasses s name =
+    match Meta.find_class s name with
+    | None -> []
+    | Some c ->
+        List.concat_map (fun x -> x :: superclasses s x) c.Meta.supers |> List.sort_uniq compare
+
+  let rec rel_superclasses s name =
+    match Meta.find_rel s name with
+    | None -> []
+    | Some r ->
+        List.concat_map (fun x -> x :: rel_superclasses s x) r.Meta.rel_supers
+        |> List.sort_uniq compare
+
+  let is_subclass s ~sub ~super =
+    sub = super
+    || List.mem super (superclasses s sub)
+    || List.mem super (rel_superclasses s sub)
+    || (super = Meta.object_class && (Meta.is_class s sub || Meta.is_rel s sub))
+
+  let subclasses s name =
+    List.filter_map
+      (fun (c : Meta.class_def) ->
+        if is_subclass s ~sub:c.Meta.class_name ~super:name then Some c.Meta.class_name else None)
+      (Meta.classes s)
+
+  let rel_subclasses s name =
+    List.filter_map
+      (fun (r : Meta.rel_def) ->
+        if is_subclass s ~sub:r.Meta.rel_name ~super:name then Some r.Meta.rel_name else None)
+      (Meta.rels s)
+
+  let all_attrs s name =
+    let seen = Hashtbl.create 8 in
+    let out = ref [] in
+    let add (a : Meta.attr_def) =
+      if not (Hashtbl.mem seen a.Meta.attr_name) then begin
+        Hashtbl.replace seen a.Meta.attr_name ();
+        out := a :: !out
+      end
+    in
+    let rec walk n =
+      (match Meta.find_class s n with
+      | Some c ->
+          List.iter add c.Meta.attrs;
+          List.iter walk c.Meta.supers
+      | None -> ());
+      match Meta.find_rel s n with
+      | Some r ->
+          List.iter add r.Meta.rel_attrs;
+          List.iter walk r.Meta.rel_supers
+      | None -> ()
+    in
+    walk name;
+    List.rev !out
+end
+
+(* Class [i] takes supertypes among classes [0..i-1] and attributes
+   from a small pool, so redefinitions and diamonds are common.  A
+   relationship takes super relationships among the earlier ones and
+   endpoints among the classes; definitions the schema rejects
+   (covariance, inherited attributes) are skipped. *)
+type schema_spec = {
+  class_specs : (int list * (int * bool) list) list; (* supers, (attr, int-typed?) *)
+  rel_specs : (int list * int * int * int list * int list) list;
+      (* supers, origin, destination, attrs, inherited *)
+}
+
+let schema_spec_arb =
+  let open QCheck.Gen in
+  let attrs = list_size (int_bound 3) (pair (int_bound 4) bool) in
+  let gen =
+    int_range 1 7 >>= fun nc ->
+    list_repeat nc (pair (list_size (int_bound 3) (int_bound 6)) attrs) >>= fun class_specs ->
+    list_size (int_bound 6)
+      (map
+         (fun ((supers, o, d), (a, i)) -> (supers, o, d, a, i))
+         (pair
+            (triple (list_size (int_bound 2) (int_bound 5)) (int_bound nc) (int_bound nc))
+            (pair (list_size (int_bound 3) (int_bound 4)) (list_size (int_bound 2) (int_bound 4)))))
+    >>= fun rel_specs -> return { class_specs; rel_specs }
+  in
+  QCheck.make
+    ~print:(fun s ->
+      let ints l = String.concat "," (List.map string_of_int l) in
+      String.concat "; "
+        (List.mapi
+           (fun i (su, a) ->
+             Printf.sprintf "C%d<[%s]{%s}" i (ints su)
+               (ints (List.map (fun (n, b) -> if b then n else -n - 1) a)))
+           s.class_specs
+        @ List.mapi
+            (fun i (su, o, d, a, inh) ->
+              Printf.sprintf "R%d<[%s] %d->%d {%s} inh{%s}" i (ints su) o d (ints a) (ints inh))
+            s.rel_specs))
+    gen
+
+let build_schema spec =
+  let s = Meta.empty () in
+  let cname i = if i = 0 then Meta.object_class else Printf.sprintf "C%d" i in
+  let aname n = Printf.sprintf "a%d" n in
+  List.iteri
+    (fun i (supers, attrs) ->
+      let i = i + 1 in
+      let supers = List.sort_uniq compare (List.filter (fun k -> k < i) supers) in
+      let attrs =
+        List.map (fun (n, b) -> Meta.attr (aname n) (if b then V.TInt else V.TString)) attrs
+      in
+      ignore (Meta.define_class s ~supers:(List.map cname supers) (cname i) attrs))
+    spec.class_specs;
+  let nclasses = List.length spec.class_specs + 1 in
+  List.iteri
+    (fun i (supers, o, d, attrs, inherited) ->
+      let supers = List.sort_uniq compare (List.filter (fun k -> k < i) supers) in
+      let attrs = List.sort_uniq compare attrs in
+      try
+        ignore
+          (Meta.define_rel s (Printf.sprintf "R%d" i)
+             ~supers:(List.map (Printf.sprintf "R%d") supers)
+             ~origin:(cname (o mod nclasses)) ~destination:(cname (d mod nclasses))
+             ~attrs:(List.map (fun n -> Meta.attr (aname n) V.TInt) attrs)
+             ~inherited_attrs:(List.sort_uniq compare (List.map aname inherited)))
+      with Meta.Schema_error _ -> ())
+    spec.rel_specs;
+  s
+
+let closures_agree s =
+  let names =
+    List.map (fun (c : Meta.class_def) -> c.Meta.class_name) (Meta.classes s)
+    @ List.map (fun (r : Meta.rel_def) -> r.Meta.rel_name) (Meta.rels s)
+    @ [ "Nope" ]
+  in
+  let sorted = List.sort compare in
+  List.for_all
+    (fun n ->
+      List.for_all
+        (fun m ->
+          Meta.is_subclass s ~sub:n ~super:m = Schema_oracle.is_subclass s ~sub:n ~super:m)
+        names
+      && sorted (Meta.subclasses s n) = sorted (Schema_oracle.subclasses s n)
+      && sorted (Meta.rel_subclasses s n) = sorted (Schema_oracle.rel_subclasses s n)
+      && Meta.all_attrs s n = Schema_oracle.all_attrs s n
+      (* the interned ids name the same relationship classes *)
+      && sorted
+           (List.map
+              (fun id -> (Meta.rel_of_id s id).Meta.rel_name)
+              (Array.to_list (Meta.rel_sub_ids s n)))
+         = sorted (Meta.rel_subclasses s n)
+      && match Meta.find_rel s n with
+         | Some r -> Meta.rel_of_id s (Meta.rel_id s n) == r
+         | None -> Meta.rel_id s n = -1)
+    names
+
+let prop_schema_closures =
+  QCheck.Test.make ~name:"schema closures = their definitions, defined and decoded" ~count:300
+    schema_spec_arb (fun spec ->
+      let s = build_schema spec in
+      let s2 = Meta.empty () in
+      Meta.decode_into s2 (Meta.encode s);
+      closures_agree s && closures_agree s2)
+
+(* ------------------------------------------------------------------ *)
+(* Relationship adjacency = brute force over the mirror                *)
+(* ------------------------------------------------------------------ *)
+
+(* "Base" declares [kind] inherited; "Sub" specialises it and declares
+   [w]; "SubSub" specialises "Sub".  "Own" is a lifetime-dependent,
+   exclusive aggregation with at most three outgoing instances per
+   context; its sub-relationship "Solo" is not sharable. *)
+let adj_rels = [| "Base"; "Sub"; "SubSub"; "Own"; "Solo" |]
+
+(* what the accessors are asked about: every relationship class, their
+   common root, an object class and an unknown name *)
+let adj_names = Array.to_list adj_rels @ [ Meta.object_class; "ANode"; "Nope" ]
+
+let setup_adj db =
+  ignore (Database.define_class db "ANode" [ Meta.attr "i" V.TInt ]);
+  ignore
+    (Database.define_rel db "Base" ~origin:"ANode" ~destination:"ANode"
+       ~attrs:[ Meta.attr "kind" V.TString ] ~inherited_attrs:[ "kind" ]);
+  ignore
+    (Database.define_rel db "Sub" ~supers:[ "Base" ] ~origin:"ANode" ~destination:"ANode"
+       ~attrs:[ Meta.attr "w" V.TInt ] ~inherited_attrs:[ "w" ]);
+  ignore (Database.define_rel db "SubSub" ~supers:[ "Sub" ] ~origin:"ANode" ~destination:"ANode");
+  ignore
+    (Database.define_rel db "Own" ~kind:Meta.Aggregation ~lifetime_dep:true ~exclusive:true
+       ~card_out:(Meta.card ~cmax:3 ()) ~origin:"ANode" ~destination:"ANode");
+  ignore
+    (Database.define_rel db "Solo" ~supers:[ "Own" ] ~kind:Meta.Aggregation ~sharable:false
+       ~origin:"ANode" ~destination:"ANode");
+  let contexts = [ Database.create_context db "c1"; Database.create_context db "c2" ] in
+  let nodes = List.init 4 (fun i -> Database.create db "ANode" [ ("i", V.VInt i) ]) in
+  (contexts, nodes)
+
+type adj_op =
+  | A_create
+  | A_link of int * int * int * int * int (* class, origin, destination, context 0-2, value *)
+  | A_unlink of int (* k-th live instance *)
+  | A_retarget of int * int * int (* k-th live instance, new origin, new destination *)
+  | A_delete of int
+  | A_abort of adj_op list (* run inside [with_tx], then raise *)
+
+let rec pp_adj_op = function
+  | A_create -> "create"
+  | A_link (r, a, b, c, v) -> Printf.sprintf "link %s %d->%d ctx%d v%d" adj_rels.(r) a b c v
+  | A_unlink k -> Printf.sprintf "unlink #%d" k
+  | A_retarget (k, a, b) -> Printf.sprintf "retarget #%d %d->%d" k a b
+  | A_delete i -> Printf.sprintf "delete %d" i
+  | A_abort ops -> "abort[" ^ String.concat "; " (List.map pp_adj_op ops) ^ "]"
+
+let adj_ops_arb =
+  let open QCheck.Gen in
+  let node = int_bound 7 in
+  let op =
+    fix
+      (fun self depth ->
+        frequency
+          ([
+             (2, return A_create);
+             ( 8,
+               map
+                 (fun ((r, a, b), (c, v)) -> A_link (r, a, b, c, v))
+                 (pair (triple (int_bound 4) node node) (pair (int_bound 2) (int_bound 3))) );
+             (2, map (fun k -> A_unlink k) small_nat);
+             (2, map (fun (k, a, b) -> A_retarget (k, a, b)) (triple small_nat node node));
+             (1, map (fun i -> A_delete i) node);
+           ]
+          @ if depth = 0 then [] else [ (1, map (fun l -> A_abort l) (list_size (int_range 1 4) (self 0))) ]))
+      1
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_adj_op ops))
+    (list_size (int_range 1 25) op)
+
+(* every relationship instance in the mirror, ascending oid:
+   (oid, class, origin, destination, context, object) *)
+let mirror_rels db =
+  let acc = ref [] in
+  Database.iter_objects db (fun o ->
+      if Database.is_rel_instance db o then
+        acc := (o.Obj.oid, o.Obj.class_name, Obj.origin o, Obj.destination o, Obj.context o, o) :: !acc);
+  List.sort (fun (a, _, _, _, _, _) (b, _, _, _, _, _) -> compare a b) !acc
+
+(* Every adjacency-backed accessor, asked about every node ever
+   created, equals a filter over [mirror_rels], order included. *)
+let adjacency_agrees db contexts nodes =
+  let schema = Database.schema db in
+  let rels = mirror_rels db in
+  let desc l = List.rev l in
+  let brute ~out ?context ~rel_name n =
+    desc
+      (List.filter
+         (fun (_, cls, o, d, c, _) ->
+           (if out then o = n else d = n)
+           && Schema_oracle.is_subclass schema ~sub:cls ~super:rel_name
+           && match context with None -> true | Some _ -> c = context)
+         rels)
+  in
+  let oids l = List.map (fun (oid, _, _, _, _, _) -> oid) l in
+  let objs l = List.map (fun (r : Obj.t) -> r.Obj.oid) l in
+  let role n attr =
+    match
+      desc
+        (List.filter_map
+           (fun (_, cls, _, d, _, r) ->
+             if d = n && List.mem attr (Meta.rel_exn schema cls).Meta.inherited_attrs then
+               Some (Obj.get r attr)
+             else None)
+           rels)
+    with
+    | [] -> V.VNull
+    | [ v ] -> v
+    | vs -> V.vset vs
+  in
+  List.for_all
+    (fun n ->
+      objs (Database.rels_of db n)
+      = oids (desc (List.filter (fun (_, _, o, _, _, _) -> o = n) rels))
+        @ oids (desc (List.filter (fun (_, _, _, d, _, _) -> d = n) rels))
+      && (Database.get db n = None
+         || List.for_all
+              (fun attr -> V.equal_value (Database.get_attr db n attr) (role n attr))
+              [ "kind"; "w" ])
+      && List.for_all
+           (fun rel_name ->
+             Database.has_role db n ~rel_name = (brute ~out:false ~rel_name n <> [])
+             && List.for_all
+                  (fun m ->
+                    OidSet.elements (Database.rel_instances_between db ~rel_name ~origin:n ~destination:m)
+                    = oids
+                        (List.filter
+                           (fun (_, cls, o, d, _, _) -> cls = rel_name && o = n && d = m)
+                           rels))
+                  nodes
+             && List.for_all
+                  (fun context ->
+                    let out = brute ~out:true ?context ~rel_name n
+                    and into = brute ~out:false ?context ~rel_name n in
+                    objs (Database.outgoing db ?context ~rel_name n) = oids out
+                    && objs (Database.incoming db ?context ~rel_name n) = oids into
+                    && Database.targets db ?context ~rel_name n
+                       = List.map (fun (_, _, _, d, _, _) -> d) out
+                    && Database.sources db ?context ~rel_name n
+                       = List.map (fun (_, _, o, _, _, _) -> o) into)
+                  (None :: List.map Option.some contexts))
+           adj_names)
+    nodes
+
+(* Does [link] have to refuse this instance?  The semantic checks,
+   counted by brute force over the mirror. *)
+let link_refused db ~rel_name ~origin ~destination ~context =
+  let schema = Database.schema db in
+  let rdef = Meta.rel_exn schema rel_name in
+  let count ~out ?(any = false) n =
+    List.length
+      (List.filter
+         (fun (_, cls, o, d, c, _) ->
+           (if out then o = n else d = n)
+           && Schema_oracle.is_subclass schema ~sub:cls ~super:rel_name
+           && (any || c = context))
+         (mirror_rels db))
+  in
+  Database.get db origin = None
+  || Database.get db destination = None
+  || (rdef.Meta.exclusive && count ~out:false destination > 0)
+  || ((not rdef.Meta.sharable) && count ~out:false ~any:true destination > 0)
+  || (match rdef.Meta.card_out.Meta.cmax with Some m -> count ~out:true origin >= m | None -> false)
+  || match rdef.Meta.card_in.Meta.cmax with Some m -> count ~out:false destination >= m | None -> false
+
+let prop_adjacency_matches_mirror =
+  QCheck.Test.make
+    ~name:"adjacency accessors = brute force over the mirror (live, snapshot, reopened)" ~count:80
+    adj_ops_arb (fun ops ->
+      let path = tmp_path () in
+      Fun.protect
+        ~finally:(fun () -> cleanup path)
+        (fun () ->
+          let db = Database.open_ path in
+          (* each step commits on its own, so a snapshot view sees it *)
+          let contexts, nodes = Database.with_tx db (fun () -> setup_adj db) in
+          let nodes = ref nodes in
+          let node i = List.nth !nodes (i mod List.length !nodes) in
+          let instance k =
+            match mirror_rels db with
+            | [] -> None
+            | rs ->
+                let oid, _, _, _, _, _ = List.nth rs (k mod List.length rs) in
+                Some oid
+          in
+          let attempt f = try f () with Database.Model_error _ -> () in
+          let semantics_ok = ref true in
+          let rec apply = function
+            | A_create ->
+                nodes :=
+                  !nodes @ [ Database.create db "ANode" [ ("i", V.VInt (List.length !nodes)) ] ]
+            | A_link (r, a, b, c, v) ->
+                let rel_name = adj_rels.(r) in
+                let context = if c = 0 then None else List.nth_opt contexts (c - 1) in
+                let origin = node a and destination = node b in
+                let attrs =
+                  match rel_name with
+                  | "Base" -> [ ("kind", V.VString (string_of_int v)) ]
+                  | "Sub" | "SubSub" -> [ ("kind", V.VString "s"); ("w", V.VInt v) ]
+                  | _ -> []
+                in
+                let refused = link_refused db ~rel_name ~origin ~destination ~context in
+                let linked =
+                  match Database.link db ?context ~attrs rel_name ~origin ~destination with
+                  | _ -> true
+                  | exception Database.Model_error _ -> false
+                in
+                if linked = refused then semantics_ok := false
+            | A_unlink k -> Option.iter (fun e -> attempt (fun () -> Database.unlink db e)) (instance k)
+            | A_retarget (k, a, b) ->
+                Option.iter
+                  (fun e ->
+                    attempt (fun () ->
+                        Database.retarget db e ~origin:(node a) ~destination:(node b) ()))
+                  (instance k)
+            | A_delete i -> Database.delete db (node i)
+            | A_abort ops -> (
+                try
+                  Database.with_tx db (fun () ->
+                      List.iter apply ops;
+                      raise Exit)
+                with Exit -> ())
+          in
+          let agrees_everywhere () =
+            adjacency_agrees db contexts !nodes
+            &&
+            let view = Database.snapshot db in
+            Fun.protect
+              ~finally:(fun () -> Database.close view)
+              (fun () -> adjacency_agrees view contexts !nodes)
+          in
+          let ok =
+            List.for_all
+              (fun op ->
+                (match op with
+                | A_abort _ -> apply op
+                | _ -> Database.with_tx db (fun () -> apply op));
+                !semantics_ok && agrees_everywhere ())
+              ops
+          in
+          Database.close db;
+          let db = Database.open_ path in
+          Fun.protect
+            ~finally:(fun () -> Database.close db)
+            (fun () -> ok && adjacency_agrees db contexts !nodes)))
+
+(* ------------------------------------------------------------------ *)
 (* Transaction properties                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -637,7 +1054,7 @@ let () =
           [
             prop_value_roundtrip; prop_ty_roundtrip; prop_compare_reflexive;
             prop_compare_antisymmetric; prop_compare_transitive; prop_vset_idempotent;
-            prop_obj_roundtrip; prop_schema_roundtrip;
+            prop_obj_roundtrip; prop_schema_roundtrip; prop_schema_closures;
           ] );
       ( "graphs",
         List.map QCheck_alcotest.to_alcotest
@@ -645,7 +1062,10 @@ let () =
             prop_closure_is_descendants_plus_root; prop_ancestors_descendants_dual;
             prop_dag_has_no_cycle; prop_path_endpoints; prop_csr_patch_matches_legacy;
           ]
-        @ [ Alcotest.test_case "CSR drop threshold" `Quick test_csr_drop_threshold ] );
+        @ [
+            Alcotest.test_case "CSR drop threshold" `Quick test_csr_drop_threshold;
+            QCheck_alcotest.to_alcotest prop_adjacency_matches_mirror;
+          ] );
       ( "taxonomy",
         List.map QCheck_alcotest.to_alcotest
           [
