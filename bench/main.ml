@@ -773,7 +773,9 @@ let gate_query () =
 (* The gated commit and query workloads re-run with the metrics
    registry enabled and disabled: every counter and histogram in the
    hot paths is live in the "on" arm, "off" exercises the one-branch
-   guard.  Tracing is off in both; "free when off" is a unit test. *)
+   guard.  Tracing is off in both; "free when off" is a unit test.  An
+   A/A pass (metrics off in both arms) runs first and is printed beside
+   the result, so a reading can be told from the host's noise. *)
 let gate_obs () =
   let module S = Pstore.Store in
   let module F = Pstore.Fault in
@@ -825,39 +827,53 @@ let gate_obs () =
     ]
   in
   let saved = !Pobs.Metrics.enabled in
-  let overheads =
+  (* The overhead of the arm with metrics [b] over the arm with metrics
+     off, per workload.  Samples are taken in pairs, and the arm that
+     runs first alternates from pair to pair: whichever runs first runs
+     on the previous sample's heap and caches, and a fixed order billed
+     that to one arm every time.  The overhead is the median of the
+     pairs' ratios: the two samples of a pair run back to back, in the
+     same CPU speed regime, while the fastest sample of each arm (the
+     statistic this replaced) could come from different regimes. *)
+  let overheads ~b =
+    List.map
+      (fun (name, w) ->
+        ignore (w ()) (* warm-up: CSR snapshots, plan cache, page cache *);
+        let run enabled =
+          Pobs.Metrics.enabled := enabled;
+          w ()
+        in
+        let pairs =
+          List.init 8 (fun i ->
+              if i mod 2 = 0 then
+                let off = run false in
+                (off, run b)
+              else
+                let on = run b in
+                (run false, on))
+        in
+        let ratios = List.sort Float.compare (List.map (fun (off, on) -> on /. off) pairs) in
+        let median = (List.nth ratios 3 +. List.nth ratios 4) /. 2. (* of 8 *) in
+        (name, (median -. 1.) *. 100.))
+      workloads
+  in
+  let worst l =
+    List.fold_left (fun (n, p) (n', p') -> if p' > p then (n', p') else (n, p)) ("", neg_infinity) l
+  in
+  let (aa_worst, aa_pct), (worst, max_pct) =
     Fun.protect
       ~finally:(fun () -> Pobs.Metrics.enabled := saved)
       (fun () ->
-        List.map
-          (fun (name, w) ->
-            ignore (w ()) (* warm-up: CSR snapshots, plan cache, page cache *);
-            (* interleave off/on samples so allocator or frequency
-               drift during the run cancels instead of biasing one
-               configuration *)
-            let pairs =
-              List.init 7 (fun _ ->
-                  Pobs.Metrics.enabled := false;
-                  let off = w () in
-                  Pobs.Metrics.enabled := true;
-                  let on = w () in
-                  (off, on))
-            in
-            (* min, not median: the fastest pass is the code's actual
-               cost; anything above it is scheduler/GC noise, which a
-               median can still let bias one arm *)
-            let fmin l = List.fold_left Float.min infinity l in
-            let off = fmin (List.map fst pairs) and on = fmin (List.map snd pairs) in
-            (name, (on -. off) /. off *. 100.))
-          workloads)
+        (* A/A: metrics off in both arms, so whatever it reads is the
+           noise band of this host and this measurement *)
+        let aa = worst (overheads ~b:false) in
+        (aa, worst (overheads ~b:true)))
   in
   Database.close db;
   cleanup path;
-  let worst, max_pct =
-    List.fold_left (fun (n, p) (n', p') -> if p' > p then (n', p') else (n, p)) ("", neg_infinity) overheads
-  in
   report_floor "obs"
-    ~measured:(Printf.sprintf "max overhead %+.2f%% (%s)" max_pct worst)
+    ~measured:
+      (Printf.sprintf "max overhead %+.2f%% (%s); A/A %+.2f%% (%s)" max_pct worst aa_pct aa_worst)
     ~threshold:"< 5%" (max_pct < 5.0)
 
 (* Steady-state reads with per-page CRC verification against the same

@@ -11,11 +11,11 @@
     - the context oid, or {!no_context}.
 
     A hop therefore reads the far end and filters by class and context
-    without looking up the relationship object.  Arrays grow by
-    doubling and are changed in place, so a table must not be written
-    while one of its arrays is being walked. *)
-
-type t = (int, int array) Hashtbl.t
+    without looking up the relationship object.  The table is indexed
+    by endpoint oid (see {!Dense}); an endpoint without edges holds the
+    shared {!empty} row.  Arrays grow by doubling and are changed in
+    place, so a table must not be written while one of its arrays is
+    being walked. *)
 
 let width = 4
 let no_context = -1
@@ -23,13 +23,14 @@ let no_context = -1
 (** Context filter that accepts every edge. *)
 let any_context = min_int
 
-let create () : t = Hashtbl.create 1024
-let reset (t : t) = Hashtbl.reset t
-
 (* shared by every endpoint without edges; never written *)
 let empty = [| 0 |]
 
-let find (t : t) oid = match Hashtbl.find t oid with a -> a | exception Not_found -> empty
+type t = int array Dense.t
+
+let create () : t = Dense.create empty
+let reset (t : t) = Dense.clear t
+let find (t : t) oid = Dense.get t oid
 let count a = a.(0)
 let cls a i = a.(1 + (width * i))
 let rel_at a i = a.(2 + (width * i))
@@ -57,7 +58,7 @@ let add (t : t) oid ~cls ~rel ~far ~ctx =
     else begin
       let b = Array.make (1 + (width * max 1 (2 * n))) 0 in
       Array.blit a 0 b 0 (1 + (width * n));
-      Hashtbl.replace t oid b;
+      Dense.set t oid b;
       b
     end
   in
@@ -84,7 +85,7 @@ let remove (t : t) oid ~rel =
       let at = 1 + (width * i) in
       Array.blit a (at + width) a at (width * (n - i - 1));
       a.(0) <- n - 1;
-      if n = 1 then Hashtbl.remove t oid
+      if n = 1 then Dense.remove t oid
 
 (** Relationship oids of the edges at [oid], ascending. *)
 let rel_oids (t : t) oid =

@@ -18,7 +18,7 @@ exception Model_error of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Model_error s)) fmt
 
-module OidSet = Set.Make (Int)
+module OidSet = Dense.OidSet
 
 (** Secondary indexes are ordered maps over attribute values (under the
     same total order {!Value.compare_value} that the query operators
@@ -55,9 +55,9 @@ type t = {
   view : Store.Snapshot.s option;
   schema : Meta.t;
   bus : Bus.t;
-  (* in-memory mirror *)
-  objects : (int, Obj.t) Hashtbl.t;
-  extents : (string, OidSet.t ref) Hashtbl.t; (* exact class -> oids *)
+  (* in-memory mirror, indexed by oid (see {!Dense}) *)
+  objects : Obj.t Dense.t; (* absent: {!no_obj} *)
+  extents : (string, Dense.Vec.t) Hashtbl.t; (* exact class -> ascending oids *)
   (* relationship edges per endpoint (see {!Adj}): origin -> outgoing,
      destination -> incoming *)
   out_adj : Adj.t;
@@ -84,19 +84,8 @@ type t = {
 (* Small helpers over the mirror                                           *)
 (* ---------------------------------------------------------------------- *)
 
-let set_of tbl key = match Hashtbl.find_opt tbl key with Some r -> !r | None -> OidSet.empty
-
-let add_to tbl key oid =
-  match Hashtbl.find_opt tbl key with
-  | Some r -> r := OidSet.add oid !r
-  | None -> Hashtbl.replace tbl key (ref (OidSet.singleton oid))
-
-let remove_from tbl key oid =
-  match Hashtbl.find_opt tbl key with
-  | Some r ->
-      r := OidSet.remove oid !r;
-      if OidSet.is_empty !r then Hashtbl.remove tbl key
-  | None -> ()
+(* the objects table's absent value: never in the mirror *)
+let no_obj = Obj.make ~oid:(-1) ~class_name:"" []
 
 let schema t = t.schema
 let bus t = t.bus
@@ -125,12 +114,17 @@ let check_writable t =
   if is_view t then fail "operation not permitted on a read-only snapshot view"
 let is_subclass t = fun ~sub ~super -> Meta.is_subclass t.schema ~sub ~super
 
-let get t oid : Obj.t option = Hashtbl.find_opt t.objects oid
+let get t oid : Obj.t option =
+  let o = Dense.get t.objects oid in
+  if o == no_obj then None else Some o
 
 let get_exn t oid =
-  match get t oid with Some o -> o | None -> fail "no object with oid %d" oid
+  let o = Dense.get t.objects oid in
+  if o == no_obj then fail "no object with oid %d" oid else o
 
-let class_of t oid = Option.map (fun (o : Obj.t) -> o.Obj.class_name) (get t oid)
+let class_of t oid =
+  let o = Dense.get t.objects oid in
+  if o == no_obj then None else Some o.Obj.class_name
 
 let is_rel_instance t (o : Obj.t) = Meta.is_rel t.schema o.Obj.class_name
 
@@ -187,8 +181,13 @@ let index_update t (o : Obj.t) attr ~old_v ~new_v =
 (* ---------------------------------------------------------------------- *)
 
 let mirror_insert t (o : Obj.t) =
-  Hashtbl.replace t.objects o.Obj.oid o;
-  add_to t.extents o.Obj.class_name o.Obj.oid;
+  Dense.set t.objects o.Obj.oid o;
+  (match Hashtbl.find_opt t.extents o.Obj.class_name with
+  | Some v -> Dense.Vec.add v o.Obj.oid
+  | None ->
+      let v = Dense.Vec.create () in
+      Dense.Vec.add v o.Obj.oid;
+      Hashtbl.replace t.extents o.Obj.class_name v);
   if is_rel_instance t o then begin
     let cls = Meta.rel_id t.schema o.Obj.class_name and rel = o.Obj.oid in
     let origin = Obj.origin o and destination = Obj.destination o in
@@ -206,8 +205,8 @@ let mirror_insert t (o : Obj.t) =
   index_add t o
 
 let mirror_remove t (o : Obj.t) =
-  Hashtbl.remove t.objects o.Obj.oid;
-  remove_from t.extents o.Obj.class_name o.Obj.oid;
+  Dense.remove t.objects o.Obj.oid;
+  Option.iter (fun v -> Dense.Vec.remove v o.Obj.oid) (Hashtbl.find_opt t.extents o.Obj.class_name);
   if is_rel_instance t o then begin
     Adj.remove t.out_adj (Obj.origin o) ~rel:o.Obj.oid;
     Adj.remove t.in_adj (Obj.destination o) ~rel:o.Obj.oid
@@ -215,7 +214,7 @@ let mirror_remove t (o : Obj.t) =
   index_remove t o
 
 let rebuild_mirror t =
-  Hashtbl.reset t.objects;
+  Dense.clear t.objects;
   Hashtbl.reset t.extents;
   Adj.reset t.out_adj;
   Adj.reset t.in_adj;
@@ -254,7 +253,7 @@ let open_ ?cache_pages ?vfs ?readonly path : t =
       view = None;
       schema;
       bus;
-      objects = Hashtbl.create 1024;
+      objects = Dense.create no_obj;
       extents = Hashtbl.create 64;
       out_adj = Adj.create ();
       in_adj = Adj.create ();
@@ -303,7 +302,7 @@ let of_store_snapshot ~(store : Store.t) (snap : Store.Snapshot.s)
       view = Some snap;
       schema;
       bus;
-      objects = Hashtbl.create 1024;
+      objects = Dense.create no_obj;
       extents = Hashtbl.create 64;
       out_adj = Adj.create ();
       in_adj = Adj.create ();
@@ -325,11 +324,9 @@ let of_store_snapshot ~(store : Store.t) (snap : Store.Snapshot.s)
     (fun (cls, attr) ->
       let table = ref ValueMap.empty in
       Hashtbl.replace t.indexes (cls, attr) table;
-      Hashtbl.iter
-        (fun _ o ->
+      Dense.iter t.objects (fun _ o ->
           if index_covers t ~index_class:cls ~obj_class:o.Obj.class_name then
-            map_add table (Obj.get o attr) o.Obj.oid)
-        t.objects)
+            map_add table (Obj.get o attr) o.Obj.oid))
     index_defs;
   t
 
@@ -592,7 +589,7 @@ and delete_rel_instance t (r : Obj.t) =
    edge, and only by the accessors that return objects.  Lists come out
    in descending relationship-oid order. *)
 
-let rel_obj t rel_oid = Hashtbl.find t.objects rel_oid
+let rel_obj t rel_oid = Dense.get t.objects rel_oid
 
 (* relationship objects of the matching edges at [oid], consed onto [acc] *)
 let collect_rels t adj ids ctx_filter oid acc =
@@ -775,21 +772,63 @@ let retarget t rel_oid ?origin ?destination () =
 (* Extents                                                                 *)
 (* ---------------------------------------------------------------------- *)
 
-(** Extent of a class.  [deep] (default) includes subclasses, as in
-    ODMG. *)
-let extent t ?(deep = true) class_name : OidSet.t =
+(* The non-empty extent vectors of [class_name], and of its subclasses
+   when [deep] (as in ODMG).  Each object is in exactly one vector (its
+   exact class's), so the vectors are disjoint. *)
+let extent_vecs t ~deep class_name : Dense.Vec.t list =
+  let vec c =
+    match Hashtbl.find_opt t.extents c with
+    | Some v when Dense.Vec.length v > 0 -> Some v
+    | _ -> None
+  in
   if deep then
-    let classes =
-      if Meta.is_rel t.schema class_name then Meta.rel_subclasses t.schema class_name
-      else Meta.subclasses t.schema class_name
-    in
-    List.fold_left (fun acc c -> OidSet.union acc (set_of t.extents c)) OidSet.empty classes
-  else set_of t.extents class_name
+    List.filter_map vec
+      (if Meta.is_rel t.schema class_name then Meta.rel_subclasses t.schema class_name
+       else Meta.subclasses t.schema class_name)
+  else Option.to_list (vec class_name)
 
-let extent_list t ?deep class_name = OidSet.elements (extent t ?deep class_name)
-let count t ?deep class_name = OidSet.cardinal (extent t ?deep class_name)
+(** Fold over the extent of a class in ascending oid order (the order
+    of {!OidSet.fold} over {!extent}), without building a set.  [deep]
+    (default) includes subclasses.  [f] must not create or delete
+    objects of the classes being scanned. *)
+let fold_extent t ?(deep = true) class_name f acc =
+  match extent_vecs t ~deep class_name with
+  | [] -> acc
+  | [ v ] -> Dense.Vec.fold f acc v
+  | vs -> Dense.Vec.fold_merged f acc (Array.of_list vs)
 
-let iter_objects t f = Hashtbl.iter (fun _ o -> f o) t.objects
+(** {!fold_extent} for effect. *)
+let iter_extent t ?(deep = true) class_name f =
+  match extent_vecs t ~deep class_name with
+  | [] -> ()
+  | [ v ] -> Dense.Vec.iter f v
+  | vs -> Dense.Vec.fold_merged (fun () o -> f o) () (Array.of_list vs)
+
+(** Extent of a class, as a set.  [deep] (default) includes
+    subclasses, as in ODMG. *)
+let extent t ?(deep = true) class_name : OidSet.t =
+  match extent_vecs t ~deep class_name with
+  | [] -> OidSet.empty
+  | [ v ] -> Dense.Vec.to_set v
+  | vs ->
+      let n = List.fold_left (fun n v -> n + Dense.Vec.length v) 0 vs in
+      let a = Array.make n 0 in
+      ignore
+        (Dense.Vec.fold_merged
+           (fun i o ->
+             a.(i) <- o;
+             i + 1)
+           0 (Array.of_list vs));
+      Dense.set_of_ascending a n
+
+let extent_list t ?deep class_name = List.rev (fold_extent t ?deep class_name (fun acc o -> o :: acc) [])
+
+(** Extent size, summed over the classes' vectors. *)
+let count t ?(deep = true) class_name =
+  List.fold_left (fun n v -> n + Dense.Vec.length v) 0 (extent_vecs t ~deep class_name)
+
+(** Every object in the mirror, in ascending oid order. *)
+let iter_objects t f = Dense.iter t.objects (fun _ o -> f o)
 
 (* ---------------------------------------------------------------------- *)
 (* Attribute access with role inheritance (thesis 4.4.5)                   *)
@@ -830,23 +869,22 @@ let has_role t oid ~rel_name =
 let create_context t ?(description = "") name : int =
   create t "Context" [ ("name", Value.VString name); ("description", Value.VString description) ]
 
+(* descending oid order *)
 let contexts t : (int * string) list =
-  OidSet.fold
-    (fun oid acc ->
-      match get t oid with
-      | Some o -> (oid, Value.as_string (Obj.get o "name")) :: acc
-      | None -> acc)
-    (extent t "Context") []
+  fold_extent t "Context"
+    (fun acc oid -> (oid, Value.as_string (Obj.get (get_exn t oid) "name")) :: acc)
+    []
 
 let find_context t name =
   List.find_map (fun (oid, n) -> if n = name then Some oid else None) (contexts t)
 
-(** All relationship instances belonging to context [ctx]. *)
+(** All relationship instances belonging to context [ctx], in
+    ascending oid order. *)
 let context_rels t ctx : Obj.t list =
-  Hashtbl.fold
-    (fun _ o acc ->
-      if is_rel_instance t o && Obj.context o = Some ctx then o :: acc else acc)
-    t.objects []
+  let acc = ref [] in
+  iter_objects t (fun o ->
+      if is_rel_instance t o && Obj.context o = Some ctx then acc := o :: !acc);
+  List.rev !acc
 
 (* ---------------------------------------------------------------------- *)
 (* Instance synonyms (thesis 4.5)                                          *)
@@ -1036,7 +1074,7 @@ let validate_min_cards t : string list =
     reserved schema record excluded).  Unlike {!Store.count}, which
     walks the live B-tree through the page cache, this is safe to call
     from any thread while a {!Writer} is running. *)
-let object_count t = Hashtbl.length t.objects
+let object_count t = Dense.count t.objects
 
 (** Group-commit write routing for the model layer.
 

@@ -123,11 +123,10 @@ module Prom = struct
       | Some s -> if not (Database.OidSet.is_empty s) then incr found
       | None ->
           (* extent scan *)
-          let ext = Database.extent db S.atomic_part in
           if
-            Database.OidSet.exists
-              (fun a -> Database.get_attr db a "id" = target_id)
-              ext
+            Database.fold_extent db S.atomic_part
+              (fun hit a -> hit || Database.get_attr db a "id" = target_id)
+              false
           then incr found
     done;
     !found
@@ -137,46 +136,40 @@ module Prom = struct
     ignore h;
     let lo = 0 and hi = 10000 * pct / 100 in
     let n = ref 0 in
-    Database.OidSet.iter
-      (fun a ->
+    Database.iter_extent db S.atomic_part (fun a ->
         match Database.get_attr db a "buildDate" with
         | Value.VInt d when d >= lo && d < hi -> incr n
-        | _ -> ())
-      (Database.extent db S.atomic_part);
+        | _ -> ());
     !n
 
   (** Q4: document title lookup. *)
   let q4 { db; h } : int =
     let title = Database.get_attr db h.S.documents.(Array.length h.S.documents / 2) "title" in
     let n = ref 0 in
-    Database.OidSet.iter
-      (fun d -> if Database.get_attr db d "title" = title then incr n)
-      (Database.extent db S.document);
+    Database.iter_extent db S.document (fun d ->
+        if Database.get_attr db d "title" = title then incr n);
     !n
 
   (** Q7: full extent scan of atomic parts (reads an attribute of each,
       like a projection would). *)
   let q7 { db; _ } : int =
     let n = ref 0 in
-    Database.OidSet.iter
-      (fun a -> match Database.get_attr db a "id" with Value.VInt _ -> incr n | _ -> ())
-      (Database.extent db S.atomic_part);
+    Database.iter_extent db S.atomic_part (fun a ->
+        match Database.get_attr db a "id" with Value.VInt _ -> incr n | _ -> ());
     !n
 
   (** Q8: navigation join — atomic parts whose composite's document is
       longer than [len]. *)
   let q8 { db; _ } ~len : int =
     let n = ref 0 in
-    Database.OidSet.iter
-      (fun comp ->
+    Database.iter_extent db S.composite_part (fun comp ->
         match Database.targets db ~rel_name:S.has_doc comp with
-        | doc :: _ ->
-            (match Database.get_attr db doc "text" with
+        | doc :: _ -> (
+            match Database.get_attr db doc "text" with
             | Value.VString t when String.length t > len ->
                 n := !n + List.length (Database.targets db ~rel_name:S.has_part comp)
             | _ -> ())
-        | [] -> ())
-      (Database.extent db S.composite_part);
+        | [] -> ());
     !n
 
   (** A POOL version of Q7, exercising the query layer end to end. *)

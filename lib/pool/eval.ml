@@ -244,6 +244,11 @@ let collection_or_singleton = function
 let refs_of_oidset s =
   Value.VSet (Seq.fold_left (fun acc o -> Value.VRef o :: acc) [] (OidSet.to_rev_seq s))
 
+(* A class extent as a [VSet], straight from the mirror's ascending
+   extent vectors. *)
+let refs_of_extent db cls =
+  Value.VSet (List.rev (Database.fold_extent db cls (fun acc o -> Value.VRef o :: acc) []))
+
 let refs_of_objs objs =
   Value.VList (List.rev (List.rev_map (fun (o : Obj.t) -> Value.VRef o.Obj.oid) objs))
 
@@ -329,7 +334,7 @@ let rec eval (st : state) (env : env) (e : Ast.expr) : Value.t =
           if Meta.is_class schema x || Meta.is_rel schema x then begin
             st.extent_scans <- st.extent_scans + 1;
             Pobs.Metrics.inc m_extent_scans;
-            refs_of_oidset (Database.extent st.db x)
+            refs_of_extent st.db x
           end
           else fail "unbound variable or unknown class: %s" x)
   | Ast.Path (e, attr) -> eval_path st (eval st env e) attr
@@ -675,11 +680,12 @@ and plan_for st (env : env) (s : Ast.select) : Plan.t =
       st.plan_memo <- (s, p) :: st.plan_memo;
       p
 
-(* Candidate oids for an access path, with statistics.  An index that
-   disappeared since planning (the epoch check makes this rare, but a
-   drop can still race a cached plan) falls back to the extent — a
-   superset, so correctness is unaffected. *)
-and oidset_of_access st (a : Plan.access) : OidSet.t =
+(* Fold [f] over the candidate oids of an access path in ascending
+   order, with statistics.  An index that disappeared since planning
+   (the epoch check makes this rare, but a drop can still race a cached
+   plan) falls back to the extent — a superset, so correctness is
+   unaffected. *)
+and fold_access st (a : Plan.access) f acc =
   let bump_probe () =
     st.index_probes <- st.index_probes + 1;
     Atomic.incr st.totals.t_index_probes;
@@ -695,27 +701,27 @@ and oidset_of_access st (a : Plan.access) : OidSet.t =
   in
   let fallback cls =
     bump_extent ();
-    Database.extent st.db cls
-  in
+    Database.fold_extent st.db cls f acc
+  and of_set s = OidSet.fold (fun o acc -> f acc o) s acc in
   match a with
   | Plan.Extent cls -> fallback cls
   | Plan.Probe { cls; attr; value } -> (
       match Database.index_lookup st.db cls attr value with
       | Some s ->
           bump_probe ();
-          s
+          of_set s
       | None -> fallback cls)
   | Plan.Range { cls; attr; lo; hi } -> (
       match Database.index_range st.db cls attr ?lo ?hi () with
       | Some s ->
           bump_range ();
-          s
+          of_set s
       | None -> fallback cls)
   | Plan.Prefix { cls; attr; prefix } -> (
       match Database.index_string_prefix st.db cls attr prefix with
       | Some s ->
           bump_range ();
-          s
+          of_set s
       | None -> fallback cls)
   | Plan.Src _ -> assert false (* handled by the caller *)
 
@@ -723,20 +729,20 @@ and prepare st (b : Plan.binding) : string * exec =
   match b.Plan.access with
   | Plan.Src e -> (b.Plan.var, Per_row e)
   | access -> (
-      let oids = oidset_of_access st access in
-      let cands = List.rev (OidSet.fold (fun o acc -> Value.VRef o :: acc) oids []) in
+      let cands = List.rev (fold_access st access (fun acc o -> Value.VRef o :: acc) []) in
       match b.Plan.hash_key with
       | Some (attr, probe_expr) ->
           (* buckets are built in ascending oid order, preserving the
              candidate order of the nested loop they replace *)
           let tbl = Hashtbl.create 256 in
-          OidSet.iter
-            (fun oid ->
+          List.iter
+            (fun v ->
+              let oid = Value.as_ref v in
               let k = norm_key (eval_obj_attr st oid attr) in
               match Hashtbl.find_opt tbl k with
               | Some r -> r := oid :: !r
               | None -> Hashtbl.add tbl k (ref [ oid ]))
-            oids;
+            cands;
           Hashtbl.iter (fun _ r -> r := List.rev !r) tbl;
           st.hash_joins <- st.hash_joins + 1;
           Atomic.incr st.totals.t_hash_joins;

@@ -11,9 +11,13 @@
 
     Failure discipline: any transport error, framing damage or request
     timeout kills the whole channel — every in-flight request on it
-    fails with {!Client.Backend_down}, the connection is closed, and
-    the channel enters capped exponential backoff (50 ms doubling to
-    2 s).  While in backoff the channel {e fails fast} instead of
+    fails with {!Client.Backend_down}, the connection is detached and
+    shut down, and the channel enters capped exponential backoff (50 ms
+    doubling to 2 s).  Only the channel's reader closes a connection,
+    and only one it is not polling: a connection closed under a polling
+    reader would free its descriptor number for the next dial, and the
+    reader would then read the new connection's answers as the old
+    one's.  While in backoff the channel {e fails fast} instead of
     re-dialing a dead host on every request; health probes pass
     [~force:true] to bypass the gate, so probe cadence — not request
     traffic — decides when a recovered backend is re-admitted. *)
@@ -32,6 +36,7 @@ type chan = {
   cm : Mutex.t;
   cv : Condition.t;
   mutable c_conn : Client.t option;
+  mutable c_retired : Client.t list; (* detached and shut down; the reader closes them *)
   c_pending : (int, slot) Hashtbl.t;
   mutable c_outstanding : int;
   mutable c_next_try : float; (* earliest re-dial when down *)
@@ -61,10 +66,16 @@ let frame_id = function
       id
   | Binary_proto.Batch _ -> -1
 
-(* Kill the channel: fail every in-flight request, close the
-   connection, arm the backoff.  Caller holds [cm]. *)
+(* Kill the channel: fail every in-flight request, detach the
+   connection, arm the backoff.  The connection is shut down, which
+   wakes a reader polling it, but not closed: its descriptor stays
+   allocated until the reader closes it.  Caller holds [cm]. *)
 let fail_channel_locked (ch : chan) (msg : string) =
-  (match ch.c_conn with Some c -> Client.close c | None -> ());
+  (match ch.c_conn with
+  | Some c ->
+      Client.shutdown c;
+      ch.c_retired <- c :: ch.c_retired
+  | None -> ());
   ch.c_conn <- None;
   Hashtbl.iter (fun _ s -> s.s_fail <- Some msg) ch.c_pending;
   Hashtbl.reset ch.c_pending;
@@ -73,14 +84,22 @@ let fail_channel_locked (ch : chan) (msg : string) =
   ch.c_delay <- Prepl.Link.backoff_next ch.c_delay;
   Condition.broadcast ch.cv
 
+(* Close the detached connections.  Called by the reader, holding
+   [cm], between polls: none of them is being polled. *)
+let close_retired_locked (ch : chan) =
+  List.iter Client.close ch.c_retired;
+  ch.c_retired <- []
+
 (* Dedicated per-channel reader: dispatch answers by id; on transport
    death or a stale request, kill the channel.  Exits when the pool
    closes. *)
 let reader_loop (t : t) (ch : chan) =
   let rec go () =
     Mutex.lock ch.cm;
+    close_retired_locked ch;
     while ch.c_conn = None && not ch.c_closed do
-      Condition.wait ch.cv ch.cm
+      Condition.wait ch.cv ch.cm;
+      close_retired_locked ch
     done;
     if ch.c_closed then Mutex.unlock ch.cm
     else begin
@@ -137,6 +156,7 @@ let create ?(channels = 2) ?(timeout_s = 10.) ~host ~port () : t =
       cm = Mutex.create ();
       cv = Condition.create ();
       c_conn = None;
+      c_retired = [];
       c_pending = Hashtbl.create 16;
       c_outstanding = 0;
       c_next_try = 0.;

@@ -57,6 +57,11 @@ let connect_retry ?(host = "127.0.0.1") ~port ?(attempts = 5) () : t =
 
 let close (t : t) = t.link.close ()
 
+(** Wake any thread blocked reading or writing [t], without releasing
+    its descriptor (see {!Prepl.Link.t}); the owner still calls
+    {!close}. *)
+let shutdown (t : t) = t.link.shutdown ()
+
 let fresh_id (t : t) : int =
   let id = t.next_id in
   t.next_id <- id + 1;

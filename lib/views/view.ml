@@ -65,15 +65,13 @@ let create (db : Database.t) : t =
   t
 
 let find_view t name : Obj.t option =
-  Database.OidSet.fold
-    (fun oid acc ->
+  Database.fold_extent t.db view_class
+    (fun acc oid ->
       match acc with
       | Some _ -> acc
-      | None -> (
-          match Database.get t.db oid with
-          | Some o when Obj.get o "name" = Value.VString name -> Some o
-          | _ -> None))
-    (Database.extent t.db view_class)
+      | None ->
+          let o = Database.get_exn t.db oid in
+          if Obj.get o "name" = Value.VString name then Some o else None)
     None
 
 (** Define (or redefine) a view.  The query is parsed now, so an
@@ -96,12 +94,10 @@ let drop t name =
   | None -> fail "no view named %s" name
 
 let list t : (string * string) list =
-  Database.OidSet.fold
-    (fun oid acc ->
-      match Database.get t.db oid with
-      | Some o -> (Value.as_string (Obj.get o "name"), Value.as_string (Obj.get o "query")) :: acc
-      | None -> acc)
-    (Database.extent t.db view_class)
+  Database.fold_extent t.db view_class
+    (fun acc oid ->
+      let o = Database.get_exn t.db oid in
+      (Value.as_string (Obj.get o "name"), Value.as_string (Obj.get o "query")) :: acc)
     []
   |> List.sort compare
 

@@ -476,6 +476,74 @@ let test_pool_idle_channel_survives () =
           ask ();
           Alcotest.(check int) "no reconnect" 1 (Atomic.get accepted)))
 
+(* A send that fails while the channel's reader polls the connection.
+   The connection must be detached and shut down, not closed: a close
+   would free its descriptor number for the reconnect while the reader
+   still polls that number, and the reader would read the new
+   connection's answers as the old one's.  First the interleaving is
+   forced under the channel lock (the reader cannot close anything
+   while the test holds it), then the request path fails sends and
+   reconnects at once, twenty times: every answer comes promptly (the
+   shut-down connection wakes the reader instead of holding it to its
+   tick), and the reader closes every detached descriptor. *)
+let test_pool_send_failure_vs_poll () =
+  let port, accepted, stop =
+    fake_backend (fun c ->
+        while true do
+          match Client.recv_frame c with
+          | Pserver.Binary_proto.Query { id; _ } ->
+              Client.send_frame c (Pserver.Binary_proto.Result { id; v = "ok" })
+          | _ -> ()
+        done)
+  in
+  let open_fds () =
+    if Sys.file_exists "/proc/self/fd" then Array.length (Sys.readdir "/proc/self/fd") else 0
+  in
+  Fun.protect ~finally:stop (fun () ->
+      let pool = BP.create ~channels:1 ~host:"127.0.0.1" ~port () in
+      Fun.protect
+        ~finally:(fun () -> BP.close pool)
+        (fun () ->
+          let ask () =
+            match
+              BP.request ~force:true pool
+                (fun id -> Pserver.Binary_proto.Query { id; q = "select 1" })
+                Client.answer_of
+            with
+            | Client.Ok v -> Alcotest.(check string) "answer" "ok" v
+            | Client.Err e -> Alcotest.fail e
+          in
+          ask ();
+          let fds = open_fds () in
+          let ch = pool.BP.chans.(0) in
+          Mutex.lock ch.BP.cm;
+          let old = Option.get ch.BP.c_conn in
+          BP.fail_channel_locked ch "forced";
+          let still_open =
+            match old.Client.link.L.poll 0. with
+            | _ -> true
+            | exception L.Link_down _ -> false
+          in
+          Mutex.unlock ch.BP.cm;
+          Alcotest.(check bool) "a detached connection keeps its descriptor" true still_open;
+          ask ();
+          let cycles = 20 in
+          let t0 = Unix.gettimeofday () in
+          for _ = 1 to cycles do
+            (match
+               BP.request ~force:true pool (fun _ -> failwith "unbuildable frame") Client.answer_of
+             with
+            | _ -> Alcotest.fail "a failed send answered"
+            | exception Client.Backend_down _ -> ());
+            ask ()
+          done;
+          let took = Unix.gettimeofday () -. t0 in
+          if took > float_of_int cycles *. BP.reader_tick_s /. 4. then
+            Alcotest.failf "%d reconnects took %.2fs: the reader waited out its tick" cycles took;
+          Alcotest.(check int) "one dial per failure" (cycles + 2) (Atomic.get accepted);
+          wait ~timeout:5. "the reader to close the detached connections" (fun () ->
+              open_fds () <= fds)))
+
 (* ------------------------------------------------------------------ *)
 (* Feed shutdown vs in-flight PageFetch (satellite)                    *)
 (* ------------------------------------------------------------------ *)
@@ -923,6 +991,8 @@ let () =
           Alcotest.test_case "silent backend times out" `Quick test_pool_request_timeout;
           Alcotest.test_case "idle channel survives ticks" `Quick
             test_pool_idle_channel_survives;
+          Alcotest.test_case "send failure while the reader polls" `Quick
+            test_pool_send_failure_vs_poll;
         ] );
       ( "feed",
         [

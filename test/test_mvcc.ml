@@ -21,7 +21,9 @@
      they hold and the group writer links and unlinks;
    - POOL queries with loop-invariant WHERE subexpressions run by
      several domains over one shared view, their cached plans shared,
-     while the group writer commits. *)
+     while the group writer commits;
+   - relationship hops and extent scans by several domains over one
+     shared view while the group writer links, creates and deletes. *)
 
 open Pstore
 module F = Fault
@@ -636,6 +638,55 @@ let test_adjacency_shared_view () =
   D.close view;
   D.close db
 
+(* --- 12. extent scans over a shared view --------------------------------- *)
+
+(* Two domains scan one shared snapshot view's extents (the oid-indexed
+   mirror's extent vectors and object table) while the group writer
+   creates and deletes records on the live handle, its fresh oids
+   crossing several chunks of the live mirror: every scan equals the
+   one a single domain took from the view before they started. *)
+let test_extent_scans_shared_view () =
+  let db = mk_db (F.create ()) "mvcc12.db" in
+  let view = D.snapshot db in
+  let scan db =
+    let values = ref [] in
+    D.iter_extent db value_cls (fun o -> values := (o, D.get_attr db o "n") :: !values);
+    ( !values,
+      D.fold_extent db ~deep:true Pmodel.Meta.object_class (fun n _ -> n + 1) 0,
+      D.count db value_cls,
+      D.object_count db )
+  in
+  let expected = scan view in
+  let w = D.Writer.start db in
+  let readers =
+    List.init 2 (fun _ ->
+        Domain.spawn (fun () ->
+            let ok = ref true in
+            for _ = 1 to 30 do
+              if scan view <> expected then ok := false
+            done;
+            !ok))
+  in
+  (* 60 batches of 40 creates, each deleting the previous batch: 2400
+     fresh oids, so chunks are allocated and freed behind the readers *)
+  let prev = ref [] in
+  for k = 1 to 60 do
+    ignore
+      (D.Writer.submit w (fun db ->
+           List.iter (D.delete db) !prev;
+           prev := List.init 40 (fun i -> D.create db value_cls [ ("n", Pmodel.Value.VInt ((k * 1000) + i)) ])))
+  done;
+  List.iter
+    (fun d -> Alcotest.(check bool) "every scan = the single-domain answer" true (Domain.join d))
+    readers;
+  D.Writer.stop w;
+  Alcotest.(check bool) "view unchanged" true (scan view = expected);
+  Alcotest.(check bool) "writer changed the parent" true (scan db <> expected);
+  Alcotest.(check bool) "fresh oids crossed a chunk" true
+    (List.for_all (fun o -> o > Pmodel.Dense.chunk_size) !prev);
+  D.close view;
+  D.close db
+
 (* ---------------------------------------------------------------------- *)
 
 let () =
@@ -667,5 +718,7 @@ let () =
             test_hoisting_shared_view;
           Alcotest.test_case "adjacency hops over a shared view" `Quick
             test_adjacency_shared_view;
+          Alcotest.test_case "extent scans over a shared view" `Quick
+            test_extent_scans_shared_view;
         ] );
     ]

@@ -147,6 +147,38 @@ let test_allocation_ratios () =
           ("Q8", 7.68, (fun () -> Ops.Prom.q8 prom ~len:0), fun () -> Ops.Raw.q8 raw ~len:0);
         ])
 
+(* The same guard for the full extent scan and the structural
+   modifications.  Measured at the parent of the oid-indexed mirror
+   (OO7 tiny, this setup): Q7 1.01, S1 2.91, S2 5.51.  Q7 must stay at
+   or below two thirds of its value (the option box of each scanned
+   object's lookup is gone); S1 and S2, which the dense tables barely
+   change (2.78 and 5.37 with them), must not rise by more than 5%. *)
+let test_allocation_ratios_scan_and_modify () =
+  with_pair (fun prom raw _ ->
+      (* S1 then S2 twice per backend; the second pair is measured *)
+      let s1_s2 s1 s2 =
+        ignore (s2 (s1 ()));
+        let w0 = Gc.minor_words () in
+        let made = s1 () in
+        let w1 = Gc.minor_words () in
+        s2 made;
+        (w1 -. w0, Gc.minor_words () -. w1)
+      in
+      let ps1, ps2 =
+        s1_s2 (fun () -> Ops.Prom.s1 prom ~k:3 ~parts_per_comp:5) (Ops.Prom.s2 prom)
+      and rs1, rs2 = s1_s2 (fun () -> Ops.Raw.s1 raw ~k:3 ~parts_per_comp:5) (Ops.Raw.s2 raw) in
+      List.iter
+        (fun (op, ratio, bound) ->
+          if ratio > bound then
+            Alcotest.failf "%s: prom/raw minor words %.2f, above %.2f" op ratio bound)
+        [
+          ( "Q7",
+            words (fun () -> Ops.Prom.q7 prom) /. words (fun () -> Ops.Raw.q7 raw),
+            1.01 *. 2. /. 3. );
+          ("S1", ps1 /. rs1, 2.91 *. 1.05);
+          ("S2", ps2 /. rs2, 5.51 *. 1.05);
+        ])
+
 let () =
   Alcotest.run "oo7"
     [
@@ -158,5 +190,7 @@ let () =
           Alcotest.test_case "S1/S2 round-trip" `Quick test_s1_s2_roundtrip;
           Alcotest.test_case "module delete cascades" `Quick test_cascade_on_module_delete;
           Alcotest.test_case "prom/raw allocation ratios" `Quick test_allocation_ratios;
+          Alcotest.test_case "prom/raw allocation ratios: Q7, S1, S2" `Quick
+            test_allocation_ratios_scan_and_modify;
         ] );
     ]

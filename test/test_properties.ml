@@ -1013,6 +1013,265 @@ let prop_adjacency_matches_mirror =
             (fun () -> ok && adjacency_agrees db contexts !nodes)))
 
 (* ------------------------------------------------------------------ *)
+(* The oid-indexed mirror against the hash-table mirror it replaced     *)
+(* ------------------------------------------------------------------ *)
+
+(* The mirror's tables as they were before they became oid-indexed
+   arrays: a hash table of objects, an [OidSet] per exact class and an
+   [OidSet] of relationship oids per endpoint and direction, rebuilt
+   here from the store's records. *)
+module Mirror_oracle = struct
+  type t = {
+    objects : (int, Obj.t) Hashtbl.t;
+    extents : (string, OidSet.t) Hashtbl.t;
+    out_rels : (int, OidSet.t) Hashtbl.t;
+    in_rels : (int, OidSet.t) Hashtbl.t;
+  }
+
+  let add tbl k oid =
+    Hashtbl.replace tbl k (OidSet.add oid (Option.value ~default:OidSet.empty (Hashtbl.find_opt tbl k)))
+
+  let set_of tbl k = Option.value ~default:OidSet.empty (Hashtbl.find_opt tbl k)
+
+  (* [iter] walks (oid, record) pairs; oid 1 is the schema record *)
+  let build schema (iter : (int -> string -> unit) -> unit) =
+    let t =
+      {
+        objects = Hashtbl.create 64;
+        extents = Hashtbl.create 16;
+        out_rels = Hashtbl.create 64;
+        in_rels = Hashtbl.create 64;
+      }
+    in
+    iter (fun oid data ->
+        if oid <> 1 then begin
+          let o = Obj.decode ~oid data in
+          Hashtbl.replace t.objects oid o;
+          add t.extents o.Obj.class_name oid;
+          if Meta.is_rel schema o.Obj.class_name then begin
+            add t.out_rels (Obj.origin o) oid;
+            add t.in_rels (Obj.destination o) oid
+          end
+        end);
+    t
+
+  let extent schema t ~deep cls =
+    if deep then
+      List.fold_left
+        (fun acc c -> OidSet.union acc (set_of t.extents c))
+        OidSet.empty
+        (if Meta.is_rel schema cls then Meta.rel_subclasses schema cls else Meta.subclasses schema cls)
+    else set_of t.extents cls
+
+  (* the relationship objects at [oid] of class [rel_name] or below,
+     optionally in [context]: descending relationship oid, as the
+     mirror's accessors return them *)
+  let rels schema t ~out ?context ~rel_name oid =
+    OidSet.fold
+      (fun r acc ->
+        let o = Hashtbl.find t.objects r in
+        if
+          Schema_oracle.is_subclass schema ~sub:o.Obj.class_name ~super:rel_name
+          && match context with None -> true | Some _ -> Obj.context o = context
+        then o :: acc
+        else acc)
+      (set_of (if out then t.out_rels else t.in_rels) oid)
+      []
+end
+
+(* Every mirror read of [db] equals the oracle rebuilt from [iter], the
+   store's records behind [db]: objects for every oid up to [hi],
+   relationship hops for every node ever created. *)
+let mirror_matches_oracle db iter ~hi contexts nodes =
+  let schema = Database.schema db in
+  let m = Mirror_oracle.build schema iter in
+  let enc = Option.map Obj.encode in
+  let classes =
+    Meta.object_class :: "Nope" :: List.map (fun (c : Meta.class_def) -> c.Meta.class_name) (Meta.classes schema)
+    @ List.map (fun (r : Meta.rel_def) -> r.Meta.rel_name) (Meta.rels schema)
+  in
+  let oids = List.init (hi + 2) Fun.id in
+  let objs l = List.map (fun (r : Obj.t) -> r.Obj.oid) l in
+  Database.object_count db = Hashtbl.length m.Mirror_oracle.objects
+  && List.for_all
+       (fun oid ->
+         enc (Database.get db oid) = enc (Hashtbl.find_opt m.Mirror_oracle.objects oid)
+         && Database.class_of db oid
+            = Option.map (fun (o : Obj.t) -> o.Obj.class_name) (Hashtbl.find_opt m.Mirror_oracle.objects oid))
+       oids
+  && List.for_all
+       (fun cls ->
+         List.for_all
+           (fun deep ->
+             let expected = OidSet.elements (Mirror_oracle.extent schema m ~deep cls) in
+             let scanned = ref [] in
+             Database.iter_extent db ~deep cls (fun o -> scanned := o :: !scanned);
+             OidSet.elements (Database.extent db ~deep cls) = expected
+             && List.rev !scanned = expected
+             && List.rev (Database.fold_extent db ~deep cls (fun acc o -> o :: acc) []) = expected
+             && Database.extent_list db ~deep cls = expected
+             && Database.count db ~deep cls = List.length expected)
+           [ true; false ])
+       classes
+  && List.for_all
+       (fun n ->
+         List.for_all
+           (fun rel_name ->
+             List.for_all
+               (fun context ->
+                 let out = Mirror_oracle.rels schema m ~out:true ?context ~rel_name n
+                 and into = Mirror_oracle.rels schema m ~out:false ?context ~rel_name n in
+                 objs (Database.outgoing db ?context ~rel_name n) = objs out
+                 && objs (Database.incoming db ?context ~rel_name n) = objs into
+                 && Database.targets db ?context ~rel_name n = List.map Obj.destination out
+                 && Database.sources db ?context ~rel_name n = List.map Obj.origin into)
+               (None :: List.map Option.some contexts))
+           adj_names)
+       nodes
+
+let prop_dense_mirror_matches_oracle =
+  QCheck.Test.make
+    ~name:"oid-indexed mirror = hash-table oracle from the store (live, snapshot, reopened)"
+    ~count:40 adj_ops_arb (fun ops ->
+      let path = tmp_path () in
+      Fun.protect
+        ~finally:(fun () -> cleanup path)
+        (fun () ->
+          let db = Database.open_ path in
+          let contexts, nodes =
+            Database.with_tx db (fun () ->
+                let cn = setup_adj db in
+                ignore (Database.define_class db "BNode" ~supers:[ "ANode" ] []);
+                (* enough of them that one step changes a small share of
+                   the extent, which [extent] patches instead of
+                   rebuilding *)
+                for i = 1 to 30 do
+                  ignore (Database.create db "BNode" [ ("i", V.VInt (-i)) ])
+                done;
+                cn)
+          in
+          (* skip oids so the session's objects straddle a chunk boundary *)
+          let st = Database.store db in
+          while Pstore.Store.fresh_oid st < Dense.chunk_size - 8 do
+            ()
+          done;
+          let nodes = ref nodes in
+          let node i = List.nth !nodes (i mod List.length !nodes) in
+          let instance k =
+            match mirror_rels db with
+            | [] -> None
+            | rs ->
+                let oid, _, _, _, _, _ = List.nth rs (k mod List.length rs) in
+                Some oid
+          in
+          let attempt f = try f () with Database.Model_error _ -> () in
+          let rec apply = function
+            | A_create ->
+                let cls = if List.length !nodes mod 2 = 0 then "ANode" else "BNode" in
+                nodes := !nodes @ [ Database.create db cls [ ("i", V.VInt (List.length !nodes)) ] ]
+            | A_link (r, a, b, c, v) ->
+                let context = if c = 0 then None else List.nth_opt contexts (c - 1) in
+                let attrs =
+                  match adj_rels.(r) with
+                  | "Base" -> [ ("kind", V.VString (string_of_int v)) ]
+                  | _ -> []
+                in
+                attempt (fun () ->
+                    ignore
+                      (Database.link db ?context ~attrs adj_rels.(r) ~origin:(node a)
+                         ~destination:(node b)))
+            | A_unlink k -> Option.iter (fun e -> attempt (fun () -> Database.unlink db e)) (instance k)
+            | A_retarget (k, a, b) ->
+                Option.iter
+                  (fun e ->
+                    attempt (fun () ->
+                        Database.retarget db e ~origin:(node a) ~destination:(node b) ()))
+                  (instance k)
+            | A_delete i -> Database.delete db (node i)
+            | A_abort ops -> (
+                try
+                  Database.with_tx db (fun () ->
+                      List.iter apply ops;
+                      raise Exit)
+                with Exit -> ())
+          in
+          let hi () = Pstore.Store.fresh_oid st in
+          let agrees db =
+            let hi = hi () in
+            mirror_matches_oracle db (Pstore.Store.iter (Database.store db)) ~hi contexts !nodes
+            &&
+            let view = Database.snapshot db in
+            Fun.protect
+              ~finally:(fun () -> Database.close view)
+              (fun () ->
+                match view.Database.view with
+                | Some snap ->
+                    mirror_matches_oracle view (Pstore.Store.Snapshot.iter snap) ~hi contexts !nodes
+                | None -> false)
+          in
+          let ok =
+            List.for_all
+              (fun op ->
+                (match op with
+                | A_abort _ -> apply op
+                | _ -> Database.with_tx db (fun () -> apply op));
+                agrees db)
+              ops
+          in
+          let hi = hi () in
+          Database.close db;
+          let db = Database.open_ path in
+          Fun.protect
+            ~finally:(fun () -> Database.close db)
+            (fun () ->
+              ok && mirror_matches_oracle db (Pstore.Store.iter (Database.store db)) ~hi contexts !nodes)))
+
+(* Objects created and deleted again in turn, 10^5 times, each linked to
+   a long-lived node: the oid-indexed tables free every chunk they
+   empty, so what the mirror holds stays what it held after the first
+   thousand. *)
+let test_mirror_churn_bounded () =
+  let fs = Pstore.Fault.create () in
+  let db = Database.open_ ~vfs:(Pstore.Fault.vfs fs) "churn.db" in
+  Fun.protect
+    ~finally:(fun () -> Database.close db)
+    (fun () ->
+      ignore (Database.define_class db "N" [ Meta.attr "i" V.TInt ]);
+      ignore (Database.define_rel db "E" ~origin:"N" ~destination:"N");
+      let hub = Database.with_tx db (fun () -> Database.create db "N" [ ("i", V.VInt 0) ]) in
+      let churn pairs =
+        for _ = 1 to pairs / 1000 do
+          Database.with_tx db (fun () ->
+              for i = 1 to 1000 do
+                let o = Database.create db "N" [ ("i", V.VInt i) ] in
+                ignore (Database.link db "E" ~origin:hub ~destination:o);
+                Database.delete db o
+              done)
+        done
+      in
+      let words () =
+        Stdlib.Obj.reachable_words
+          (Stdlib.Obj.repr
+             ( db.Database.objects,
+               db.Database.extents,
+               db.Database.out_adj,
+               db.Database.in_adj ))
+      in
+      churn 1000;
+      let before = words () in
+      churn 100_000;
+      let after = words () in
+      (* 10^5 pairs issue 2 * 10^5 oids: each of the three tables'
+         directory and live-count arrays may grow to twice a word per
+         chunk of them; nothing else may grow *)
+      let slack = 3 * 2 * 2 * (2 * 100_000 / Dense.chunk_size) in
+      if after > before + slack then
+        Alcotest.failf "mirror grew from %d to %d words over 10^5 create/delete pairs" before after;
+      Alcotest.(check int) "one live object" 1 (Database.object_count db);
+      Alcotest.(check bool) "at most the hub's and the top chunk left" true
+        (Dense.chunks db.Database.objects <= 2))
+
+(* ------------------------------------------------------------------ *)
 (* Transaction properties                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1065,6 +1324,8 @@ let () =
         @ [
             Alcotest.test_case "CSR drop threshold" `Quick test_csr_drop_threshold;
             QCheck_alcotest.to_alcotest prop_adjacency_matches_mirror;
+            QCheck_alcotest.to_alcotest prop_dense_mirror_matches_oracle;
+            Alcotest.test_case "mirror churn stays bounded" `Quick test_mirror_churn_bounded;
           ] );
       ( "taxonomy",
         List.map QCheck_alcotest.to_alcotest
