@@ -852,15 +852,18 @@ let gate_obs () =
                 let on = run b in
                 (run false, on))
         in
-        let ratios = List.sort Float.compare (List.map (fun (off, on) -> on /. off) pairs) in
-        let median = (List.nth ratios 3 +. List.nth ratios 4) /. 2. (* of 8 *) in
-        (name, (median -. 1.) *. 100.))
+        let ratios = List.map (fun (off, on) -> on /. off) pairs in
+        let sorted = List.sort Float.compare ratios in
+        let median = (List.nth sorted 3 +. List.nth sorted 4) /. 2. (* of 8 *) in
+        (name, (median -. 1.) *. 100., ratios))
       workloads
   in
   let worst l =
-    List.fold_left (fun (n, p) (n', p') -> if p' > p then (n', p') else (n, p)) ("", neg_infinity) l
+    List.fold_left
+      (fun ((_, p, _) as w) ((_, p', _) as w') -> if p' > p then w' else w)
+      ("", neg_infinity, []) l
   in
-  let (aa_worst, aa_pct), (worst, max_pct) =
+  let (aa_worst, aa_pct, aa_ratios), (worst, max_pct, ratios) =
     Fun.protect
       ~finally:(fun () -> Pobs.Metrics.enabled := saved)
       (fun () ->
@@ -871,9 +874,14 @@ let gate_obs () =
   in
   Database.close db;
   cleanup path;
+  (* the worst workload's pair ratios (on/off), in the order they ran
+     (the 2nd, 4th, ... ran the metrics-off arm second): one outlying
+     pair and a uniform shift can read alike in the median, not here *)
+  let pairs rs = String.concat " " (List.map (Printf.sprintf "%.3f") rs) in
   report_floor "obs"
     ~measured:
-      (Printf.sprintf "max overhead %+.2f%% (%s); A/A %+.2f%% (%s)" max_pct worst aa_pct aa_worst)
+      (Printf.sprintf "max overhead %+.2f%% (%s: %s); A/A %+.2f%% (%s: %s)" max_pct worst
+         (pairs ratios) aa_pct aa_worst (pairs aa_ratios))
     ~threshold:"< 5%" (max_pct < 5.0)
 
 (* Steady-state reads with per-page CRC verification against the same

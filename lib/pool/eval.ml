@@ -8,14 +8,15 @@
 
     Query optimisation (thesis 6.1.5): under {!default_config} each
     select is compiled to a physical {!Plan.t} — index probes, ordered
-    range / LIKE-prefix scans, hash joins for multi-range queries —
-    and graph builtins walk {!Pgraph.Csr} adjacency snapshots.  Access
-    paths only ever narrow the candidate set (in the same ascending
-    oid order the extent scan uses) and the full WHERE clause is still
-    evaluated per row, so results are bit-identical to the reference
-    tree-walking interpreter ({!legacy_config}), which the tests use as
-    the planned engine's oracle.  The
-    WHERE's loop-invariant subexpressions are computed on first use and
+    range / LIKE-prefix scans, scan filters, hash joins for multi-range
+    queries — and graph builtins walk {!Pgraph.Csr} adjacency
+    snapshots.  Access paths and filters only ever narrow the candidate
+    set (in the same ascending oid order the extent scan uses), only
+    by rows the interpreter rejects without raising, and the full WHERE
+    clause is still evaluated per row, so results are bit-identical to
+    the reference tree-walking interpreter ({!legacy_config}), which
+    the tests use as the planned engine's oracle.  The WHERE's
+    loop-invariant subexpressions are computed on first use and
     kept for as long as the ranges they depend on stay bound
     ({!Plan.hoist}); a subexpression that raises is never kept, so
     errors surface on exactly the row where the interpreter raises. *)
@@ -60,7 +61,8 @@ let m_invariant_reuses =
     ~help:"Loop-invariant WHERE subexpressions answered from their slot"
 
 (** Execution engine.  [Planned] compiles each select to a cached
-    physical plan (access paths, hash joins, hoisted invariants) and
+    physical plan (access paths, scan filters, hash joins, hoisted
+    invariants) and
     walks CSR adjacency snapshots; [Reference] is the tree-walking
     interpreter: nested extent loops, a single first-range equality
     probe, per-hop adjacency queries. *)
@@ -729,7 +731,24 @@ and prepare st (b : Plan.binding) : string * exec =
   match b.Plan.access with
   | Plan.Src e -> (b.Plan.var, Per_row e)
   | access -> (
-      let cands = List.rev (fold_access st access (fun acc o -> Value.VRef o :: acc) []) in
+      let keep =
+        match b.Plan.filter with
+        | [] -> fun acc o -> Value.VRef o :: acc
+        | tests ->
+            (* a rejected oid allocates nothing *)
+            fun acc o ->
+              let obj = Database.get_exn st.db o in
+              if
+                List.for_all
+                  (fun (t : Plan.test) ->
+                    Plan.holds t
+                      (if t.Plan.direct then Obj.get obj t.Plan.attr
+                       else eval_obj_attr st o t.Plan.attr))
+                  tests
+              then Value.VRef o :: acc
+              else acc
+      in
+      let cands = List.rev (fold_access st access keep []) in
       match b.Plan.hash_key with
       | Some (attr, probe_expr) ->
           (* buckets are built in ascending oid order, preserving the

@@ -9,7 +9,8 @@
     oid order, which is also the order the reference extent scan uses.
     That invariant is what makes optimized results bit-identical to the
     reference interpreter: pushdown can never change which rows survive or
-    how they are ordered, only how many candidates are inspected.
+    how they are ordered, only how many candidates are inspected — and,
+    by the exactness rule below, never whether the query raises.
 
     Access paths recognised from top-level WHERE conjuncts over an
     unshadowed class-extent range [Var cls]:
@@ -27,6 +28,40 @@
     over the range's candidates keyed on [attr] (once), then probing
     with [e] per outer row — replacing the nested extent rescans.
 
+    Scan filters: the {e leading run} of the WHERE's top-level [and]
+    chain is its longest prefix of conjuncts [v.attr OP lit] or
+    [lit OP v.attr], OP one of [= != < <= > >=] and [v] an unshadowed,
+    extent-backed range variable.  Each conjunct of the run goes to the
+    {!field:filter} of [v]'s binding, which the evaluator tests on each
+    candidate oid before allocating anything for it; one the binding's
+    index access already guarantees (the probed equality, the bounds
+    of a range walk) is left out.  Whether a test reads the attribute
+    straight from the mirrored object ([Obj.get]) is decided here: it
+    does when the range class is an object class and every class of
+    its deep extent declares the attribute; role-inherited attributes
+    and relationship endpoints go through the evaluator's attribute
+    read.
+
+    Exactness: narrowing a range by an access path, a hash join or a
+    filter skips rows the interpreter visits, and a skipped row must
+    be one the interpreter rejects without raising.  Two rules make it
+    so.  First, a range is narrowed only on a conjunct of the leading
+    run or on the conjunct that ends it.  A run conjunct never raises
+    ([v] is bound to a live object, and
+    {!Pmodel.Value.compare_value} is total), so the short-circuit
+    [and] reaches that conjunct on every row, and where it is false the
+    row is rejected silently.  (A LIKE prefix scan declines unless
+    every indexed value is a string, on which [like] cannot raise; a
+    hash-join probe key that raises makes the evaluator replay the
+    nested loop.)  Second, a range is narrowed only when no later range
+    is a per-row source ({!constructor:Src}): such a source is
+    evaluated once per binding of the ranges before it, whatever the
+    WHERE answers, and may raise on a row the WHERE would reject
+    ([select p from P p, p.age.x q where p.age > 100]).  The one
+    exception is the interpreter's own: it probes the first range's
+    equality index on any conjunct, so the plan probes that conjunct
+    too.
+
     Loop-invariant subexpressions: each maximal [Call] or [Select]
     subexpression of the WHERE clause that does not depend on the last
     range variable is wrapped in a numbered [Ast.Slot] in the plan's own
@@ -40,8 +75,9 @@
     an earlier parse of the same text) hoists exactly as a fresh one.
 
     Plans contain no oids or values read from the data, only schema
-    facts (which indexes exist, which names denote class extents), so a
-    cached plan stays valid until {!Pmodel.Database.index_epoch} moves
+    facts (which indexes exist, which names denote class extents, which
+    classes declare an attribute), so a cached plan stays valid until
+    {!Pmodel.Database.index_epoch} moves
     — bumped by index DDL and by class/relationship definition. *)
 
 open Pmodel
@@ -59,11 +95,25 @@ type access =
   | Prefix of { cls : string; attr : string; prefix : string }
   | Src of Ast.expr (* arbitrary source expression, evaluated per outer row *)
 
+type cmp = Equal | Not_equal | Less | Less_eq | Greater | Greater_eq
+
+(** One scan-filter test, [var.attr cmp lit] with the attribute on the
+    left. *)
+type test = {
+  attr : string;
+  cmp : cmp;
+  lit : Value.t;
+  direct : bool;
+      (* every class of the range's deep extent declares [attr]: read
+         it with [Obj.get], no role or endpoint lookup *)
+}
+
 type binding = {
   var : string;
   access : access;
   hash_key : (string * Ast.expr) option;
       (* (build attr of this range, probe expression over outer bindings) *)
+  filter : test list; (* conjunctive, tested before a candidate is kept *)
 }
 
 type t = {
@@ -133,42 +183,74 @@ type fact =
   | Hi of string * (Value.t * bool)
   | Like of string * string (* attr, literal prefix *)
 
-let fact_of var (c : Ast.expr) : fact option =
-  (* operators whose argument order can be inverted; [like] is NOT one:
-     [lit like var.attr] matches the literal against the *stored
-     pattern*, which no prefix scan over stored values can serve *)
-  let inv = function
-    | "=" -> Some "="
-    | "<" -> Some ">"
-    | "<=" -> Some ">="
-    | ">" -> Some "<"
-    | ">=" -> Some "<="
+(** [v.attr OP lit] or [lit OP v.attr] with OP a comparison, as
+    [(v, attr, cmp, lit)] with the attribute on the left.  Swapping
+    the sides mirrors the operator: {!Pmodel.Value.compare_value} is
+    antisymmetric. *)
+let comparison (c : Ast.expr) : (string * string * cmp * Value.t) option =
+  let cmp_of = function
+    | "=" -> Some Equal
+    | "!=" -> Some Not_equal
+    | "<" -> Some Less
+    | "<=" -> Some Less_eq
+    | ">" -> Some Greater
+    | ">=" -> Some Greater_eq
     | _ -> None
   in
-  let norm =
-    (* rewrite [lit OP var.attr] to [var.attr OP' lit] *)
-    match c with
-    | Ast.Binop (op, Ast.Lit v, Ast.Path (Ast.Var x, attr)) -> (
-        match inv op with Some op' -> Some (op', x, attr, v) | None -> None)
-    | Ast.Binop (op, Ast.Path (Ast.Var x, attr), Ast.Lit v) -> Some (op, x, attr, v)
-    | _ -> None
+  let mirror = function
+    | Less -> Greater
+    | Less_eq -> Greater_eq
+    | Greater -> Less
+    | Greater_eq -> Less_eq
+    | (Equal | Not_equal) as c -> c
   in
-  match norm with
-  | Some (op, x, attr, v) when x = var -> (
-      match op with
-      | "=" -> Some (Eq (attr, v))
-      | "<" -> Some (Hi (attr, (v, false)))
-      | "<=" -> Some (Hi (attr, (v, true)))
-      | ">" -> Some (Lo (attr, (v, false)))
-      | ">=" -> Some (Lo (attr, (v, true)))
-      | "like" -> (
-          match v with
-          | Value.VString pat ->
-              let p = like_prefix pat in
-              if p = "" then None else Some (Like (attr, p))
-          | _ -> None)
-      | _ -> None)
+  match c with
+  | Ast.Binop (op, Ast.Path (Ast.Var v, attr), Ast.Lit lit) ->
+      Option.map (fun cmp -> (v, attr, cmp, lit)) (cmp_of op)
+  | Ast.Binop (op, Ast.Lit lit, Ast.Path (Ast.Var v, attr)) ->
+      Option.map (fun cmp -> (v, attr, mirror cmp, lit)) (cmp_of op)
   | _ -> None
+
+let fact_of var (c : Ast.expr) : fact option =
+  match c with
+  (* [like] is not a comparison whose sides can be swapped: [lit like
+     var.attr] matches the literal against the *stored pattern*, which
+     no prefix scan over stored values can serve *)
+  | Ast.Binop ("like", Ast.Path (Ast.Var x, attr), Ast.Lit (Value.VString pat)) when x = var ->
+      let p = like_prefix pat in
+      if p = "" then None else Some (Like (attr, p))
+  | _ -> (
+      match comparison c with
+      | Some (x, attr, cmp, v) when x = var -> (
+          match cmp with
+          | Equal -> Some (Eq (attr, v))
+          | Less -> Some (Hi (attr, (v, false)))
+          | Less_eq -> Some (Hi (attr, (v, true)))
+          | Greater -> Some (Lo (attr, (v, false)))
+          | Greater_eq -> Some (Lo (attr, (v, true)))
+          | Not_equal -> None)
+      | _ -> None)
+
+(** Does attribute value [v] pass [t], as the query's own comparison
+    would answer? *)
+let holds (t : test) (v : Value.t) : bool =
+  let c = Value.compare_value v t.lit in
+  match t.cmp with
+  | Equal -> c = 0
+  | Not_equal -> c <> 0
+  | Less -> c < 0
+  | Less_eq -> c <= 0
+  | Greater -> c > 0
+  | Greater_eq -> c >= 0
+
+(* Is [t] implied by the index access of its binding? *)
+let guaranteed (a : access) (t : test) : bool =
+  match (a, t.cmp) with
+  | Probe { attr; value; _ }, Equal -> attr = t.attr && Value.equal_value value t.lit
+  | Range { attr; _ }, (Less | Less_eq | Greater | Greater_eq) ->
+      (* the walk's bounds are the tightest of every bound on [attr] *)
+      attr = t.attr
+  | _ -> false
 
 (* --- loop-invariant subexpressions --------------------------------------- *)
 
@@ -210,13 +292,17 @@ let hoist (ranges : string list) (w : Ast.expr) : (Ast.expr * int array) option 
 
 (* --- compilation -------------------------------------------------------- *)
 
-(** Pick the access path for range [(cls, var)] from the WHERE
-    conjuncts.  Preference: equality probe, then LIKE prefix, then
-    range — all conditional on an index existing. *)
-let access_for db cls var (cs : Ast.expr list) : access =
+(** Pick the access path for range [(cls, var)]: an equality probe
+    from the conjuncts [probe_cs], else a LIKE prefix, else a range
+    from the conjuncts [cs] — all conditional on an index existing. *)
+let access_for db cls var ~probe_cs (cs : Ast.expr list) : access =
   let facts = List.filter_map (fact_of var) cs in
   let indexed attr = Database.has_index db cls attr in
-  let probe = List.find_map (function Eq (a, v) when indexed a -> Some (a, v) | _ -> None) facts in
+  let probe =
+    List.find_map
+      (fun c -> match fact_of var c with Some (Eq (a, v)) when indexed a -> Some (a, v) | _ -> None)
+      probe_cs
+  in
   match probe with
   | Some (attr, value) -> Probe { cls; attr; value }
   | None -> (
@@ -285,39 +371,88 @@ let hash_key_for var ~outer_vars ~later_vars (cs : Ast.expr list) : (string * As
 let compile db ~bound (s : Ast.select) : t =
   let schema = Database.schema db in
   let cs = match s.Ast.where with Some w -> conjuncts w | None -> [] in
-  let rec build outer_vars idx = function
+  let ranges = Array.of_list s.Ast.ranges in
+  let n = Array.length ranges in
+  let vars = Array.map snd ranges in
+  let var i = vars.(i) in
+  let exists_in lo hi p =
+    let rec go i = i < hi && (p i || go (i + 1)) in
+    go lo
+  in
+  (* the class whose extent range [i] scans, when its source is one *)
+  let extent_cls =
+    Array.init n (fun i ->
+        match fst ranges.(i) with
+        | Ast.Var cls
+          when (not (exists_in 0 i (fun j -> var j = cls)))
+               && (not (List.mem cls bound))
+               && (Meta.is_class schema cls || Meta.is_rel schema cls) ->
+            Some cls
+        | _ -> None)
+  in
+  (* a later range re-binding the same variable name makes the WHERE
+     conjuncts refer to *that* binding — no pushdown into this one *)
+  let shadowed i = exists_in (i + 1) n (fun j -> var j = var i) in
+  (* range [i]'s candidates may be narrowed when no later range is a
+     per-row source (see the header) *)
+  let narrowable i = not (exists_in (i + 1) n (fun j -> extent_cls.(j) = None)) in
+  let declared cls attr =
+    Meta.is_class schema cls
+    && List.for_all (fun c -> Meta.has_attr schema c attr) (Meta.subclasses schema cls)
+  in
+  (* the range a name denotes in the WHERE: its last binding *)
+  let rec last v i = if i < 0 then None else if var i = v then Some i else last v (i - 1) in
+  (* the leading run, as (range, test) in WHERE order *)
+  let rec run = function
     | [] -> []
-    | (src, var) :: rest ->
-        let later_vars = SSet.of_list (List.map snd rest) in
-        let extent_cls =
-          match src with
-          | Ast.Var cls
-            when (not (SSet.mem cls outer_vars))
-                 && (not (List.mem cls bound))
-                 && (Meta.is_class schema cls || Meta.is_rel schema cls) ->
-              Some cls
-          | _ -> None
+    | c :: rest -> (
+        let test =
+          match comparison c with
+          | Some (v, attr, cmp, lit) ->
+              Option.bind (last v (n - 1)) (fun i ->
+                  Option.map
+                    (fun cls -> (i, { attr; cmp; lit; direct = declared cls attr }))
+                    extent_cls.(i))
+          | None -> None
         in
-        (* a later range re-binding the same variable name makes the
-           WHERE conjuncts refer to *that* binding — no pushdown then *)
-        let shadowed = List.exists (fun (_, v) -> v = var) rest in
-        let access =
-          match extent_cls with
-          | Some cls -> if shadowed then Extent cls else access_for db cls var cs
-          | None -> Src src
-        in
+        match test with Some t -> t :: run rest | None -> [])
+  in
+  let run = run cs in
+  (* the run and the conjunct that ends it: on every row the
+     interpreter reaches each of them, and nothing before them raises *)
+  let reached = List.filteri (fun k _ -> k <= List.length run) cs in
+  let binding i =
+    let var = var i in
+    match extent_cls.(i) with
+    | None -> { var; access = Src (fst ranges.(i)); hash_key = None; filter = [] }
+    | Some cls when shadowed i -> { var; access = Extent cls; hash_key = None; filter = [] }
+    | Some cls ->
+        let narrowable = narrowable i in
+        let exact = if narrowable then reached else [] in
+        (* the interpreter itself probes the first range on any equality
+           conjunct with an index: the plan probes the same one *)
+        let probe_cs = if i = 0 && Meta.is_class schema cls then cs else exact in
+        let access = access_for db cls var ~probe_cs exact in
         let hash_key =
-          if idx = 0 || extent_cls = None || shadowed then None
+          if i = 0 then None
           else
             hash_key_for var
-              ~outer_vars:(SSet.union outer_vars (SSet.of_list bound))
-              ~later_vars cs
+              ~outer_vars:(SSet.of_list (bound @ Array.to_list (Array.sub vars 0 i)))
+              ~later_vars:(SSet.of_list (Array.to_list (Array.sub vars (i + 1) (n - i - 1))))
+              exact
         in
-        { var; access; hash_key } :: build (SSet.add var outer_vars) (idx + 1) rest
+        let filter =
+          if narrowable then
+            List.filter_map
+              (fun (j, t) -> if j = i && not (guaranteed access t) then Some t else None)
+              run
+          else []
+        in
+        { var; access; hash_key; filter }
   in
   {
-    bindings = build SSet.empty 0 s.Ast.ranges;
-    hoisted = Option.bind s.Ast.where (hoist (List.map snd s.Ast.ranges));
+    bindings = List.init n binding;
+    hoisted = Option.bind s.Ast.where (hoist (Array.to_list vars));
   }
 
 (* --- description (EXPLAIN-style, used by tests and the CLI) ------------- *)
@@ -339,7 +474,9 @@ let describe (t : t) : string =
          Printf.sprintf "%s<-%s%s" b.var (describe_access b.access)
            (match b.hash_key with Some (attr, _) -> Printf.sprintf " hash(%s)" attr | None -> ""))
        t.bindings
-    @
-    match t.hoisted with
-    | Some (_, levels) -> List.map (Printf.sprintf "hoist@%d") (Array.to_list levels)
-    | None -> [])
+    @ (match t.hoisted with
+      | Some (_, levels) -> List.map (Printf.sprintf "hoist@%d") (Array.to_list levels)
+      | None -> [])
+    @ List.concat_map
+        (fun b -> List.map (fun t -> Printf.sprintf "filter(%s.%s)" b.var t.attr) b.filter)
+        t.bindings)

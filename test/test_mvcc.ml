@@ -22,8 +22,9 @@
    - POOL queries with loop-invariant WHERE subexpressions run by
      several domains over one shared view, their cached plans shared,
      while the group writer commits;
-   - relationship hops and extent scans by several domains over one
-     shared view while the group writer links, creates and deletes. *)
+   - relationship hops, extent scans and filtered POOL scans by several
+     domains over one shared view while the group writer links, creates
+     and deletes. *)
 
 open Pstore
 module F = Fault
@@ -687,6 +688,68 @@ let test_extent_scans_shared_view () =
   D.close view;
   D.close db
 
+(* --- 13. filtered scans over a shared view --------------------------------- *)
+
+(* Three domains run POOL scans whose leading [var.attr OP literal]
+   conjuncts are pushed into the extent scan — on an object class (read
+   straight from the mirrored object) and on a relationship class
+   (endpoints through the evaluator) — over one shared snapshot view,
+   their plans shared through the view's plan cache, while the group
+   writer links, unlinks, creates and deletes on the live handle: every
+   answer equals the one a single domain took from the view first, and
+   the reference interpreter's. *)
+let filter_queries =
+  [
+    Printf.sprintf "select r.n from %s r where r.n >= 50 and r.n < 150 and r.n != 99" value_cls;
+    Printf.sprintf "select a.n, b.n from %s a, %s b where a.n < 4 and 196 <= b.n and a.n != b.n"
+      value_cls value_cls;
+    Printf.sprintf "select e from %s e where e.context = null and e.origin != null" tree_rel;
+  ]
+
+let test_filtered_scans_shared_view () =
+  let db = mk_db (F.create ()) "mvcc13.db" in
+  let nodes, edge_of = hammer_tree db in
+  D.drop_index db value_cls "n" (* so every bound on [n] is a filter *);
+  let view = D.snapshot db in
+  List.iter
+    (fun q ->
+      Alcotest.(check bool) ("filtered: " ^ q) true
+        (let plan = Pool_lang.Pool.explain view q in
+         let rec has i = i + 7 <= String.length plan && (String.sub plan i 7 = "filter(" || has (i + 1)) in
+         has 0))
+    filter_queries;
+  let answer ?config db = List.map (Pool_lang.Pool.query ?config db) filter_queries in
+  let same = List.for_all2 (fun a b -> Pmodel.Value.compare_value a b = 0) in
+  let expected = answer view in
+  Alcotest.(check bool) "= the reference interpreter" true
+    (same expected (answer ~config:Pool_lang.Pool.legacy_config view));
+  let w = D.Writer.start db in
+  let readers =
+    List.init 3 (fun _ ->
+        Domain.spawn (fun () ->
+            let ok = ref true in
+            for _ = 1 to 10 do
+              if not (same (answer view) expected) then ok := false
+            done;
+            !ok))
+  in
+  let prev = ref None in
+  for k = 0 to 59 do
+    ignore
+      (D.Writer.submit w (fun db ->
+           hammer_step db nodes edge_of k;
+           Option.iter (D.delete db) !prev;
+           prev := Some (D.create db value_cls [ ("n", Pmodel.Value.VInt (60 + k)) ])))
+  done;
+  List.iter
+    (fun d -> Alcotest.(check bool) "every answer = the single-domain answer" true (Domain.join d))
+    readers;
+  D.Writer.stop w;
+  Alcotest.(check bool) "view unchanged" true (same (answer view) expected);
+  Alcotest.(check bool) "writer changed the parent" true (not (same (answer db) expected));
+  D.close view;
+  D.close db
+
 (* ---------------------------------------------------------------------- *)
 
 let () =
@@ -720,5 +783,7 @@ let () =
             test_adjacency_shared_view;
           Alcotest.test_case "extent scans over a shared view" `Quick
             test_extent_scans_shared_view;
+          Alcotest.test_case "filtered scans over a shared view" `Quick
+            test_filtered_scans_shared_view;
         ] );
     ]

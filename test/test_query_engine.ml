@@ -706,6 +706,223 @@ let test_invariant_errors_not_kept () =
   in
   Alcotest.(check int) "nothing computed" 0 e
 
+(* --- scan filters ----------------------------------------------------- *)
+
+let test_filter_explain () =
+  with_db @@ fun db ->
+  let _ = setup db in
+  let q = "select p.name from Person p where p.age > 25 and p.name != 'bob' and p.age <= 40" in
+  Alcotest.(check string) "extent scan, every conjunct of the run filtered"
+    "p<-extent(Person); filter(p.age); filter(p.name); filter(p.age)" (P.explain db q);
+  Alcotest.check value_testable "rows" (V.VList [ str "alice" ]) (check_both db q);
+  (* the range walk guarantees both bounds on [age]: only [name] is tested *)
+  Database.create_index db "Person" "age";
+  Alcotest.(check string) "index access drops what it guarantees"
+    "p<-range(Person.age lo hi); filter(p.name)" (P.explain db q);
+  Alcotest.check value_testable "same rows" (V.VList [ str "alice" ]) (check_both db q);
+  Alcotest.(check string) "a bound on another attribute is tested"
+    "p<-range(Person.age lo); filter(p.name)"
+    (P.explain db "select p from Person p where p.age >= 30 and p.name > 'b'");
+  (* the run ends at the first conjunct of another form, which might
+     raise: no conjunct after it narrows the scan, not even through the
+     index *)
+  Alcotest.(check string) "run ends at a call" "p<-extent(Person); filter(p.name)"
+    (P.explain db
+       "select p from Person p where 'carol' != p.name and strlen(p.name) > 3 and p.age > 1 and p.name = 'x'");
+  (* filters sit after the bindings and the hoists *)
+  Alcotest.(check string) "after hoists" "p<-extent(Person); hoist@0; filter(p.name)"
+    (P.explain db "select p from Person p where p.name = 'dave' and p in (select x from Person x where x.age > 30)")
+
+let test_filter_later_source () =
+  (* A later range that is a per-row source runs once per binding of
+     the ranges before it, whatever the WHERE answers: rejecting [p]
+     before the source ran would turn the interpreter's error into an
+     empty answer. *)
+  with_db @@ fun db ->
+  let _ = setup db in
+  let q = "select p from Person p, p.age.x q where p.age > 100" in
+  Alcotest.(check string) "no filter before a per-row source" "p<-extent(Person); q<-expr"
+    (P.explain db q);
+  let o = outcome db q and l = outcome ~config:P.legacy_config db q in
+  (match l with
+  | Error m ->
+      Alcotest.(check bool) "the interpreter cannot navigate" true
+        (String.starts_with ~prefix:"Pool_lang.Eval.Eval_error(\"cannot navigate .x on" m)
+  | Ok _ -> Alcotest.fail "the interpreter should raise");
+  Alcotest.(check bool) "raises as the interpreter does" true (same_outcome o l);
+  (* a range after the source is filtered again *)
+  Alcotest.(check string) "filtered after the source" "p<-extent(Person); q<-expr; c<-extent(Company); filter(c.name)"
+    (P.explain db "select c from Person p, p.targets('WorksFor') q, Company c where c.name = 'acme'")
+
+let test_no_narrowing_past_a_raising_conjunct () =
+  (* [strlen(p.age)] raises on the first row the interpreter visits;
+     neither an index range nor a hash join taken from a conjunct after
+     it may skip that row *)
+  with_db @@ fun db ->
+  let _ = setup db in
+  Database.create_index db "Person" "age";
+  let check q plan =
+    Alcotest.(check string) ("EXPLAIN " ^ q) plan (P.explain db q);
+    let o = outcome db q and l = outcome ~config:P.legacy_config db q in
+    (match l with
+    | Error m ->
+        Alcotest.(check bool) "the interpreter raises in strlen" true
+          (String.starts_with ~prefix:"Pool_lang.Eval.Eval_error(\"strlen:" m)
+    | Ok _ -> Alcotest.fail "the interpreter should raise");
+    Alcotest.(check bool) ("raises as the interpreter does: " ^ q) true (same_outcome o l)
+  in
+  check "select p from Person p where strlen(p.age) > 0 and p.age > 1000" "p<-extent(Person)";
+  check "select p, q from Person p, Person q where strlen(p.age) > 0 and q.age = p.age + 1000"
+    "p<-extent(Person); q<-extent(Person); hoist@1";
+  (* the conjunct that ends the leading run still narrows *)
+  Alcotest.(check string) "join on the conjunct ending the run"
+    "p<-range(Person.age lo); q<-extent(Person) hash(age)"
+    (P.explain db "select p, q from Person p, Person q where p.age > 1000 and q.age = p.age + 1")
+
+(* Random WHERE chains over a schema with null and missing attributes,
+   an attribute declared only on a subclass ([Special.extra]), a
+   role-inherited one ([TypeOf.kind], conferred on items) and a
+   relationship class with endpoints and contexts ([Link]), against
+   random data, with and without indexes.  A chain is a head of
+   conjuncts that never raise — scan filter forms on every attribute,
+   hash-join keys, other forms — followed by a tail that mixes the same
+   with raising conjuncts ([like] on an int or a null, navigation
+   through a non-reference, arithmetic on null), so a filter, an index
+   access or a hash join taken from past a raising conjunct shows. *)
+module Filter_prop = struct
+  let setup db seed =
+    let rnd = Random.State.make [| seed |] in
+    let pick a = a.(Random.State.int rnd (Array.length a)) in
+    ignore
+      (Database.define_class db "Item" [ Meta.attr "age" V.TInt; Meta.attr "name" V.TString ]);
+    ignore (Database.define_class db "Special" ~supers:[ "Item" ] [ Meta.attr "extra" V.TInt ]);
+    ignore (Database.define_class db "Tag" [ Meta.attr "label" V.TString ]);
+    ignore
+      (Database.define_rel db "TypeOf" ~origin:"Tag" ~destination:"Item"
+         ~attrs:[ Meta.attr "kind" V.TString ] ~inherited_attrs:[ "kind" ]);
+    ignore
+      (Database.define_rel db "Link" ~origin:"Item" ~destination:"Item"
+         ~attrs:[ Meta.attr "weight" V.TInt ]);
+    let ctxs = [| Database.create_context db "c1"; Database.create_context db "c2" |] in
+    let opt attr vs = match pick vs with None -> [] | Some v -> [ (attr, v) ] in
+    let ages = [| None; Some (vint 10); Some (vint 20); Some (vint 30) |] in
+    let names = [| None; Some (str "a"); Some (str "b"); Some (str "ab") |] in
+    let items =
+      Array.init
+        (4 + Random.State.int rnd 6)
+        (fun _ ->
+          if Random.State.bool rnd then
+            Database.create db "Item" (opt "age" ages @ opt "name" names)
+          else
+            Database.create db "Special"
+              (opt "age" ages @ opt "name" names @ opt "extra" [| None; Some (vint 1); Some (vint 2) |]))
+    in
+    for _ = 1 to Random.State.int rnd 4 do
+      let tag = Database.create db "Tag" [ ("label", str "t") ] in
+      ignore
+        (Database.link db "TypeOf" ~origin:tag ~destination:(pick items)
+           ~attrs:(opt "kind" [| None; Some (str "holo"); Some (str "iso") |]))
+    done;
+    for _ = 1 to Random.State.int rnd 6 do
+      let context = if Random.State.bool rnd then Some (pick ctxs) else None in
+      ignore
+        (Database.link db "Link" ?context ~origin:(pick items) ~destination:(pick items)
+           ~attrs:(opt "weight" [| None; Some (vint 1); Some (vint 5) |]))
+    done;
+    if Random.State.bool rnd then Database.create_index db "Item" "age";
+    if Random.State.bool rnd then Database.create_index db "Link" "weight"
+
+  (* range lists: (from clause, [(var, kind)]) *)
+  let froms =
+    [
+      ("Item p", [ ("p", `Item) ]);
+      ("Special s", [ ("s", `Item) ]);
+      ("Item p, Special s", [ ("p", `Item); ("s", `Item) ]);
+      ("Item p, p.age.x q", [ ("p", `Item); ("q", `Src) ]);
+      ("Item p, p.targets('Link') q", [ ("p", `Item); ("q", `Src) ]);
+      ("Item p, p.targets('Link') q, Special s", [ ("p", `Item); ("q", `Src); ("s", `Item) ]);
+      ("Link l", [ ("l", `Rel) ]);
+      ("Item p, Link l", [ ("p", `Item); ("l", `Rel) ]);
+      ("Link l, Item p", [ ("l", `Rel); ("p", `Item) ]);
+      ("Special p, Link l, Item p", [ ("p", `Item); ("l", `Rel) ]);
+      ("TypeOf t, Item p", [ ("t", `Rel); ("p", `Item) ]);
+    ]
+
+  let gen =
+    let open QCheck.Gen in
+    (* mostly literals the attribute holds, so boundaries are hit *)
+    let lit attr =
+      let own =
+        match attr with
+        | "age" -> [ "10"; "20"; "30"; "20.0"; "25" ]
+        | "name" -> [ "'a'"; "'ab'"; "'b'" ]
+        | "extra" | "weight" -> [ "1"; "2"; "5" ]
+        | "kind" -> [ "'holo'"; "'iso'" ]
+        | _ -> [ "0" ]
+      in
+      frequency [ (4, oneofl own); (1, oneofl [ "null"; "'a'"; "2.5"; "true" ]) ]
+    in
+    let op = oneofl [ "="; "!="; "<"; "<="; ">"; ">=" ] in
+    let form v attr =
+      map3
+        (fun flip o l ->
+          if flip then Printf.sprintf "%s %s %s.%s" l o v attr
+          else Printf.sprintf "%s.%s %s %s" v attr o l)
+        bool op (lit attr)
+    in
+    let attrs = function
+      | `Item -> [ "age"; "name"; "extra"; "kind"; "nope" ]
+      | `Rel -> [ "origin"; "destination"; "context"; "weight"; "kind"; "nope" ]
+      | `Src -> [ "age"; "name" ]
+    in
+    let safe vars =
+      let v = oneofl vars in
+      oneof
+        [
+          v >>= (fun (x, k) -> oneofl (attrs k) >>= form x);
+          v >>= (fun (x, k) -> oneofl (attrs k) >>= form x);
+          map (fun (x, _) -> Printf.sprintf "(%s.name = 'a' or %s.age > 15)" x x) v;
+          map (fun (x, _) -> Printf.sprintf "%s.age > -5" x) v;
+          map2 (fun (x, _) (y, _) -> Printf.sprintf "%s.age = %s.age" x y) v v;
+          return "true";
+        ]
+    in
+    let tail vars =
+      let v = oneofl vars in
+      oneof
+        [
+          safe vars;
+          map (fun (x, _) -> Printf.sprintf "%s.age like 'a%%'" x) v;
+          map (fun (x, _) -> Printf.sprintf "%s.name like 'a%%'" x) v;
+          map (fun (x, _) -> Printf.sprintf "%s.age.x = 1" x) v;
+          map (fun (x, _) -> Printf.sprintf "%s.age + 1 > 0" x) v;
+          map (fun (x, _) -> Printf.sprintf "strlen(%s.name) > 0" x) v;
+        ]
+    in
+    oneofl froms >>= fun (from, vars) ->
+    list_size (int_range 0 4) (safe vars) >>= fun head ->
+    list_size (int_range 0 3) (tail vars) >>= fun tl ->
+    let where = match head @ tl with [] -> "" | cs -> " where " ^ String.concat " and " cs in
+    let proj = String.concat ", " (List.sort_uniq compare (List.map fst vars)) in
+    map (fun seed -> (seed, Printf.sprintf "select %s from %s%s" proj from where)) (int_bound 1_000_000)
+end
+
+let test_filter_vs_legacy =
+  QCheck.Test.make ~name:"filtered scans = legacy, value or exception" ~count:400
+    (QCheck.make ~print:(fun (seed, q) -> Printf.sprintf "seed %d: %s" seed q) Filter_prop.gen)
+    (fun (seed, q) ->
+      with_db @@ fun db ->
+      Filter_prop.setup db seed;
+      let legacy = outcome ~config:P.legacy_config db q in
+      List.iter
+        (fun run ->
+          let planned = outcome db q in
+          if not (same_outcome planned legacy) then
+            QCheck.Test.fail_reportf "query %s (%s) diverged on the %s run:@.opt: %a@.leg: %a" q
+              (P.explain db q) run pp_outcome planned pp_outcome legacy)
+        [ "first"; "cached" ];
+      true)
+
 (* --- POOL-level graph builtins under both engines ---------------------- *)
 
 let test_pool_graph_builtins () =
@@ -769,5 +986,14 @@ let () =
         [
           QCheck_alcotest.to_alcotest test_plan_vs_legacy;
           Alcotest.test_case "graph builtins" `Quick test_pool_graph_builtins;
+        ] );
+      ( "scan filters",
+        [
+          Alcotest.test_case "EXPLAIN lists the filters" `Quick test_filter_explain;
+          Alcotest.test_case "no filter before a later per-row source" `Quick
+            test_filter_later_source;
+          Alcotest.test_case "no narrowing past a raising conjunct" `Quick
+            test_no_narrowing_past_a_raising_conjunct;
+          QCheck_alcotest.to_alcotest test_filter_vs_legacy;
         ] );
     ]
