@@ -124,20 +124,33 @@ let spawn_server what ~slots serve =
 open Bechamel
 open Toolkit
 
-let run_bechamel (test : Test.t) : (string * float) list =
+(* The OLS estimate per run of [instance] for each test, by test name. *)
+let per_run instance raw_results =
   let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~stabilize:false () in
-  let raw_results = Benchmark.all cfg instances test in
-  let results = Analyze.all ols Instance.monotonic_clock raw_results in
   Hashtbl.fold
     (fun name ols acc ->
-      let est =
-        match Analyze.OLS.estimates ols with Some (e :: _) -> e | _ -> Float.nan
-      in
-      (name, est /. 1e6 (* ns -> ms *)) :: acc)
-    results []
+      let est = match Analyze.OLS.estimates ols with Some (e :: _) -> e | _ -> Float.nan in
+      (name, est) :: acc)
+    (Analyze.all ols instance raw_results)
+    []
   |> List.sort compare
+
+let bechamel_measure instances test =
+  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~stabilize:false () in
+  Benchmark.all cfg instances test
+
+(* ms per run of each test *)
+let run_bechamel (test : Test.t) : (string * float) list =
+  per_run Instance.monotonic_clock (bechamel_measure Instance.[ monotonic_clock ] test)
+  |> List.map (fun (name, ns) -> (name, ns /. 1e6))
+
+(* ms and minor-heap words per run of each test, from the same runs *)
+let run_bechamel_words (test : Test.t) : (string * float * float) list =
+  let raw = bechamel_measure Instance.[ monotonic_clock; minor_allocated ] test in
+  List.map2
+    (fun (name, ns) (_, words) -> (name, ns /. 1e6, words))
+    (per_run Instance.monotonic_clock raw)
+    (per_run Instance.minor_allocated raw)
 
 let print_two_column_table ~title ~unit rows =
   Printf.printf "\n== %s ==\n" title;
@@ -498,6 +511,12 @@ let bench_micro () =
   let payload = String.make 128 'p' in
   let preloaded = Array.init 1000 (fun _ -> Pstore.Store.fresh_oid store) in
   Array.iter (fun oid -> Pstore.Store.put store ~oid payload) preloaded;
+  (* the write path on a store the size of OO7 small x400's *)
+  let bpath = tmp_path "micro_big" in
+  let big = Pstore.Store.open_ bpath in
+  for _ = 1 to 40_000 do
+    Pstore.Store.put big ~oid:(Pstore.Store.fresh_oid big) payload
+  done;
   let ppath = tmp_path "micro_pool" in
   let db = Database.open_ ppath in
   ignore (Database.define_class db "Item" [ Meta.attr "v" Value.TInt ]);
@@ -518,18 +537,27 @@ let bench_micro () =
           (Staged.stage (fun () ->
                cursor := (!cursor + 1) mod 1000;
                Pstore.Store.put store ~oid:preloaded.(!cursor) payload));
+        Test.make ~name:"store_insert_delete"
+          (Staged.stage (fun () ->
+               let oid = Pstore.Store.fresh_oid big in
+               Pstore.Store.put big ~oid payload;
+               ignore (Pstore.Store.delete big ~oid)));
         Test.make ~name:"obj_create"
           (Staged.stage (fun () -> ignore (Database.create db "Scratch" [ ("v", Value.VInt 0) ])));
         Test.make ~name:"pool_parse" (Staged.stage (fun () -> ignore (Pool_lang.Parser.parse q)));
         Test.make ~name:"pool_query" (Staged.stage (fun () -> ignore (Pool_lang.Pool.query db q)));
       ]
   in
-  let results = run_bechamel tests in
+  let results = run_bechamel_words tests in
   Printf.printf "\n== Micro-benchmarks ==\n";
-  List.iter (fun (name, ms) -> Printf.printf "%-24s %12.6f ms\n" name ms) results;
+  List.iter
+    (fun (name, ms, words) -> Printf.printf "%-28s %12.6f ms %10.1f minor words\n" name ms words)
+    results;
   Database.close db;
   Pstore.Store.close store;
+  Pstore.Store.close big;
   cleanup spath;
+  cleanup bpath;
   cleanup ppath
 
 (* ------------------------------------------------------------------ *)

@@ -213,7 +213,10 @@ val synonym_set : t -> int -> Pmodel.Database.OidSet.t
 
 val create_index : t -> string -> string -> unit
 (** [create_index t "Person" "name"]: secondary index used by POOL
-    equality probes; maintained on update, covers subclasses. *)
+    equality probes; maintained on update, covers subclasses.  Raises
+    [Model_error] unless the class declares the attribute and, on a
+    relationship class, it is not an endpoint ([origin], [destination],
+    [context]). *)
 
 val drop_index : t -> string -> string -> unit
 

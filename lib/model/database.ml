@@ -912,7 +912,18 @@ let synonym_set t a : OidSet.t =
 (* Secondary indexes (index layer, thesis 6.1.4)                           *)
 (* ---------------------------------------------------------------------- *)
 
+(* An index keys each object by its stored [Obj.get o attr], so it can
+   only serve an attribute POOL reads that way.  It cannot serve a
+   relationship endpoint ([origin], [destination] and [context] are not
+   stored attributes) nor a role-inherited attribute (read through
+   {!get_attr}'s fallback on objects whose class does not declare it):
+   an index on either would answer from stored nulls. *)
 let create_index t class_name attr =
+  if not (Meta.has_attr t.schema class_name attr) then
+    fail "create_index: class %s does not declare attribute %s" class_name attr;
+  if Meta.is_rel t.schema class_name && List.mem attr [ "origin"; "destination"; "context" ] then
+    fail "create_index: %s.%s names a relationship endpoint, not a stored attribute" class_name
+      attr;
   let key = (class_name, attr) in
   if not (Hashtbl.mem t.indexes key) then begin
     let table = ref ValueMap.empty in

@@ -81,20 +81,20 @@ let upper_bound_internal b key =
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if Int64.compare key (i_key b mid) < 0 then hi := mid else lo := mid + 1
+    if key < i_key b mid then hi := mid else lo := mid + 1
   done;
   !lo
 
-(* Position of key in leaf, or insertion point.  Returns (idx, found). *)
-let leaf_search b key =
-  let n = nkeys b in
-  let lo = ref 0 and hi = ref n in
+(* Position of key in leaf, or insertion point. *)
+let leaf_lower_bound b key =
+  let lo = ref 0 and hi = ref (nkeys b) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if Int64.compare (l_key b mid) key < 0 then lo := mid + 1 else hi := mid
+    if l_key b mid < key then lo := mid + 1 else hi := mid
   done;
-  let i = !lo in
-  (i, i < n && Int64.equal (l_key b i) key)
+  !lo
+
+let leaf_has b i key = i < nkeys b && Int64.equal (l_key b i) key
 
 (* --- lifecycle -------------------------------------------------------- *)
 
@@ -125,8 +125,8 @@ let find t (key : int64) : Heap.rid option =
   let rec go page =
     let b = t.read page in
     if is_leaf b then begin
-      let i, found = leaf_search b key in
-      if found then Some (l_get b i) else None
+      let i = leaf_lower_bound b key in
+      if leaf_has b i key then Some (l_get b i) else None
     end
     else go (i_child b (upper_bound_internal b key))
   in
@@ -199,8 +199,8 @@ let insert t (key : int64) (rid : Heap.rid) : unit =
     let b = t.read page in
     if is_leaf b then begin
       Pager.with_write (wpager t) page (fun b ->
-          let i, found = leaf_search b key in
-          if found then l_set b i key rid
+          let i = leaf_lower_bound b key in
+          if leaf_has b i key then l_set b i key rid
           else begin
             let n = nkeys b in
             if n - i > 0 then l_blit b i (i + 1) (n - i);
@@ -229,8 +229,8 @@ let delete t (key : int64) : bool =
   let rec go page =
     let b = t.read page in
     if is_leaf b then begin
-      let i, found = leaf_search b key in
-      if found then begin
+      let i = leaf_lower_bound b key in
+      if leaf_has b i key then begin
         Pager.with_write (wpager t) page (fun b ->
             let n = nkeys b in
             if n - i - 1 > 0 then l_blit b (i + 1) i (n - i - 1);

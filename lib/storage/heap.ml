@@ -46,21 +46,76 @@ let dead_off = 0xFFFF
     free-page list in the header). *)
 type page_alloc = { alloc_page : unit -> int; free_page : int -> unit }
 
+(** In-memory free-space map: a max tree over page numbers.  Leaf
+    [cap + p] holds heap page [p]'s reclaimable free bytes (0 for pages
+    the map has not seen, which count as full); each inner node holds
+    the larger of its two children.  Setting a page and finding the
+    lowest page with at least [n] free bytes both walk one root-to-leaf
+    path: O(log pages), allocation-free except when the tree doubles. *)
+module Space = struct
+  type t = { mutable cap : int; mutable tree : int array }
+
+  let create () = { cap = 1; tree = Array.make 2 0 }
+
+  let grow s page =
+    let cap = ref s.cap in
+    while !cap <= page do
+      cap := 2 * !cap
+    done;
+    let cap = !cap and old = s.tree in
+    let tree = Array.make (2 * cap) 0 in
+    Array.blit old s.cap tree cap s.cap;
+    for i = cap - 1 downto 1 do
+      tree.(i) <- max tree.(2 * i) tree.((2 * i) + 1)
+    done;
+    s.cap <- cap;
+    s.tree <- tree
+
+  let set s page free =
+    if page >= s.cap then grow s page;
+    let tree = s.tree in
+    let i = ref (s.cap + page) in
+    tree.(!i) <- free;
+    while !i > 1 do
+      i := !i / 2;
+      tree.(!i) <- max tree.(2 * !i) tree.((2 * !i) + 1)
+    done
+
+  (** The lowest page with at least [need] free bytes, or -1. *)
+  let first_fit s need =
+    let tree = s.tree in
+    if tree.(1) < need then -1
+    else begin
+      let i = ref 1 in
+      while !i < s.cap do
+        i := if tree.(2 * !i) >= need then 2 * !i else (2 * !i) + 1
+      done;
+      !i - s.cap
+    end
+end
+
 type t = {
   pager : Pager.t option; (* [None] for read-only snapshot heaps *)
   read : int -> Bytes.t; (* all read paths go through this seam *)
   pa : page_alloc;
-  (* In-memory free-space map: page -> free bytes.  Built lazily; pages
-     not present are assumed full.  Survives only for the process
-     lifetime, which merely costs some space reuse across restarts. *)
-  avail : (int, int) Hashtbl.t;
+  (* Free bytes per heap page.  Built lazily from the pages this process
+     writes; pages it has not seen are assumed full, which merely costs
+     some space reuse across restarts. *)
+  space : Space.t;
+  scratch : Bytes.t; (* compaction copy of one page's record area *)
 }
 
 let wpager t =
   match t.pager with Some p -> p | None -> fail "heap: read-only (snapshot)"
 
 let create pager pa =
-  { pager = Some pager; read = Pager.read pager; pa; avail = Hashtbl.create 256 }
+  {
+    pager = Some pager;
+    read = Pager.read pager;
+    pa;
+    space = Space.create ();
+    scratch = Bytes.create Pager.page_size;
+  }
 
 (** A read-only heap over an arbitrary page source (a frozen pager
     snapshot).  Mutators raise {!Heap_error}. *)
@@ -70,7 +125,8 @@ let create_reader ~(read : int -> Bytes.t) =
     pager = None;
     read;
     pa = { alloc_page = (fun () -> ro 0); free_page = ro };
-    avail = Hashtbl.create 1;
+    space = Space.create ();
+    scratch = Bytes.empty;
   }
 
 (* --- page accessors ------------------------------------------------- *)
@@ -82,7 +138,8 @@ let set_free_start b v = Bytes.set_uint16_le b 3 v
 let get_free_end b = Bytes.get_uint16_le b 5
 let set_free_end b v = Bytes.set_uint16_le b 5 v
 let slot_pos i = Pager.page_capacity - (slot_size * (i + 1))
-let get_slot b i = (Bytes.get_uint16_le b (slot_pos i), Bytes.get_uint16_le b (slot_pos i + 2))
+let slot_off b i = Bytes.get_uint16_le b (slot_pos i)
+let slot_len b i = Bytes.get_uint16_le b (slot_pos i + 2)
 
 let set_slot b i ~off ~len =
   Bytes.set_uint16_le b (slot_pos i) off;
@@ -105,8 +162,7 @@ let page_total_free b =
   let nslots = get_nslots b in
   let live = ref 0 in
   for i = 0 to nslots - 1 do
-    let off, len = get_slot b i in
-    if off <> dead_off then live := !live + (len land lnot len_blob_flag)
+    if slot_off b i <> dead_off then live := !live + (slot_len b i land lnot len_blob_flag)
   done;
   Pager.page_capacity - header_size - (slot_size * nslots) - !live
 
@@ -166,46 +222,42 @@ let free_blob t first =
 
 (* --- slotted page operations ---------------------------------------- *)
 
-(* Compact a heap page in place: repack live records to remove holes. *)
-let compact_page b =
-  let nslots = get_nslots b in
-  let live = ref [] in
-  for i = 0 to nslots - 1 do
-    let off, len = get_slot b i in
-    let real_len = len land lnot len_blob_flag in
-    if off <> dead_off then live := (i, off, len, real_len) :: !live
-  done;
-  (* copy live records into a scratch buffer, then repack *)
-  let scratch =
-    List.map (fun (i, off, len, real_len) -> (i, len, Bytes.sub b off real_len)) !live
-  in
+(* Compact a heap page in place: repack live records, in slot order, to
+   remove holes.  The record area is copied to [scratch] first. *)
+let compact_page ~scratch b =
+  Bytes.blit b 0 scratch 0 (get_free_start b);
   let pos = ref header_size in
-  List.iter
-    (fun (i, len, data) ->
-      Bytes.blit data 0 b !pos (Bytes.length data);
+  for i = 0 to get_nslots b - 1 do
+    let off = slot_off b i in
+    if off <> dead_off then begin
+      let len = slot_len b i in
+      let real_len = len land lnot len_blob_flag in
+      Bytes.blit scratch off b !pos real_len;
       set_slot b i ~off:!pos ~len;
-      pos := !pos + Bytes.length data)
-    (List.rev scratch);
+      pos := !pos + real_len
+    end
+  done;
   set_free_start b !pos
 
-(* Find a slot index to reuse (dead) or append a new one. Returns
-   (slot_index, extra_space_needed_for_slot_array). *)
-let find_slot b =
+(* The first slot that is live ([~live:true]) or dead, or [nslots] if
+   there is none. *)
+let first_slot b ~live =
   let nslots = get_nslots b in
-  let rec find i = if i >= nslots then None else
-      let off, _ = get_slot b i in
-      if off = dead_off then Some i else find (i + 1)
-  in
-  match find 0 with Some i -> (i, 0) | None -> (nslots, slot_size)
+  let i = ref 0 in
+  while !i < nslots && (slot_off b !i <> dead_off) <> live do
+    incr i
+  done;
+  !i
 
 let insert_into_page t page (payload : string) (len_field : int) : rid =
   let slot_ref = ref (-1) in
   Pager.with_write (wpager t) page (fun b ->
       let need = String.length payload in
-      let slot, extra = find_slot b in
+      let slot = first_slot b ~live:false (* reuse a dead slot, or append *) in
+      let extra = if slot = get_nslots b then slot_size else 0 in
       if page_total_free b < need + extra then fail "insert_into_page: no space";
       (* ensure contiguous space *)
-      if page_contiguous_free b < need + extra then compact_page b;
+      if page_contiguous_free b < need + extra then compact_page ~scratch:t.scratch b;
       let off = get_free_start b in
       Bytes.blit_string payload 0 b off need;
       set_free_start b (off + need);
@@ -215,27 +267,20 @@ let insert_into_page t page (payload : string) (len_field : int) : rid =
       end;
       set_slot b slot ~off ~len:len_field;
       slot_ref := slot;
-      Hashtbl.replace t.avail page (page_total_free b));
+      Space.set t.space page (page_total_free b));
   { page; slot = !slot_ref }
 
+(* First fit: the lowest-numbered page known to have room for the record
+   and a new slot, else a fresh page. *)
 let find_page_with_space t need =
-  let found = ref None in
-  (try
-     Hashtbl.iter
-       (fun page free ->
-         if free >= need + slot_size then begin
-           found := Some page;
-           raise Exit
-         end)
-       t.avail
-   with Exit -> ());
-  match !found with
-  | Some p -> p
-  | None ->
-      let p = t.pa.alloc_page () in
-      Pager.with_write (wpager t) p (fun b -> init_heap_page b);
-      Hashtbl.replace t.avail p (Pager.page_capacity - header_size);
-      p
+  let p = Space.first_fit t.space (need + slot_size) in
+  if p >= 0 then p
+  else begin
+    let p = t.pa.alloc_page () in
+    Pager.with_write (wpager t) p (fun b -> init_heap_page b);
+    Space.set t.space p (Pager.page_capacity - header_size);
+    p
+  end
 
 (* --- public record operations --------------------------------------- *)
 
@@ -263,7 +308,7 @@ let get t (r : rid) : string =
   let b = t.read r.page in
   if Bytes.get_uint8 b 0 <> kind_heap then fail "rid %a points to non-heap page" pp_rid r;
   if r.slot >= get_nslots b then fail "rid %a: slot out of range" pp_rid r;
-  let off, len = get_slot b r.slot in
+  let off = slot_off b r.slot and len = slot_len b r.slot in
   if off = dead_off then fail "rid %a: dead slot" pp_rid r;
   if len land len_blob_flag <> 0 then begin
     (* decode the 8-byte blob pointer in place; this is the record-fetch
@@ -277,26 +322,21 @@ let get t (r : rid) : string =
 let delete t (r : rid) : unit =
   Pager.with_write (wpager t) r.page (fun b ->
       if Bytes.get_uint8 b 0 <> kind_heap then fail "delete %a: non-heap page" pp_rid r;
-      let off, len = get_slot b r.slot in
+      let off = slot_off b r.slot in
       if off = dead_off then fail "delete %a: dead slot" pp_rid r;
-      if len land len_blob_flag <> 0 then begin
+      if slot_len b r.slot land len_blob_flag <> 0 then begin
         let first = Int32.to_int (Bytes.get_int32_le b off) land 0xffffffff in
         free_blob t first
       end;
       set_slot b r.slot ~off:dead_off ~len:0;
       (* If this was the last record we can reset the page cheaply. *)
-      let any_live = ref false in
-      for i = 0 to get_nslots b - 1 do
-        let o, _ = get_slot b i in
-        if o <> dead_off then any_live := true
-      done;
-      if not !any_live then init_heap_page b;
-      Hashtbl.replace t.avail r.page (page_total_free b))
+      if first_slot b ~live:true = get_nslots b then init_heap_page b;
+      Space.set t.space r.page (page_total_free b))
 
 (** Update record [r] with [data]; returns the (possibly new) rid. *)
 let update t (r : rid) (data : string) : rid =
   let b = t.read r.page in
-  let off, len = get_slot b r.slot in
+  let off = slot_off b r.slot and len = slot_len b r.slot in
   if off = dead_off then fail "update %a: dead slot" pp_rid r;
   let is_blob = len land len_blob_flag <> 0 in
   let new_len = String.length data in
@@ -305,7 +345,7 @@ let update t (r : rid) (data : string) : rid =
     Pager.with_write (wpager t) r.page (fun b ->
         Bytes.blit_string data 0 b off new_len;
         set_slot b r.slot ~off ~len:new_len;
-        Hashtbl.replace t.avail r.page (page_total_free b));
+        Space.set t.space r.page (page_total_free b));
     r
   end
   else begin
@@ -330,7 +370,7 @@ let validate_page t page =
     fail "validate: page %d free_end %d inconsistent with %d slots" page fe nslots;
   if fe < fs then fail "validate: page %d slot array overlaps records" page;
   for i = 0 to nslots - 1 do
-    let off, len = get_slot b i in
+    let off = slot_off b i and len = slot_len b i in
     if off <> dead_off then begin
       let real = len land lnot len_blob_flag in
       if len land len_blob_flag <> 0 && real <> blob_ptr_len then
@@ -346,6 +386,5 @@ let iter_page t page (f : rid -> string -> unit) =
   let b = t.read page in
   if Bytes.get_uint8 b 0 = kind_heap then
     for i = 0 to get_nslots b - 1 do
-      let off, _ = get_slot b i in
-      if off <> dead_off then f { page; slot = i } (get t { page; slot = i })
+      if slot_off b i <> dead_off then f { page; slot = i } (get t { page; slot = i })
     done

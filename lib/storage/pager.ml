@@ -21,10 +21,11 @@
     writeback sorts dirty pages and merges contiguous runs into single
     extent writes; before-image frames are encoded in place into a
     reusable group buffer and land with one write + one fsync per sync
-    point; eviction picks victims from an O(log n) LRU map instead of
-    sorting the whole cache; and a dirty counter lets [begin_tx] skip
-    its checkpoint flush/fsync when the cache is already clean (the
-    common case right after a commit).
+    point; eviction takes victims from the head of an intrusive LRU
+    list, where a touch relinks one page in O(1) and allocates nothing;
+    and a dirty counter lets [begin_tx] skip its checkpoint flush/fsync
+    when the cache is already clean (the common case right after a
+    commit).
 
     All file I/O goes through a {!Vfs.t} (defaulting to {!Vfs.unix}),
     so the crash-recovery protocol can be proven correct under the
@@ -213,8 +214,16 @@ type page = {
   no : int;
   data : Bytes.t;
   mutable dirty : bool;
-  mutable lru : int; (* last-touch tick, for eviction *)
+  mutable prev : page; (* LRU list neighbours: towards the oldest page *)
+  mutable next : page; (* ... and towards the newest; [nil] when unlinked *)
 }
+
+(* The "not in the LRU list" marker.  Each pager's list is circular
+   through its own sentinel page; a page off the list (page 0, which is
+   pinned, or one dropped from the cache) points at [nil] both ways. *)
+let rec nil = { no = -1; data = Bytes.empty; dirty = false; prev = nil; next = nil }
+
+let new_page no data = { no; data; dirty = false; prev = nil; next = nil }
 
 (* ------------------------------------------------------------------ *)
 (* Page checksum helpers                                               *)
@@ -246,11 +255,6 @@ let verify_image ~page (b : Bytes.t) =
     Pobs.Metrics.inc m_page_corrupt;
     raise (Page_corrupt { page; expected; got })
   end
-
-(* LRU index: last-touch tick -> page.  Ticks are strictly increasing,
-   so every cached page (except pinned page 0) owns exactly one key and
-   eviction victims are the smallest bindings. *)
-module Lru = Map.Make (Int)
 
 (* MVCC version store: page number -> versions, newest first, each a
    [(created_lsn, image)] pair.  The map is immutable and swapped
@@ -296,8 +300,10 @@ type t = {
          (reverted or checkpointed) on-disk content harmlessly. *)
   cache : (int, page) Hashtbl.t;
   mutable cache_cap : int;
-  mutable tick : int;
-  mutable lru_map : page Lru.t;
+  lru : page;
+      (* sentinel of the LRU list: [lru.next] is the least recently
+         touched cached page, [lru.prev] the most recent.  Every cached
+         page except pinned page 0 is on it exactly once. *)
   mutable dirty_list : page list;
       (* pages that turned dirty since the last flush; entries whose
          page was cleaned in the meantime (eviction writeback) are
@@ -540,13 +546,24 @@ let journal_read_frames ~(vfs : Vfs.t) path =
 (* Cache management                                                    *)
 (* ------------------------------------------------------------------ *)
 
+let lru_unlink (p : page) =
+  if p.next != nil then begin
+    p.prev.next <- p.next;
+    p.next.prev <- p.prev;
+    p.prev <- nil;
+    p.next <- nil
+  end
+
+(* Make [p] the most recently used page: O(1), allocation-free. *)
 let touch t (p : page) =
-  t.tick <- t.tick + 1;
-  if p.no <> 0 then begin
-    if p.lru > 0 then t.lru_map <- Lru.remove p.lru t.lru_map;
-    t.lru_map <- Lru.add t.tick p t.lru_map
-  end;
-  p.lru <- t.tick
+  let s = t.lru in
+  if p.no <> 0 && s.prev != p then begin
+    lru_unlink p;
+    p.prev <- s.prev;
+    p.next <- s;
+    s.prev.next <- p;
+    s.prev <- p
+  end
 
 let mark_dirty t (p : page) =
   Hashtbl.replace t.since_commit p.no ();
@@ -627,33 +644,31 @@ let evict_if_needed t =
   if n > t.cache_cap then begin
     (* Evict the ~25% least recently used pages (page 0 is pinned). *)
     let n_evict = max 1 (n / 4) in
-    (* pop the smallest ticks from the LRU map *)
-    let rec take k seq acc =
-      if k = 0 then acc
-      else
-        match seq () with
-        | Seq.Nil -> acc
-        | Seq.Cons ((_, p), rest) -> take (k - 1) rest (p :: acc)
+    (* the oldest pages, from the head of the LRU list *)
+    let rec take k (p : page) acc =
+      if k = 0 || p == t.lru then acc else take (k - 1) p.next (p :: acc)
     in
-    let victims = List.rev (take n_evict (Lru.to_seq t.lru_map) []) in
+    let victims = List.rev (take n_evict t.lru.next []) in
     write_batch t (List.filter (fun p -> p.dirty) victims);
     List.iter
       (fun p ->
         Hashtbl.remove t.cache p.no;
-        t.lru_map <- Lru.remove p.lru t.lru_map;
+        lru_unlink p;
         t.evictions <- t.evictions + 1;
         Pobs.Metrics.inc m_evictions)
       victims
   end
 
+(* [Hashtbl.find] rather than [find_opt]: a hit, the common case,
+   allocates no option. *)
 let load_page t no =
-  match Hashtbl.find_opt t.cache no with
-  | Some p ->
+  match Hashtbl.find t.cache no with
+  | p ->
       touch t p;
       t.hits <- t.hits + 1;
       Pobs.Metrics.inc m_cache_hits;
       p
-  | None ->
+  | exception Not_found ->
       t.misses <- t.misses + 1;
       Pobs.Metrics.inc m_cache_misses;
       let data = Bytes.create page_size in
@@ -668,7 +683,7 @@ let load_page t no =
         if t.verify && not (Hashtbl.mem t.quarantined no) then verify_image ~page:no data
       end
       else Bytes.fill data 0 page_size '\000';
-      let p = { no; data; dirty = false; lru = 0 } in
+      let p = new_page no data in
       Hashtbl.replace t.cache no p;
       touch t p;
       evict_if_needed t;
@@ -737,8 +752,7 @@ let open_file ?(cache_pages = 2048) ?(vfs = Vfs.unix) ?(readonly = false) path =
     since_commit = Hashtbl.create 64;
     cache = Hashtbl.create 1024;
     cache_cap = cache_pages;
-    tick = 0;
-    lru_map = Lru.empty;
+    lru = (let rec s = { no = -1; data = Bytes.empty; dirty = false; prev = s; next = s } in s);
     dirty_list = [];
     dirty_count = 0;
     unsynced_writes = false;
@@ -836,7 +850,7 @@ let quarantine t no =
   | Some p ->
       mark_clean t p;
       Hashtbl.remove t.cache no;
-      if p.lru > 0 then t.lru_map <- Lru.remove p.lru t.lru_map
+      lru_unlink p
   | None -> ());
   Hashtbl.replace t.quarantined no ()
 
@@ -957,7 +971,7 @@ let allocate t : int =
   let no = t.page_count in
   t.page_count <- t.page_count + 1;
   let data = Bytes.make page_size '\000' in
-  let p = { no; data; dirty = false; lru = 0 } in
+  let p = new_page no data in
   Hashtbl.replace t.cache no p;
   touch t p;
   mark_dirty t p;
@@ -1179,7 +1193,7 @@ let soft_abort t =
         match Hashtbl.find_opt t.cache no with
         | Some p -> p
         | None ->
-            let p = { no; data = Bytes.create page_size; dirty = false; lru = 0 } in
+            let p = new_page no (Bytes.create page_size) in
             Hashtbl.replace t.cache no p;
             touch t p;
             p
@@ -1225,7 +1239,8 @@ let abort t =
       t.jfd <- None
   | None -> ());
   Hashtbl.reset t.cache;
-  t.lru_map <- Lru.empty;
+  t.lru.prev <- t.lru;
+  t.lru.next <- t.lru;
   t.dirty_list <- [];
   t.dirty_count <- 0;
   recover_from_journal ~vfs:t.vfs t.path t.journal_path;

@@ -70,6 +70,51 @@ let check_both db ?env q =
 
 (* --- index range / prefix pushdown ------------------------------------ *)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* An index keys objects by their stored attribute, but POOL reads a
+   relationship's endpoints and an object's role-inherited attributes
+   another way.  An index on either once answered [] where the index-free
+   query answered rows.  Each probe must now either be refused at
+   [create_index], naming the class and attribute, or answer what the
+   index-free query answers. *)
+let test_index_only_on_stored_attrs () =
+  with_db @@ fun db ->
+  ignore (Database.define_class db "Person" [ Meta.attr "name" V.TString ]);
+  ignore (Database.define_class db "Tag" [ Meta.attr "label" V.TString ]);
+  ignore
+    (Database.define_rel db "TypeOf" ~origin:"Tag" ~destination:"Person"
+       ~attrs:[ Meta.attr "kind" V.TString ] ~inherited_attrs:[ "kind" ]);
+  let alice = Database.create db "Person" [ ("name", str "alice") ] in
+  let tag = Database.create db "Tag" [ ("label", str "t") ] in
+  ignore (Database.link db "TypeOf" ~origin:tag ~destination:alice ~attrs:[ ("kind", str "holo") ]);
+  let probe cls attr q expected =
+    let before = check_both db q in
+    Alcotest.check value_testable ("index-free " ^ q) expected before;
+    (match Database.create_index db cls attr with
+    | () -> ()
+    | exception Database.Model_error msg ->
+        if not (contains msg cls && contains msg attr) then
+          Alcotest.failf "create_index %s.%s: message %S names neither" cls attr msg);
+    Alcotest.check value_testable ("with the index " ^ q) before (check_both db q)
+  in
+  let typeof = (List.hd (Database.outgoing db ~rel_name:"TypeOf" tag)).Obj.oid in
+  probe "TypeOf" "origin" "select t from TypeOf t where t.origin > 0"
+    (V.VList [ V.VRef typeof ]);
+  probe "Person" "kind" "select p.name from Person p where p.kind = 'holo'"
+    (V.VList [ str "alice" ]);
+  (* declared attributes stay indexable, on object and relationship classes *)
+  Database.create_index db "Person" "name";
+  Database.create_index db "TypeOf" "kind";
+  Alcotest.(check bool) "Person.name indexed" true (Database.has_index db "Person" "name");
+  Alcotest.(check bool) "TypeOf.kind indexed" true (Database.has_index db "TypeOf" "kind");
+  Alcotest.check_raises "unknown class" (Database.Model_error
+    "create_index: class Nope does not declare attribute name") (fun () ->
+      Database.create_index db "Nope" "name")
+
 let test_range_pushdown () =
   with_db @@ fun db ->
   let _ = setup db in
@@ -949,6 +994,8 @@ let () =
           Alcotest.test_case "prefix null error semantics" `Quick
             test_prefix_null_error_semantics;
           Alcotest.test_case "probe respects shadowing" `Quick test_probe_respects_shadowing;
+          Alcotest.test_case "index only on stored attributes" `Quick
+            test_index_only_on_stored_attrs;
         ] );
       ( "joins",
         [
