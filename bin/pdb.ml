@@ -153,12 +153,11 @@ let stats_cmd =
           s.Pstore.Store.snapshots s.Pstore.Store.pinned_versions s.Pstore.Store.snapshot_reads;
         let q = Pool_lang.Pool.stats db in
         Printf.printf
-          "index probes  %d\nrange scans   %d\nhash joins    %d\nextent scans  %d\nplan hits     %d\nplan misses   %d\ninv evals     %d\ninv reuses    %d\nadj rebuilds  %d\nadj patches   %d\n"
+          "index probes  %d\nrange scans   %d\nhash joins    %d\nextent scans  %d\nplan hits     %d\nplan misses   %d\ninv evals     %d\ninv reuses    %d\n"
           q.Pool_lang.Eval.index_probes q.Pool_lang.Eval.range_scans q.Pool_lang.Eval.hash_joins
           q.Pool_lang.Eval.extent_scans q.Pool_lang.Eval.plan_cache_hits
           q.Pool_lang.Eval.plan_cache_misses q.Pool_lang.Eval.invariant_evals
-          q.Pool_lang.Eval.invariant_reuses q.Pool_lang.Eval.adjacency_rebuilds
-          q.Pool_lang.Eval.adjacency_patches)
+          q.Pool_lang.Eval.invariant_reuses)
   in
   let run file url =
     match (url, file) with

@@ -261,7 +261,6 @@ val views : t -> (string * string) list
 val descendants :
   t ->
   ?context:int ->
-  ?csr:bool ->
   ?min_depth:int ->
   ?max_depth:int ->
   rel:string ->
@@ -271,14 +270,13 @@ val descendants :
 val ancestors :
   t ->
   ?context:int ->
-  ?csr:bool ->
   ?min_depth:int ->
   ?max_depth:int ->
   rel:string ->
   int ->
   Pmodel.Database.OidSet.t
 
-val closure : t -> ?context:int -> ?csr:bool -> rel:string -> int -> Pmodel.Database.OidSet.t
-val subgraph : t -> ?context:int -> ?csr:bool -> rel:string -> int -> Pgraph.Subgraph.t
+val closure : t -> ?context:int -> rel:string -> int -> Pmodel.Database.OidSet.t
+val subgraph : t -> ?context:int -> rel:string -> int -> Pgraph.Subgraph.t
 val subgraph_of_context : t -> rel:string -> int -> Pgraph.Subgraph.t
 val copy_subgraph : t -> Pgraph.Subgraph.t -> into:int -> int list

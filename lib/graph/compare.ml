@@ -23,28 +23,35 @@ type report = {
   agreement : float; (* fraction of shared leaves with matching parents, 0..1 *)
 }
 
-(* Leaf tests are set-based, so they can run off the CSR snapshot;
-   [parent_in] stays on the mirror walk because it observes list
-   *order* (first parent), which the snapshot does not preserve. *)
-let is_leaf db ?csr ~rel ctx n : bool =
-  if Traverse.use_csr csr then not (Csr.has_out (Csr.get (Csr.handle db) ~context:ctx ~rel ()) n)
-  else Traverse.children db ~context:ctx ~rel n = []
+let is_leaf db ~rel ctx : int -> bool =
+  let n_out = Database.count_targets db ~context:ctx ~rel_name:rel in
+  fun n -> n_out n = 0
 
-let leaves_of db ?csr ~rel ctx : OidSet.t =
-  let nodes = Traverse.nodes_of_context db ~rel ctx in
-  OidSet.filter (fun n -> is_leaf db ?csr ~rel ctx n) nodes
+let leaves_of db ~rel ctx : OidSet.t =
+  OidSet.filter (is_leaf db ~rel ctx) (Traverse.nodes_of_context db ~rel ctx)
 
 let parent_in db ~rel ctx leaf : int option =
   match Traverse.parents db ~context:ctx ~rel leaf with p :: _ -> Some p | [] -> None
 
 (** Leaf set below [node] (the node itself when it is a leaf). *)
-let leafset db ?csr ~rel ctx node : OidSet.t =
-  let clo = Traverse.closure db ~context:ctx ?csr ~rel node in
-  OidSet.filter (fun n -> is_leaf db ?csr ~rel ctx n) clo
+let leafset db ~rel ctx node : OidSet.t =
+  OidSet.filter (is_leaf db ~rel ctx) (Traverse.closure db ~context:ctx ~rel node)
 
-let compare_contexts db ?csr ~rel ~ctx_a ~ctx_b () : report =
-  let la = leaves_of db ?csr ~rel ctx_a in
-  let lb = leaves_of db ?csr ~rel ctx_b in
+(* A context's leaves, its internal nodes, and each internal node's
+   leaf set, computed once *)
+let leaf_table db ~rel ctx =
+  let leaf = is_leaf db ~rel ctx in
+  let leaves, internal = OidSet.partition leaf (Traverse.nodes_of_context db ~rel ctx) in
+  let sets = Hashtbl.create (OidSet.cardinal internal) in
+  OidSet.iter
+    (fun n ->
+      Hashtbl.replace sets n (OidSet.filter leaf (Traverse.closure db ~context:ctx ~rel n)))
+    internal;
+  (leaves, internal, Hashtbl.find sets)
+
+let compare_contexts db ~rel ~ctx_a ~ctx_b () : report =
+  let la, ia, set_a = leaf_table db ~rel ctx_a in
+  let lb, ib, set_b = leaf_table db ~rel ctx_b in
   let shared = OidSet.inter la lb in
   let only_in_a = OidSet.diff la lb in
   let only_in_b = OidSet.diff lb la in
@@ -56,30 +63,21 @@ let compare_contexts db ?csr ~rel ~ctx_a ~ctx_b () : report =
             (* parents are distinct objects across contexts only when the
                classifications use distinct group objects; when groups are
                shared, equality is direct.  Either way compare by leafset
-               to stay objective. *)
-            if
-              pa = pb
-              || OidSet.equal (leafset db ?csr ~rel ctx_a pa) (leafset db ?csr ~rel ctx_b pb)
-            then (moved, same + 1)
+               to stay objective.  A parent has an edge to the leaf, so
+               it is internal. *)
+            if pa = pb || OidSet.equal (set_a pa) (set_b pb) then (moved, same + 1)
             else ((leaf, pa, pb) :: moved, same)
         | _ -> (moved, same))
       shared ([], 0)
   in
   (* group-level agreement: pairs of internal nodes with equal leaf sets *)
-  let internal ctx =
-    OidSet.filter
-      (fun n -> not (is_leaf db ?csr ~rel ctx n))
-      (Traverse.nodes_of_context db ~rel ctx)
-  in
-  let ia = internal ctx_a and ib = internal ctx_b in
   let agreeing_groups =
     OidSet.fold
       (fun ga acc ->
-        let sa = leafset db ?csr ~rel ctx_a ga in
+        let sa = set_a ga in
         OidSet.fold
           (fun gb acc ->
-            if (not (OidSet.is_empty sa)) && OidSet.equal sa (leafset db ?csr ~rel ctx_b gb) then
-              (ga, gb) :: acc
+            if (not (OidSet.is_empty sa)) && OidSet.equal sa (set_b gb) then (ga, gb) :: acc
             else acc)
           ib acc)
       ia []

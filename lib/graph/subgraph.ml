@@ -18,40 +18,21 @@ let node_count g = OidSet.cardinal g.nodes
 let edge_count g = List.length g.edges
 
 (** Extract the subgraph reachable from [root] through [rel] edges
-    (restricted to [context] if given).  Includes the root. *)
-let extract db ?context ?csr ~rel root : t =
-  if Traverse.use_csr csr then begin
-    let s = Csr.get (Csr.handle db) ?context ~rel () in
-    let nodes = Csr.descendants s ~min_depth:0 root in
-    { nodes; edges = Csr.closure_edges s nodes }
-  end
-  else begin
-    let nodes = Traverse.closure db ?context ~csr:false ~rel root in
-    let edges =
-      OidSet.fold
-        (fun n acc ->
-          List.fold_left
-            (fun acc (r : Obj.t) ->
-              if OidSet.mem (Obj.destination r) nodes then r.Obj.oid :: acc else acc)
-            acc
-            (Database.outgoing db ?context ~rel_name:rel n))
-        nodes []
-    in
-    { nodes; edges }
-  end
+    (restricted to [context] if given).  Includes the root; edges
+    ascend by oid.  The closure is closed under outgoing edges, so its
+    edges are exactly its nodes' outgoing ones. *)
+let extract db ?context ~rel root : t =
+  let nodes = Traverse.closure db ?context ~rel root in
+  let hop = Database.iter_targets db ?context ~rel_name:rel in
+  let edges = ref [] in
+  let add _ edge = edges := edge :: !edges in
+  OidSet.iter (fun n -> hop n add) nodes;
+  { nodes; edges = List.sort Int.compare !edges }
 
 (** The full graph of a classification context. *)
 let of_context db ~rel ctx : t =
-  let nodes = Traverse.nodes_of_context db ~rel ctx in
-  let edges =
-    List.filter_map
-      (fun (r : Obj.t) ->
-        if Meta.is_subclass (Database.schema db) ~sub:r.Obj.class_name ~super:rel then
-          Some r.Obj.oid
-        else None)
-      (Database.context_rels db ctx)
-  in
-  { nodes; edges }
+  let edges = Traverse.context_edges db ~rel ctx in
+  { nodes = Traverse.endpoints edges; edges = List.map (fun (r : Obj.t) -> r.Obj.oid) edges }
 
 (** Copy all edges of [g] into classification context [into]: the
     nodes are shared (classification is orthogonal to the classified

@@ -38,8 +38,7 @@ let schema_oid = 1 (* reserved oid holding the serialised schema *)
 let synonym_class = "__synonym"
 
 (** Layer-private state attached to the database record itself (the
-    query layer's plan cache and counters, the graph layer's CSR
-    snapshot managers).  Extensible so upper layers can store their own
+    query layer's plan cache and counters).  Extensible so upper layers can store their own
     types without this module depending on them; each layer declares a
     constructor and files it under its own key via {!ext_set}.  Living
     on the record, the state shares the database's lifetime exactly —
@@ -415,8 +414,8 @@ let commit t =
   else t.tx_depth <- t.tx_depth - 1
 
 (* After the store rolled back: resynchronise the mirror, then tell
-   [On_abort] subscribers (the graph layer's CSR snapshots, the rules
-   engine's deferred queue) that state they derived may be gone. *)
+   [On_abort] subscribers (the rules engine's deferred queue) that
+   state they derived may be gone. *)
 let rolled_back t =
   rebuild_mirror t;
   Hashtbl.reset t.touched;
@@ -608,6 +607,15 @@ let collect_far adj ids ctx_filter oid =
   done;
   !acc
 
+(* [f far rel] for each matching edge at [oid], in the order of the
+   lists {!collect_far} builds.  (Those lists are consed in ascending
+   order: built on this walk they would need a [List.rev].) *)
+let iter_far adj ids ctx_filter oid f =
+  let a = Adj.find adj oid in
+  for i = Adj.count a - 1 downto 0 do
+    if Adj.matches a i ids ctx_filter then f (Adj.far a i) (Adj.rel_at a i)
+  done
+
 let count_edges adj ids ctx_filter oid =
   let a = Adj.find adj oid in
   let n = ref 0 in
@@ -643,6 +651,29 @@ let targets t ?context ~rel_name origin : int list =
 (** Origins of {!incoming}, in the same order. *)
 let sources t ?context ~rel_name destination : int list =
   collect_far t.in_adj (Meta.rel_sub_ids t.schema rel_name) (Adj.filter_key context) destination
+
+(** [iter_targets t ?context ~rel_name] resolves the class and context
+    filter once and returns the hop [fun origin f -> ...], which calls
+    [f destination rel_oid] on each matching outgoing edge in
+    {!targets} order and allocates nothing: the traversals' step. *)
+let iter_targets t ?context ~rel_name =
+  let ids = Meta.rel_sub_ids t.schema rel_name and ctx = Adj.filter_key context in
+  fun origin f -> iter_far t.out_adj ids ctx origin f
+
+(** Incoming hop, symmetric: [f origin rel_oid] in {!sources} order. *)
+let iter_sources t ?context ~rel_name =
+  let ids = Meta.rel_sub_ids t.schema rel_name and ctx = Adj.filter_key context in
+  fun destination f -> iter_far t.in_adj ids ctx destination f
+
+(** [count_targets t ?context ~rel_name] is the count of matching
+    outgoing edges at an origin, resolved like {!iter_targets}. *)
+let count_targets t ?context ~rel_name =
+  let ids = Meta.rel_sub_ids t.schema rel_name and ctx = Adj.filter_key context in
+  fun origin -> count_edges t.out_adj ids ctx origin
+
+let count_sources t ?context ~rel_name =
+  let ids = Meta.rel_sub_ids t.schema rel_name and ctx = Adj.filter_key context in
+  fun destination -> count_edges t.in_adj ids ctx destination
 
 (** All relationship instances touching [oid]: the outgoing ones, then
     the incoming ones (a self-link appears in both). *)

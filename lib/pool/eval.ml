@@ -9,8 +9,8 @@
     Query optimisation (thesis 6.1.5): under {!default_config} each
     select is compiled to a physical {!Plan.t} — index probes, ordered
     range / LIKE-prefix scans, scan filters, hash joins for multi-range
-    queries — and graph builtins walk {!Pgraph.Csr} adjacency
-    snapshots.  Access paths and filters only ever narrow the candidate
+    queries.  Graph builtins walk the mirror's adjacency under both
+    engines.  Access paths and filters only ever narrow the candidate
     set (in the same ascending oid order the extent scan uses), only
     by rows the interpreter rejects without raising, and the full WHERE
     clause is still evaluated per row, so results are bit-identical to
@@ -62,10 +62,8 @@ let m_invariant_reuses =
 
 (** Execution engine.  [Planned] compiles each select to a cached
     physical plan (access paths, scan filters, hash joins, hoisted
-    invariants) and
-    walks CSR adjacency snapshots; [Reference] is the tree-walking
-    interpreter: nested extent loops, a single first-range equality
-    probe, per-hop adjacency queries. *)
+    invariants); [Reference] is the tree-walking interpreter: nested
+    extent loops, a single first-range equality probe. *)
 type config = Planned | Reference
 
 let default_config = Planned
@@ -137,8 +135,7 @@ type db_stats = {
   plan_cache_misses : int;
   invariant_evals : int; (* hoisted WHERE subexpressions computed *)
   invariant_reuses : int; (* ... and answered from their slot *)
-  adjacency_rebuilds : int; (* CSR snapshots built from the object mirror *)
-  adjacency_patches : int; (* CSR snapshots patched from relationship events *)
+  adjacency_rebuilds : int; (* always 0: traversals walk the mirror's adjacency *)
 }
 
 (** Cumulative query-engine statistics for [db]. *)
@@ -153,8 +150,7 @@ let db_stats db : db_stats =
     plan_cache_misses = Atomic.get t.t_cache_misses;
     invariant_evals = Atomic.get t.t_invariant_evals;
     invariant_reuses = Atomic.get t.t_invariant_reuses;
-    adjacency_rebuilds = Pgraph.Csr.rebuild_count db;
-    adjacency_patches = Pgraph.Csr.patch_count db;
+    adjacency_rebuilds = 0;
   }
 
 (* Slot storage of one select execution: a cell per hoisted WHERE
@@ -540,24 +536,24 @@ and eval_call st env f (arg_exprs : Ast.expr list) : Value.t =
       let ctx = ctx_arg st (Lazy.force args) 4 in
       let max_depth = match arg 3 with Value.VNull -> None | _ -> Some (int_arg 3) in
       refs_of_oidset
-        (Pgraph.Traverse.descendants st.db ?context:ctx ~csr:(st.config = Planned)
-           ~min_depth:(int_arg 2) ?max_depth ~rel:(str_arg 1) (oid_arg 0))
+        (Pgraph.Traverse.descendants st.db ?context:ctx ~min_depth:(int_arg 2) ?max_depth
+           ~rel:(str_arg 1) (oid_arg 0))
   | "closure" ->
       refs_of_oidset
-        (Pgraph.Traverse.closure st.db ?context:(ctx_arg st (Lazy.force args) 2)
-           ~csr:(st.config = Planned) ~rel:(str_arg 1) (oid_arg 0))
+        (Pgraph.Traverse.closure st.db ?context:(ctx_arg st (Lazy.force args) 2) ~rel:(str_arg 1)
+           (oid_arg 0))
   | "descendants" ->
       refs_of_oidset
         (Pgraph.Traverse.descendants st.db ?context:(ctx_arg st (Lazy.force args) 2)
-           ~csr:(st.config = Planned) ~rel:(str_arg 1) (oid_arg 0))
+           ~rel:(str_arg 1) (oid_arg 0))
   | "ancestors" ->
       refs_of_oidset
         (Pgraph.Traverse.ancestors st.db ?context:(ctx_arg st (Lazy.force args) 2)
-           ~csr:(st.config = Planned) ~rel:(str_arg 1) (oid_arg 0))
+           ~rel:(str_arg 1) (oid_arg 0))
   | "reachable" ->
       Value.VBool
         (Pgraph.Traverse.reachable st.db ?context:(ctx_arg st (Lazy.force args) 3)
-           ~csr:(st.config = Planned) ~rel:(str_arg 2) (oid_arg 0) (oid_arg 1))
+           ~rel:(str_arg 2) (oid_arg 0) (oid_arg 1))
   | "path" -> (
       match
         Pgraph.Traverse.shortest_path st.db ?context:(ctx_arg st (Lazy.force args) 3) ~rel:(str_arg 2)
@@ -567,8 +563,8 @@ and eval_call st env f (arg_exprs : Ast.expr list) : Value.t =
       | None -> Value.VNull)
   | "graph" ->
       let g =
-        Pgraph.Subgraph.extract st.db ?context:(ctx_arg st (Lazy.force args) 2)
-          ~csr:(st.config = Planned) ~rel:(str_arg 1) (oid_arg 0)
+        Pgraph.Subgraph.extract st.db ?context:(ctx_arg st (Lazy.force args) 2) ~rel:(str_arg 1)
+          (oid_arg 0)
       in
       Value.VList
         [ refs_of_oidset g.Pgraph.Subgraph.nodes;

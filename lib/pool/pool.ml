@@ -13,7 +13,7 @@ type plan = { ast : Ast.expr; used_index : bool }
 let parse = Parser.parse
 
 (** Execution engine: {!Eval.default_config} runs the plan-then-run
-    engine (index pushdown, hash joins, CSR traversal),
+    engine (index pushdown, hash joins, plan cache),
     {!Eval.legacy_config} the reference tree-walking interpreter that
     tests compare it against. *)
 let default_config = Eval.default_config
@@ -116,5 +116,5 @@ let check ?(env = []) ?config db src : bool =
   | v -> not (Value.is_null v)
 
 (** Cumulative query-engine statistics for [db] (probes, range scans,
-    hash joins, plan-cache hits/misses, CSR rebuilds). *)
+    hash joins, plan-cache hits/misses). *)
 let stats = Eval.db_stats

@@ -217,8 +217,6 @@ let stats_json ?serving (db : Database.t) : string =
             ("plan_cache_misses", Int q.Pool_lang.Eval.plan_cache_misses);
             ("invariant_evals", Int q.Pool_lang.Eval.invariant_evals);
             ("invariant_reuses", Int q.Pool_lang.Eval.invariant_reuses);
-            ("adjacency_rebuilds", Int q.Pool_lang.Eval.adjacency_rebuilds);
-            ("adjacency_patches", Int q.Pool_lang.Eval.adjacency_patches);
           ] );
       ( "integrity",
         (* checksum/scrub posture of this database plus the

@@ -16,15 +16,13 @@
      [Store.stats]);
    - domain-safety of the obs substrate (atomic counters, monotonic
      clock) and of per-database layer state under a 4-domain hammer;
-   - a group-commit rollback reaching [On_abort] subscribers, and CSR
-     snapshots patched on one domain while others traverse the ones
-     they hold and the group writer links and unlinks;
+   - a group-commit rollback leaving no trace in graph traversals;
    - POOL queries with loop-invariant WHERE subexpressions run by
      several domains over one shared view, their cached plans shared,
      while the group writer commits;
-   - relationship hops, extent scans and filtered POOL scans by several
-     domains over one shared view while the group writer links, creates
-     and deletes. *)
+   - relationship hops, graph traversals, extent scans and filtered
+     POOL scans by several domains over one shared view while the group
+     writer links, creates and deletes. *)
 
 open Pstore
 module F = Fault
@@ -362,7 +360,7 @@ let test_obs_domain_safety () =
 let test_ext_hammer () =
   let fs = F.create () in
   let db = mk_db fs "mvcc7.db" in
-  (* link some taxonomy-ish structure so CSR managers engage *)
+  (* link some taxonomy-ish structure for the traversals *)
   ignore
     (D.define_rel db "child_of" ~origin:value_cls ~destination:value_cls);
   D.with_tx db (fun () ->
@@ -373,7 +371,7 @@ let test_ext_hammer () =
         arr);
   let view = D.snapshot db in
   let expected = count_below view 100 in
-  (* 4 domains race: plan-cache misses, CSR builds, ext get-or-init *)
+  (* 4 domains race: plan-cache misses, ext get-or-init, traversals *)
   let workers =
     List.init 4 (fun w ->
         Domain.spawn (fun () ->
@@ -381,28 +379,25 @@ let test_ext_hammer () =
             for round = 1 to 15 do
               if count_below view ((round mod 3) + 99) < 1 then ok := false;
               if count_below view 100 <> expected then ok := false;
-              let m = Pgraph.Csr.handle view in
-              let s = Pgraph.Csr.get m ~rel:"child_of" () in
-              ignore (Pgraph.Csr.descendants s (List.nth (D.extent_list view value_cls) w))
+              ignore
+                (Pgraph.Traverse.descendants view ~rel:"child_of"
+                   (List.nth (D.extent_list view value_cls) w))
             done;
             !ok))
   in
   List.iter
     (fun d -> Alcotest.(check bool) "hammer domain clean" true (Domain.join d))
     workers;
-  (* all domains installed exactly one manager *)
-  let m1 = Pgraph.Csr.handle view and m2 = Pgraph.Csr.handle view in
-  Alcotest.(check bool) "one CSR manager" true (m1 == m2);
   D.close view;
   D.close db
 
-(* --- 8. a group rollback reaches On_abort subscribers ------------------- *)
+(* --- 8. a group rollback leaves no edge behind ---------------------------- *)
 
 module Traverse = Pgraph.Traverse
 
 let tree_rel = "parent_of"
 
-let test_writer_rollback_drops_csr () =
+let test_writer_rollback_walk () =
   let fs = F.create () in
   let db = mk_db fs "mvcc8.db" in
   ignore (D.define_rel db tree_rel ~origin:value_cls ~destination:value_cls);
@@ -410,28 +405,28 @@ let test_writer_rollback_drops_csr () =
     match D.extent_list db value_cls with a :: b :: _ -> (a, b) | _ -> assert false
   in
   let w = D.Writer.start db in
-  (* the body links, traverses (so a snapshot holds the edge), then fails *)
+  (* the body links, traverses (seeing the edge), then fails *)
   (match
      D.Writer.submit w (fun db ->
          ignore (D.link db tree_rel ~origin:a ~destination:b);
-         ignore (Traverse.descendants db ~csr:true ~rel:tree_rel a);
+         ignore (Traverse.descendants db ~rel:tree_rel a);
          failwith "veto")
    with
   | _ -> Alcotest.fail "failing body must raise at the submitter"
   | exception Failure _ -> ());
   (match
      D.Writer.read w (fun db ->
-         ( Traverse.descendants db ~csr:true ~rel:tree_rel a,
-           Traverse.descendants db ~csr:false ~rel:tree_rel a ))
+         ( Traverse.descendants db ~rel:tree_rel a,
+           Graph_oracle.descendants db ~rel:tree_rel a ))
    with
-  | _, Ok (csr, legacy) ->
-      Alcotest.(check int) "rolled-back edge gone (legacy)" 0 (D.OidSet.cardinal legacy);
-      Alcotest.(check bool) "rolled-back edge gone (csr)" true (D.OidSet.equal csr legacy)
+  | _, Ok (walk, oracle) ->
+      Alcotest.(check int) "rolled-back edge gone (oracle)" 0 (D.OidSet.cardinal oracle);
+      Alcotest.(check bool) "rolled-back edge gone (walk)" true (D.OidSet.equal walk oracle)
   | _, Error e -> raise e);
   D.Writer.stop w;
   D.close db
 
-(* --- 9. CSR patching across domains ------------------------------------- *)
+(* --- 9. the tree the shared-view cases mutate ----------------------------- *)
 
 (* A tree over the first [tree_size] records, edges parent -> child;
    returns the record oids and each tree node's incoming edge. *)
@@ -449,10 +444,7 @@ let hammer_tree db =
 
 (* Step [k] of the writer's script: even steps detach a subtree, odd
    steps hang it under another record, which may lie outside the tree
-   (a node the snapshot has no slot for yet) or inside its own subtree
-   (a cycle).  Fewer steps than edges, so no key outgrows its queue. *)
-let hammer_steps = 150
-
+   or inside its own subtree (a cycle). *)
 let hammer_step db nodes edge_of k =
   let j = k / 2 in
   let i = 1 + (j * 37 mod (tree_size - 1)) in
@@ -460,84 +452,6 @@ let hammer_step db nodes edge_of k =
   else
     let p = ((i * 7) + j) mod Array.length nodes in
     edge_of.(i) <- D.link db tree_rel ~origin:nodes.(p) ~destination:nodes.(i)
-
-let test_csr_patch_hammer () =
-  let observe_csr nodes s =
-    (Pgraph.Csr.descendants s nodes.(0), Pgraph.Csr.ancestors s nodes.(150))
-  in
-  (* the legacy answer after each step, replayed single-threaded on an
-     identical database *)
-  let expected =
-    let db = mk_db (F.create ()) "mvcc9.db" in
-    let nodes, edge_of = hammer_tree db in
-    let observe () =
-      ( Traverse.descendants db ~csr:false ~rel:tree_rel nodes.(0),
-        Traverse.ancestors db ~csr:false ~rel:tree_rel nodes.(150) )
-    in
-    let e = Array.make (hammer_steps + 1) (observe ()) in
-    for k = 0 to hammer_steps - 1 do
-      hammer_step db nodes edge_of k;
-      e.(k + 1) <- observe ()
-    done;
-    D.close db;
-    e
-  in
-  let same (d, a) (d', a') = D.OidSet.equal d d' && D.OidSet.equal a a' in
-  let db = mk_db (F.create ()) "mvcc9.db" in
-  let nodes, edge_of = hammer_tree db in
-  (* the earliest step >= [from] whose legacy answer [s] gives:
-     the snapshots one domain sees only ever move forward *)
-  let generation ~from s =
-    let o = observe_csr nodes s in
-    let rec find k =
-      if k > hammer_steps then None else if same o expected.(k) then Some k else find (k + 1)
-    in
-    find from
-  in
-  let m = Pgraph.Csr.handle db in
-  (* built before the writer starts: from here on, only patches *)
-  let current = Atomic.make (Pgraph.Csr.get m ~rel:tree_rel ()) in
-  let writing = Atomic.make true in
-  let w = D.Writer.start db in
-  let patcher =
-    Domain.spawn (fun () ->
-        let ok = ref true and last = ref 0 in
-        while Atomic.get writing do
-          let s = Pgraph.Csr.get m ~rel:tree_rel () in
-          (match generation ~from:!last s with Some k -> last := k | None -> ok := false);
-          Atomic.set current s
-        done;
-        !ok)
-  in
-  let readers =
-    List.init 2 (fun _ ->
-        Domain.spawn (fun () ->
-            let ok = ref true and last = ref 0 in
-            while Atomic.get writing do
-              (* traverse a held snapshot twice: it must not move *)
-              let s = Atomic.get current in
-              match generation ~from:!last s with
-              | Some k ->
-                  last := k;
-                  if generation ~from:k s <> Some k then ok := false
-              | None -> ok := false
-            done;
-            !ok))
-  in
-  for k = 0 to hammer_steps - 1 do
-    ignore (D.Writer.submit w (fun db -> hammer_step db nodes edge_of k))
-  done;
-  Atomic.set writing false;
-  Alcotest.(check bool) "patcher saw legacy answers" true (Domain.join patcher);
-  List.iter
-    (fun d -> Alcotest.(check bool) "reader saw legacy answers" true (Domain.join d))
-    readers;
-  D.Writer.stop w;
-  Alcotest.(check bool) "final snapshot = final legacy answer" true
-    (same (observe_csr nodes (Pgraph.Csr.get m ~rel:tree_rel ())) expected.(hammer_steps));
-  Alcotest.(check int) "only the first build" 1 (Pgraph.Csr.rebuild_count db);
-  Alcotest.(check bool) "patched" true (Pgraph.Csr.patch_count db > 0);
-  D.close db
 
 (* --- 10. hoisted subexpressions across domains --------------------------- *)
 
@@ -750,6 +664,54 @@ let test_filtered_scans_shared_view () =
   D.close view;
   D.close db
 
+(* --- 14. traversals over a shared view ------------------------------------ *)
+
+(* Two domains walk one shared snapshot view (descendants, ancestors
+   and subgraph extraction, each call with its own visited set and
+   queue) while the group writer links and unlinks on the live handle:
+   every answer equals the one a single domain took from the view
+   before they started. *)
+let test_traversals_shared_view () =
+  let db = mk_db (F.create ()) "mvcc14.db" in
+  let nodes, edge_of = hammer_tree db in
+  let view = D.snapshot db in
+  let walks db =
+    List.map
+      (fun i ->
+        let n = nodes.(i) in
+        ( Traverse.descendants db ~rel:tree_rel n,
+          Traverse.ancestors db ~rel:tree_rel n,
+          Pgraph.Subgraph.extract db ~rel:tree_rel n ))
+      [ 0; 1; 5; 150 ]
+  in
+  let same =
+    List.for_all2 (fun (d, a, (g : Pgraph.Subgraph.t)) (d', a', (g' : Pgraph.Subgraph.t)) ->
+        D.OidSet.equal d d' && D.OidSet.equal a a' && D.OidSet.equal g.nodes g'.nodes
+        && g.edges = g'.edges)
+  in
+  let expected = walks view in
+  let w = D.Writer.start db in
+  let readers =
+    List.init 2 (fun _ ->
+        Domain.spawn (fun () ->
+            let ok = ref true in
+            for _ = 1 to 20 do
+              if not (same (walks view) expected) then ok := false
+            done;
+            !ok))
+  in
+  for k = 0 to 59 do
+    ignore (D.Writer.submit w (fun db -> hammer_step db nodes edge_of k))
+  done;
+  List.iter
+    (fun d -> Alcotest.(check bool) "every answer = the single-domain answer" true (Domain.join d))
+    readers;
+  D.Writer.stop w;
+  Alcotest.(check bool) "view unchanged" true (same (walks view) expected);
+  Alcotest.(check bool) "writer changed the parent" true (not (same (walks db) expected));
+  D.close view;
+  D.close db
+
 (* ---------------------------------------------------------------------- *)
 
 let () =
@@ -769,14 +731,12 @@ let () =
           Alcotest.test_case "failing body isolated" `Quick test_group_abort_isolated;
           Alcotest.test_case "crash mid-batch recovers a prefix" `Quick
             test_group_crash_prefix;
-          Alcotest.test_case "rollback drops CSR snapshots" `Quick
-            test_writer_rollback_drops_csr;
+          Alcotest.test_case "rollback drops CSR snapshots" `Quick test_writer_rollback_walk;
         ] );
       ( "domains",
         [
           Alcotest.test_case "obs counters and clock" `Quick test_obs_domain_safety;
           Alcotest.test_case "layer-state hammer on shared view" `Quick test_ext_hammer;
-          Alcotest.test_case "CSR patched across domains" `Quick test_csr_patch_hammer;
           Alcotest.test_case "hoisting queries over a shared view" `Quick
             test_hoisting_shared_view;
           Alcotest.test_case "adjacency hops over a shared view" `Quick
@@ -785,5 +745,6 @@ let () =
             test_extent_scans_shared_view;
           Alcotest.test_case "filtered scans over a shared view" `Quick
             test_filtered_scans_shared_view;
+          Alcotest.test_case "traversals over a shared view" `Quick test_traversals_shared_view;
         ] );
     ]

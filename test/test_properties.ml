@@ -1,7 +1,7 @@
 (* Property-based tests over the core data structures and invariants:
    value serialisation, value ordering, schema round-trips, graph
-   dualities, CSR snapshots patched from events against the legacy
-   traversal, derivation determinism, synonymy symmetry, and POOL
+   dualities, the adjacency walk against the list-based oracle,
+   derivation determinism, synonymy symmetry, and POOL
    algebraic laws. *)
 
 open Pmodel
@@ -271,11 +271,12 @@ let prop_path_endpoints =
             nodes))
 
 (* ------------------------------------------------------------------ *)
-(* CSR snapshots patched from events = legacy traversal                *)
+(* The adjacency walk = the list-based oracle                          *)
 (* ------------------------------------------------------------------ *)
 
 (* Edges are "Edge" instances or instances of its lifetime-dependent
-   sub-relationship "Part", each in no context or one of two. *)
+   sub-relationship "Part", each in no context or one of two; links may
+   be self-links and close cycles. *)
 type graph_op =
   | Link of bool * int * int * int (* Part?, origin, destination, context 0-2 *)
   | Unlink of int (* k-th live edge *)
@@ -285,6 +286,8 @@ type graph_op =
   | Add_node
   | Begin
   | Abort
+  | Vetoed of int * int (* origin, destination: linked in a [with_tx] that raises *)
+  | Rolled_back of int * int (* ... in a group-writer body that raises *)
 
 let pp_graph_op = function
   | Link (part, a, b, c) ->
@@ -296,9 +299,11 @@ let pp_graph_op = function
   | Add_node -> "add-node"
   | Begin -> "begin"
   | Abort -> "abort"
+  | Vetoed (a, b) -> Printf.sprintf "vetoed %d->%d" a b
+  | Rolled_back (a, b) -> Printf.sprintf "rolled-back %d->%d" a b
 
-(* each step carries whether to compare after it: skipped comparisons
-   let deltas pile up, at times past a key's drop threshold *)
+(* Depth bounds for the whole run, then the steps, each carrying
+   whether to compare after it *)
 let graph_ops_arb =
   let open QCheck.Gen in
   let node = int_bound 9 in
@@ -313,13 +318,19 @@ let graph_ops_arb =
         (1, return Add_node);
         (1, return Begin);
         (1, return Abort);
+        (1, map (fun (a, b) -> Vetoed (a, b)) (pair node node));
+        (1, map (fun (a, b) -> Rolled_back (a, b)) (pair node node));
       ]
   in
   QCheck.make
-    ~print:(fun steps ->
-      String.concat "; "
-        (List.map (fun (o, c) -> pp_graph_op o ^ if c then "" else " (no check)") steps))
-    (list_size (int_range 1 30) (pair op (map (fun k -> k > 0) (int_bound 2))))
+    ~print:(fun ((min_depth, max_depth), steps) ->
+      Printf.sprintf "depths %d..%s: %s" min_depth
+        (match max_depth with Some m -> string_of_int m | None -> "")
+        (String.concat "; "
+           (List.map (fun (o, c) -> pp_graph_op o ^ if c then "" else " (no check)") steps)))
+    (pair
+       (pair (int_bound 2) (opt (int_bound 3)))
+       (list_size (int_range 1 30) (pair op (map (fun k -> k > 0) (int_bound 2)))))
 
 let setup_graph db =
   ignore (Database.define_class db "GNode" [ Meta.attr "i" V.TInt ]);
@@ -333,39 +344,54 @@ let setup_graph db =
   let nodes = List.init 6 (fun i -> Database.create db "GNode" [ ("i", V.VInt i) ]) in
   (contexts, nodes)
 
-(* Every traversal entry point agrees between CSR and legacy, for both
-   relationship classes, with and without a context, from every node
-   ever created (deleted ones included). *)
-let csr_agrees db contexts nodes =
+(* Every entry point of [Traverse], [Subgraph] and [Compare] equals the
+   oracle, for both relationship classes, with and without a context,
+   from every node ever created (deleted ones included).  Prints the
+   first disagreement. *)
+let walk_agrees ~depths:(min_depth, max_depth) db contexts nodes =
   let universe = OidSet.of_list nodes in
-  let module T = Pgraph.Traverse in
-  List.for_all
-    (fun rel ->
-      List.for_all
-        (fun context ->
-          let same f = OidSet.equal (f true) (f false) in
-          List.for_all
-            (fun n ->
-              same (fun csr -> T.descendants db ?context ~csr ~rel n)
-              && same (fun csr -> T.ancestors db ?context ~csr ~rel n)
-              && same (fun csr -> T.closure db ?context ~csr ~rel n)
-              &&
-              let g csr = Pgraph.Subgraph.extract db ?context ~csr ~rel n in
-              let a = g true and b = g false in
-              OidSet.equal a.Pgraph.Subgraph.nodes b.Pgraph.Subgraph.nodes
-              && List.sort compare a.Pgraph.Subgraph.edges
-                 = List.sort compare b.Pgraph.Subgraph.edges)
-            nodes
-          && T.roots db ?context ~csr:true ~rel universe
-             = T.roots db ?context ~csr:false ~rel universe
-          && T.leaves db ?context ~csr:true ~rel universe
-             = T.leaves db ?context ~csr:false ~rel universe)
-        (None :: List.map Option.some contexts))
-    [ "Edge"; "Part" ]
+  let rel_agrees rel =
+    List.for_all
+      (fun context ->
+        List.for_all
+          (fun n ->
+            match
+              Graph_oracle.disagreements db ?context ~min_depth ?max_depth ~rel ~universe n
+            with
+            | [] -> true
+            | names ->
+                Printf.printf "%s from %d: %s\n" rel n (String.concat ", " names);
+                false)
+          nodes)
+      (None :: List.map Option.some contexts)
+    &&
+    match contexts with
+    | [ a; b ] ->
+        List.for_all
+          (fun (ctx_a, ctx_b) ->
+            Graph_oracle.same_report
+              (Pgraph.Compare.compare_contexts db ~rel ~ctx_a ~ctx_b ())
+              (Graph_oracle.compare_contexts db ~rel ~ctx_a ~ctx_b ()))
+          [ (a, b); (b, a); (a, a) ]
+    | _ -> true
+  in
+  List.for_all rel_agrees [ "Edge"; "Part" ]
 
-let prop_csr_patch_matches_legacy =
-  QCheck.Test.make ~name:"patched CSR snapshots = legacy traversal after every step" ~count:200
-    graph_ops_arb (fun steps ->
+(* ... on the live handle, and on a snapshot view of it when no
+   transaction is open (an empty transaction first makes the
+   mutations made outside one visible to snapshots) *)
+let walk_and_view_agree ~depths db contexts nodes =
+  walk_agrees ~depths db contexts nodes
+  && (Database.in_tx db
+     ||
+     let view = Database.with_tx db ignore; Database.snapshot db in
+     Fun.protect
+       ~finally:(fun () -> Database.close view)
+       (fun () -> walk_agrees ~depths view contexts nodes))
+
+let prop_walk_matches_oracle =
+  QCheck.Test.make ~name:"adjacency walk = list-based oracle after every step" ~count:200
+    graph_ops_arb (fun (depths, steps) ->
       with_db (fun db ->
           let contexts, nodes = setup_graph db in
           let nodes = ref nodes in
@@ -376,6 +402,7 @@ let prop_csr_patch_matches_legacy =
             | es -> Some (List.nth es (k mod List.length es))
           in
           let attempt f = try f () with Database.Model_error _ -> () in
+          let vetoed f = try f () with Failure _ | Database.Model_error _ -> () in
           let apply = function
             | Link (part, a, b, c) ->
                 let context = if c = 0 then None else List.nth_opt contexts (c - 1) in
@@ -401,44 +428,34 @@ let prop_csr_patch_matches_legacy =
                   !nodes @ [ Database.create db "GNode" [ ("i", V.VInt (List.length !nodes)) ] ]
             | Begin -> if not (Database.in_tx db) then Database.begin_tx db
             | Abort -> if Database.in_tx db then Database.abort db
+            | Vetoed (a, b) ->
+                vetoed (fun () ->
+                    Database.with_tx db (fun () ->
+                        ignore (Database.link db "Edge" ~origin:(node a) ~destination:(node b));
+                        failwith "veto"))
+            | Rolled_back (a, b) ->
+                if not (Database.in_tx db) then begin
+                  let w = Database.Writer.start db in
+                  Fun.protect
+                    ~finally:(fun () -> Database.Writer.stop w)
+                    (fun () ->
+                      vetoed (fun () ->
+                          ignore
+                            (Database.Writer.submit w (fun db ->
+                                 ignore
+                                   (Database.link db "Edge" ~origin:(node a) ~destination:(node b));
+                                 failwith "veto"))))
+                end
           in
           let ok =
             List.for_all
               (fun (op, check) ->
                 apply op;
-                (not check) || csr_agrees db contexts !nodes)
+                (not check) || walk_and_view_agree ~depths db contexts !nodes)
               steps
           in
           if Database.in_tx db then Database.abort db;
-          ok && csr_agrees db contexts !nodes))
-
-(* A key whose queued deltas outnumber its edges is dropped and rebuilt;
-   up to that point it is patched. *)
-let test_csr_drop_threshold () =
-  with_db (fun db ->
-      let _, nodes = setup_graph db in
-      let nodes = Array.of_list nodes in
-      let link a b = ignore (Database.link db "Edge" ~origin:nodes.(a) ~destination:nodes.(b)) in
-      let traverse () = Pgraph.Traverse.descendants db ~csr:true ~rel:"Edge" nodes.(0) in
-      let agrees () =
-        OidSet.equal (traverse ())
-          (Pgraph.Traverse.descendants db ~csr:false ~rel:"Edge" nodes.(0))
-      in
-      let counts () = (Pgraph.Csr.rebuild_count db, Pgraph.Csr.patch_count db) in
-      link 0 1;
-      link 1 2;
-      Alcotest.(check bool) "built" true (agrees ());
-      Alcotest.(check (pair int int)) "one build" (1, 0) (counts ());
-      (* a link queues two deltas, a Remove then an Add: as many
-         deltas as edges, still patched *)
-      link 2 3;
-      Alcotest.(check bool) "patched = legacy" true (agrees ());
-      Alcotest.(check (pair int int)) "patched, not rebuilt" (1, 1) (counts ());
-      (* four deltas on a three-edge snapshot: dropped, then rebuilt *)
-      link 3 4;
-      link 4 5;
-      Alcotest.(check bool) "rebuilt = legacy" true (agrees ());
-      Alcotest.(check (pair int int)) "rebuilt past the threshold" (2, 1) (counts ()))
+          ok && walk_and_view_agree ~depths db contexts !nodes))
 
 (* ------------------------------------------------------------------ *)
 (* Taxonomy properties                                                 *)
@@ -1319,10 +1336,9 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_closure_is_descendants_plus_root; prop_ancestors_descendants_dual;
-            prop_dag_has_no_cycle; prop_path_endpoints; prop_csr_patch_matches_legacy;
+            prop_dag_has_no_cycle; prop_path_endpoints; prop_walk_matches_oracle;
           ]
         @ [
-            Alcotest.test_case "CSR drop threshold" `Quick test_csr_drop_threshold;
             QCheck_alcotest.to_alcotest prop_adjacency_matches_mirror;
             QCheck_alcotest.to_alcotest prop_dense_mirror_matches_oracle;
             Alcotest.test_case "mirror churn stays bounded" `Quick test_mirror_churn_bounded;

@@ -1,6 +1,6 @@
-(* Tests for the plan-then-run query engine (PR 3): index range/prefix
-   pushdown, hash joins, the plan cache, CSR adjacency snapshots and
-   their upkeep from bus events.  The central claim under test is
+(* Tests for the plan-then-run query engine: index range/prefix
+   pushdown, hash joins and the plan cache, plus the graph traversals
+   against their list-based oracle.  The central claim under test is
    bit-identical results: the optimized engine must return exactly what
    the legacy interpreter returns, on every query, after every kind of
    graph mutation. *)
@@ -337,25 +337,20 @@ let test_state_survives_many_dbs () =
       let a = Database.create first "N" [ ("name", str "a") ] in
       let b = Database.create first "N" [ ("name", str "b") ] in
       ignore (Database.link first "E" ~origin:a ~destination:b);
-      ignore (Traverse.descendants first ~csr:true ~rel:"E" a);
       let q = "select n.name from N n order by n.name" in
       ignore (P.query first q);
       ignore (P.query first q);
       let s0 = P.stats first in
       Alcotest.(check bool) "cache hit recorded" true (s0.Pool_lang.Eval.plan_cache_hits > 0);
-      Alcotest.(check int) "one csr build" 1 s0.Pool_lang.Eval.adjacency_rebuilds;
       (* touch the engine on every other database *)
       List.iter
         (fun db ->
           let x = Database.create db "N" [ ("name", str "x") ] in
           let y = Database.create db "N" [ ("name", str "y") ] in
           ignore (Database.link db "E" ~origin:x ~destination:y);
-          ignore (Traverse.descendants db ~csr:true ~rel:"E" x);
           ignore (P.query db q))
         (List.tl dbs);
       let s1 = P.stats first in
-      Alcotest.(check int) "rebuild count survives 9 other databases"
-        s0.Pool_lang.Eval.adjacency_rebuilds s1.Pool_lang.Eval.adjacency_rebuilds;
       Alcotest.(check int) "plan-cache hits not reset" s0.Pool_lang.Eval.plan_cache_hits
         s1.Pool_lang.Eval.plan_cache_hits;
       ignore (P.query first q);
@@ -363,57 +358,58 @@ let test_state_survives_many_dbs () =
       Alcotest.(check bool) "still hitting the same cache" true
         (s2.Pool_lang.Eval.plan_cache_hits > s1.Pool_lang.Eval.plan_cache_hits))
 
-(* --- CSR snapshots: equivalence and invalidation ----------------------- *)
+(* --- traversals against the list-based oracle ------------------------- *)
 
-(* Compare every traversal entry point between CSR and legacy for all
-   nodes of interest. *)
+(* The "csr" cases below keep the group name of the snapshot adjacency
+   they were written for; they now check the single walk over the
+   mirror's adjacency against [Graph_oracle], through links, retargets,
+   unlinks, synonyms, aborts and contexts. *)
+
+(* Compare every traversal entry point with the oracle for all nodes
+   of interest. *)
 let check_traversals db ?context ~rel nodes =
+  let module O = Graph_oracle in
   List.iter
     (fun n ->
-      let d_csr = Traverse.descendants db ?context ~csr:true ~rel n in
-      let d_leg = Traverse.descendants db ?context ~csr:false ~rel n in
       Alcotest.(check bool)
-        (Printf.sprintf "descendants(%d) csr = legacy" n)
-        true (OidSet.equal d_csr d_leg);
-      let a_csr = Traverse.ancestors db ?context ~csr:true ~rel n in
-      let a_leg = Traverse.ancestors db ?context ~csr:false ~rel n in
-      Alcotest.(check bool)
-        (Printf.sprintf "ancestors(%d) csr = legacy" n)
-        true (OidSet.equal a_csr a_leg);
-      let c_csr = Traverse.closure db ?context ~csr:true ~rel n in
-      let c_leg = Traverse.closure db ?context ~csr:false ~rel n in
-      Alcotest.(check bool)
-        (Printf.sprintf "closure(%d) csr = legacy" n)
-        true (OidSet.equal c_csr c_leg);
-      let g_csr = Pgraph.Subgraph.extract db ?context ~csr:true ~rel n in
-      let g_leg = Pgraph.Subgraph.extract db ?context ~csr:false ~rel n in
-      Alcotest.(check bool)
-        (Printf.sprintf "subgraph(%d) csr = legacy" n)
+        (Printf.sprintf "descendants(%d) = oracle" n)
         true
-        (OidSet.equal g_csr.Pgraph.Subgraph.nodes g_leg.Pgraph.Subgraph.nodes
-        && List.sort compare g_csr.Pgraph.Subgraph.edges
-           = List.sort compare g_leg.Pgraph.Subgraph.edges))
+        (OidSet.equal (Traverse.descendants db ?context ~rel n) (O.descendants db ?context ~rel n));
+      Alcotest.(check bool)
+        (Printf.sprintf "ancestors(%d) = oracle" n)
+        true
+        (OidSet.equal (Traverse.ancestors db ?context ~rel n) (O.ancestors db ?context ~rel n));
+      Alcotest.(check bool)
+        (Printf.sprintf "closure(%d) = oracle" n)
+        true
+        (OidSet.equal (Traverse.closure db ?context ~rel n) (O.closure db ?context ~rel n));
+      let g = Pgraph.Subgraph.extract db ?context ~rel n and g' = O.extract db ?context ~rel n in
+      Alcotest.(check bool)
+        (Printf.sprintf "subgraph(%d) = oracle" n)
+        true
+        (OidSet.equal g.Pgraph.Subgraph.nodes g'.Pgraph.Subgraph.nodes
+        && g.Pgraph.Subgraph.edges = g'.Pgraph.Subgraph.edges))
     nodes;
   let universe =
     List.fold_left (fun acc n -> OidSet.add n acc) OidSet.empty nodes
   in
-  Alcotest.(check (list int)) "roots csr = legacy"
-    (Traverse.roots db ?context ~csr:false ~rel universe)
-    (Traverse.roots db ?context ~csr:true ~rel universe);
-  Alcotest.(check (list int)) "leaves csr = legacy"
-    (Traverse.leaves db ?context ~csr:false ~rel universe)
-    (Traverse.leaves db ?context ~csr:true ~rel universe)
+  Alcotest.(check (list int)) "roots = oracle"
+    (O.roots db ?context ~rel universe)
+    (Traverse.roots db ?context ~rel universe);
+  Alcotest.(check (list int)) "leaves = oracle"
+    (O.leaves db ?context ~rel universe)
+    (Traverse.leaves db ?context ~rel universe)
 
-let test_csr_invalidation () =
+let test_walk_invalidation () =
   with_db @@ fun db ->
   let alice, bob, carol, dave, _, _ = setup db in
   let people = [ alice; bob; carol; dave ] in
   let rel = "Manages" in
   check_traversals db ~rel people;
-  (* add: a new edge must appear in the next CSR traversal *)
+  (* add: a new edge must appear in the next traversal *)
   let e = Database.link db rel ~origin:dave ~destination:carol in
   check_traversals db ~rel people;
-  let d = Traverse.descendants db ~csr:true ~rel dave in
+  let d = Traverse.descendants db ~rel dave in
   Alcotest.(check bool) "cycle traverses fully" true
     (OidSet.mem carol d && OidSet.mem bob d && OidSet.mem alice d);
   (* retarget: carol -> bob becomes carol -> dave *)
@@ -425,20 +421,27 @@ let test_csr_invalidation () =
   (* synonym merge does not touch adjacency, but must not corrupt it *)
   Database.declare_synonym db alice dave;
   check_traversals db ~rel people;
-  (* mutations inside an aborted transaction must leave no trace in the
-     snapshots (the mirror is rebuilt wholesale on abort) *)
+  (* mutations inside an aborted transaction must leave no trace (the
+     mirror is rebuilt wholesale on abort) *)
   Database.begin_tx db;
   let e2 = Database.link db rel ~origin:alice ~destination:carol in
-  (* traverse mid-transaction so a snapshot is built from dirty state *)
+  (* traverse mid-transaction, over dirty state *)
   Alcotest.(check bool) "dirty edge visible mid-tx" true
-    (OidSet.mem carol (Traverse.descendants db ~csr:true ~rel alice));
+    (OidSet.mem carol (Traverse.descendants db ~rel alice));
   ignore e2;
   Database.abort db;
   check_traversals db ~rel people;
   Alcotest.(check bool) "aborted edge gone" false
-    (OidSet.mem carol (Traverse.descendants db ~csr:true ~rel alice))
+    (OidSet.mem carol (Traverse.descendants db ~rel alice));
+  (* a self-link: the node is its own child, never its own descendant *)
+  ignore (Database.link db rel ~origin:alice ~destination:alice);
+  check_traversals db ~rel people;
+  Alcotest.(check bool) "self-link traversal = oracle" true
+    (OidSet.equal
+       (Traverse.descendants db ~rel alice)
+       (Graph_oracle.descendants db ~rel alice))
 
-let test_csr_contexts () =
+let test_walk_contexts () =
   with_db @@ fun db ->
   let alice, bob, carol, dave, _, _ = setup db in
   let ctx1 = Database.create_context db "c1" in
@@ -452,34 +455,14 @@ let test_csr_contexts () =
   check_traversals db ~rel:"Manages" people;
   (* context-scoped results differ from each other as expected *)
   Alcotest.(check bool) "ctx1 sees carol" true
-    (OidSet.mem carol (Traverse.descendants db ~context:ctx1 ~csr:true ~rel:"Manages" alice));
+    (OidSet.mem carol (Traverse.descendants db ~context:ctx1 ~rel:"Manages" alice));
   Alcotest.(check bool) "ctx2 does not" false
-    (OidSet.mem carol (Traverse.descendants db ~context:ctx2 ~csr:true ~rel:"Manages" alice))
+    (OidSet.mem carol (Traverse.descendants db ~context:ctx2 ~rel:"Manages" alice))
 
-let test_adjacency_rebuild_counter () =
-  with_db @@ fun db ->
-  let alice, _, _, _, _, _ = setup db in
-  let r0 = (P.stats db).Pool_lang.Eval.adjacency_rebuilds in
-  ignore (Traverse.descendants db ~csr:true ~rel:"Manages" alice);
-  ignore (Traverse.descendants db ~csr:true ~rel:"Manages" alice);
-  let s1 = P.stats db in
-  let r1 = s1.Pool_lang.Eval.adjacency_rebuilds in
-  Alcotest.(check bool) "one build for two traversals" true (r1 = r0 + 1);
-  ignore (Database.link db "Manages" ~origin:alice ~destination:alice);
-  let d = Traverse.descendants db ~csr:true ~rel:"Manages" alice in
-  let s2 = P.stats db in
-  Alcotest.(check int) "mutation does not rebuild" r1 s2.Pool_lang.Eval.adjacency_rebuilds;
-  Alcotest.(check int) "mutation is patched in" (s1.Pool_lang.Eval.adjacency_patches + 1)
-    s2.Pool_lang.Eval.adjacency_patches;
-  Alcotest.(check bool) "patched traversal = legacy" true
-    (OidSet.equal d (Traverse.descendants db ~csr:false ~rel:"Manages" alice))
-
-(* A rule reacting to a link may unlink or retarget that same link.
-   Its nested event reaches the CSR manager — which subscribes on the
-   first traversal, after the rule — before the outer [Rel_created]
-   does; the snapshots must still end up with the link as the mirror
-   holds it.  [repair db oid] is the rule's corrective action on a
-   self-managing link. *)
+(* A rule reacting to a link may unlink or retarget that same link,
+   inside the link's own call; traversals must see the link as the
+   mirror holds it once the call returns.  [repair db oid] is the
+   rule's corrective action on a self-managing link. *)
 let check_repair_of_firing_link repair =
   with_db @@ fun db ->
   let alice, bob, carol, dave, _, _ = setup db in
@@ -508,34 +491,13 @@ let check_repair_of_firing_link repair =
   ignore (Database.link db "Manages" ~context:ctx ~origin:dave ~destination:dave);
   check ()
 
-let test_csr_repair_unlinks () = check_repair_of_firing_link (fun db oid -> Database.unlink db oid)
+let test_walk_repair_unlinks () = check_repair_of_firing_link (fun db oid -> Database.unlink db oid)
 
-let test_csr_repair_retargets () =
+let test_walk_repair_retargets () =
   check_repair_of_firing_link (fun db oid ->
       let r = Option.get (Database.get db oid) in
       let other = List.find (fun p -> p <> Obj.origin r) (Database.extent_list db "Person") in
       Database.retarget db oid ~destination:other ())
-
-(* Patches leave the slots of nodes that lost their last edge behind; a
-   key with more such slots than edges is dropped and rebuilt. *)
-let test_csr_dead_slots_rebuild () =
-  with_db @@ fun db ->
-  let alice, bob, carol, dave, _, _ = setup db in
-  let people = [ alice; bob; carol; dave ] in
-  let rel = "Manages" in
-  let rebuilds () = (P.stats db).Pool_lang.Eval.adjacency_rebuilds in
-  check_traversals db ~rel people;
-  let r0 = rebuilds () in
-  let edges = Database.extent_list db rel in
-  (* carol -> bob gone: carol's slot dies, one dead slot for two edges *)
-  Database.unlink db (List.nth edges 0);
-  check_traversals db ~rel people;
-  Alcotest.(check int) "one dead slot is patched over" r0 (rebuilds ());
-  (* bob -> alice gone: two dead slots for one edge drop the key *)
-  Database.unlink db (List.nth edges 1);
-  check_traversals db ~rel people;
-  check_traversals db ~rel people;
-  Alcotest.(check int) "a bloated key is rebuilt" (r0 + 1) (rebuilds ())
 
 (* --- string helpers ---------------------------------------------------- *)
 
@@ -1011,12 +973,10 @@ let () =
         ] );
       ( "csr",
         [
-          Alcotest.test_case "invalidation" `Quick test_csr_invalidation;
-          Alcotest.test_case "contexts" `Quick test_csr_contexts;
-          Alcotest.test_case "rebuild counter" `Quick test_adjacency_rebuild_counter;
-          Alcotest.test_case "repair unlinks the firing link" `Quick test_csr_repair_unlinks;
-          Alcotest.test_case "repair retargets the firing link" `Quick test_csr_repair_retargets;
-          Alcotest.test_case "dead slots rebuild" `Quick test_csr_dead_slots_rebuild;
+          Alcotest.test_case "invalidation" `Quick test_walk_invalidation;
+          Alcotest.test_case "contexts" `Quick test_walk_contexts;
+          Alcotest.test_case "repair unlinks the firing link" `Quick test_walk_repair_unlinks;
+          Alcotest.test_case "repair retargets the firing link" `Quick test_walk_repair_retargets;
         ] );
       ( "strings",
         [

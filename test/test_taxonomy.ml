@@ -257,40 +257,48 @@ let test_derivation_elects_types () =
 
 (* --- multiple classifications: the fig. 4 shapes scenario ---------------------- *)
 
+(* The thesis fig. 4 scenario: five shape specimens classified by
+   shape (c1, two levels) and by brightness (c2). *)
+let shapes_setup db =
+  (* specimens: shapes *)
+  let white_square = Nomen.create_specimen db ~collector:"shape" ~number:1 () in
+  let white_rect = Nomen.create_specimen db ~collector:"shape" ~number:2 () in
+  let grey_tri = Nomen.create_specimen db ~collector:"shape" ~number:3 () in
+  let black_oval = Nomen.create_specimen db ~collector:"shape" ~number:4 () in
+  let dark_circle = Nomen.create_specimen db ~collector:"shape" ~number:5 () in
+  (* classification 1 (taxonomist 1, by shape): two levels *)
+  let c1 = Classify.create_classification db "taxonomist-1 by shape" in
+  let shapes1 = Classify.create_taxon db ~rank:Rank.Genus () in
+  let squares1 = Classify.create_taxon db ~rank:Rank.Species () in
+  let triangles1 = Classify.create_taxon db ~rank:Rank.Species () in
+  let ovals1 = Classify.create_taxon db ~rank:Rank.Species () in
+  List.iter
+    (fun (g, i) -> ignore (Classify.circumscribe db ~ctx:c1 ~group:g ~item:i ()))
+    [
+      (shapes1, squares1); (shapes1, triangles1); (shapes1, ovals1);
+      (squares1, white_square); (squares1, white_rect);
+      (triangles1, grey_tri);
+      (ovals1, black_oval); (ovals1, dark_circle);
+    ];
+  (* classification 2 (taxonomist 3, by brightness) over the same specimens *)
+  let c2 = Classify.create_classification db "taxonomist-3 by brightness" in
+  let shapes2 = Classify.create_taxon db ~rank:Rank.Genus () in
+  let light2 = Classify.create_taxon db ~rank:Rank.Species () in
+  let dark2 = Classify.create_taxon db ~rank:Rank.Species () in
+  List.iter
+    (fun (g, i) -> ignore (Classify.circumscribe db ~ctx:c2 ~group:g ~item:i ()))
+    [
+      (shapes2, light2); (shapes2, dark2);
+      (light2, white_square); (light2, white_rect);
+      (dark2, grey_tri); (dark2, black_oval); (dark2, dark_circle);
+    ];
+  ((c1, shapes1, squares1, triangles1, ovals1), (c2, shapes2, light2, dark2))
+
 let test_shapes_multiple_classifications () =
   with_db (fun db ->
-      (* specimens: shapes *)
-      let white_square = Nomen.create_specimen db ~collector:"shape" ~number:1 () in
-      let white_rect = Nomen.create_specimen db ~collector:"shape" ~number:2 () in
-      let grey_tri = Nomen.create_specimen db ~collector:"shape" ~number:3 () in
-      let black_oval = Nomen.create_specimen db ~collector:"shape" ~number:4 () in
-      let dark_circle = Nomen.create_specimen db ~collector:"shape" ~number:5 () in
-      (* classification 1 (taxonomist 1, by shape): two levels *)
-      let c1 = Classify.create_classification db "taxonomist-1 by shape" in
-      let shapes1 = Classify.create_taxon db ~rank:Rank.Genus () in
-      let squares1 = Classify.create_taxon db ~rank:Rank.Species () in
-      let triangles1 = Classify.create_taxon db ~rank:Rank.Species () in
-      let ovals1 = Classify.create_taxon db ~rank:Rank.Species () in
-      List.iter
-        (fun (g, i) -> ignore (Classify.circumscribe db ~ctx:c1 ~group:g ~item:i ()))
-        [
-          (shapes1, squares1); (shapes1, triangles1); (shapes1, ovals1);
-          (squares1, white_square); (squares1, white_rect);
-          (triangles1, grey_tri);
-          (ovals1, black_oval); (ovals1, dark_circle);
-        ];
-      (* classification 2 (taxonomist 3, by brightness) over the same specimens *)
-      let c2 = Classify.create_classification db "taxonomist-3 by brightness" in
-      let shapes2 = Classify.create_taxon db ~rank:Rank.Genus () in
-      let light2 = Classify.create_taxon db ~rank:Rank.Species () in
-      let dark2 = Classify.create_taxon db ~rank:Rank.Species () in
-      List.iter
-        (fun (g, i) -> ignore (Classify.circumscribe db ~ctx:c2 ~group:g ~item:i ()))
-        [
-          (shapes2, light2); (shapes2, dark2);
-          (light2, white_square); (light2, white_rect);
-          (dark2, grey_tri); (dark2, black_oval); (dark2, dark_circle);
-        ];
+      let (c1, shapes1, squares1, triangles1, ovals1), (c2, shapes2, light2, dark2) =
+        shapes_setup db
+      in
       (* both classifications coexist and overlap on every specimen *)
       Alcotest.(check int) "c1 specimens" 5
         (OidSet.cardinal (Classify.specimens_of db ~ctx:c1 shapes1));
@@ -624,6 +632,86 @@ let test_compare_classifications () =
       Alcotest.(check bool) "agreement fraction" true
         (abs_float (r.Pgraph.Compare.agreement -. (2. /. 3.)) < 1e-9))
 
+(* --- traversal and comparison against the list-based oracle --------------- *)
+
+(* [compare_contexts] builds each context's leaf sets once; its report,
+   list order included, is the all-pairs oracle's on the thesis fig. 3
+   (Apium/Heliosciadium before and after the revision) and fig. 4
+   (shapes) examples, both ways round and against itself. *)
+let test_compare_contexts_oracle () =
+  let check db contexts =
+    List.iter
+      (fun (ctx_a, ctx_b) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "compare_contexts %d %d = oracle" ctx_a ctx_b)
+          true
+          (Graph_oracle.same_report
+             (Pgraph.Compare.compare_contexts db ~rel:S.circumscribes ~ctx_a ~ctx_b ())
+             (Graph_oracle.compare_contexts db ~rel:S.circumscribes ~ctx_a ~ctx_b ())))
+      (List.concat_map (fun a -> List.map (fun b -> (a, b)) contexts) contexts)
+  in
+  with_db (fun db ->
+      let _, (rep_spec, nod_spec), _ = apium_setup db in
+      let taxon ctx rank items =
+        let t = Classify.create_taxon db ~rank () in
+        List.iter (fun i -> ignore (Classify.circumscribe db ~ctx ~group:t ~item:i ())) items;
+        t
+      in
+      let before = Classify.create_classification db "before 2000" in
+      ignore (taxon before Rank.Genus [ taxon before Rank.Species [ rep_spec ] ]);
+      ignore (taxon before Rank.Genus [ taxon before Rank.Species [ nod_spec ] ]);
+      let revision = Classify.create_classification db "revision 2000" in
+      ignore (taxon revision Rank.Genus [ taxon revision Rank.Species [ rep_spec; nod_spec ] ]);
+      check db [ before; revision ]);
+  with_db (fun db ->
+      let (c1, _, _, _, _), (c2, _, _, _) = shapes_setup db in
+      check db [ c1; c2 ])
+
+(* A traversal allocates for what it visits, not for the size of the
+   graph: a species' descendants and ancestors cost as many words in a
+   flora of 576 species as in one of 144 (within 2x).  Counted as minor
+   plus major words, so arrays allocated straight in the major heap
+   count too.  ([Gc.allocated_bytes] would do, but on OCaml 5.1 its
+   minor-heap term reads about an eighth of the words allocated.) *)
+let test_traversal_allocation_flat () =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let words_per_call f =
+    ignore (f ());
+    let runs = 200 in
+    let before = words () in
+    for _ = 1 to runs do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (words () -. before) /. float_of_int runs
+  in
+  let measure families =
+    with_db (fun db ->
+        let params =
+          {
+            Flora_gen.families;
+            genera_per_family = 6;
+            species_per_genus = 8;
+            specimens_per_species = 3;
+            seed = 42;
+          }
+        in
+        let f = Database.with_tx db (fun () -> Flora_gen.generate db ~params ()) in
+        let context = f.Flora_gen.ctx and rel = S.circumscribes in
+        let species = List.hd f.Flora_gen.species_taxa in
+        ( words_per_call (fun () -> Pgraph.Traverse.descendants db ~context ~rel species),
+          words_per_call (fun () -> Pgraph.Traverse.ancestors db ~context ~rel species) ))
+  in
+  let d144, a144 = measure 3 and d576, a576 = measure 12 in
+  let flat name small large =
+    if large > 2. *. small then
+      Alcotest.failf "%s: %.0f words per call at 576 species, %.0f at 144" name large small
+  in
+  flat "descendants of a species" d144 d576;
+  flat "ancestors of a species" a144 a576
+
 let () =
   Alcotest.run "taxonomy"
     [
@@ -677,5 +765,12 @@ let () =
           Alcotest.test_case "type existence warns" `Quick test_icbn_type_existence_warns;
           Alcotest.test_case "tautonym" `Quick test_icbn_tautonym;
           Alcotest.test_case "combination year warns" `Quick test_icbn_combination_year_warns;
+        ] );
+      ( "traversal",
+        [
+          Alcotest.test_case "compare_contexts = oracle (figs 3, 4)" `Quick
+            test_compare_contexts_oracle;
+          Alcotest.test_case "allocation follows the walk, not the flora" `Quick
+            test_traversal_allocation_flat;
         ] );
     ]
