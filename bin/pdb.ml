@@ -26,12 +26,31 @@ let with_db file f =
   let db = Database.open_ file in
   Fun.protect ~finally:(fun () -> Database.close db) (fun () -> f db)
 
+(* Run [f] over FILE; a query that fails to lex, parse or evaluate is
+   the caller's error, not a crash: print it and exit 1, after the
+   database is closed. *)
+let with_query_db cmd file f =
+  let outcome =
+    with_db file (fun db ->
+        match f db with
+        | () -> Ok ()
+        | exception Pool_lang.Lexer.Syntax_error (m, pos) ->
+            Error (Printf.sprintf "syntax error at %d: %s" pos m)
+        | exception Pool_lang.Eval.Eval_error m -> Error ("evaluation error: " ^ m)
+        | exception (Database.Model_error m | Meta.Schema_error m) -> Error m)
+  in
+  match outcome with
+  | Ok () -> ()
+  | Error m ->
+      Printf.eprintf "pdb %s: %s\n" cmd m;
+      exit 1
+
 (* --- query ----------------------------------------------------------- *)
 
 let query_cmd =
   let q = Arg.(required & pos 1 (some string) None & info [] ~docv:"QUERY" ~doc:"POOL query.") in
   let run file query =
-    with_db file (fun db ->
+    with_query_db "query" file (fun db ->
         match Pool_lang.Pool.query db query with
         | Value.VList rows ->
             List.iter (fun r -> print_endline (Value.to_string r)) rows;
@@ -180,7 +199,7 @@ let metrics_cmd =
 let trace_cmd =
   let q = Arg.(required & pos 1 (some string) None & info [] ~docv:"QUERY" ~doc:"POOL query.") in
   let run file query =
-    with_db file (fun db ->
+    with_query_db "trace" file (fun db ->
         Pobs.Trace.enabled := true;
         Pobs.Trace.set_capacity 4096;
         let v = Pool_lang.Pool.query db query in

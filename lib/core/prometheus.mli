@@ -213,7 +213,10 @@ val synonym_set : t -> int -> Pmodel.Database.OidSet.t
 
 val create_index : t -> string -> string -> unit
 (** [create_index t "Person" "name"]: secondary index used by POOL
-    equality probes; maintained on update, covers subclasses.  Raises
+    equality probes; maintained on update, covers subclasses.  The
+    index is entered in the schema's stored catalog: it commits or rolls
+    back with the enclosing transaction (outside one it commits on its
+    own), replicates, and every later open rebuilds it.  Raises
     [Model_error] unless the class declares the attribute and, on a
     relationship class, it is not an endpoint ([origin], [destination],
     [context]). *)

@@ -61,8 +61,10 @@ type t = {
      destination -> incoming *)
   out_adj : Adj.t;
   in_adj : Adj.t;
-  (* secondary attribute indexes: (class, attr) -> ordered value map -> oids *)
-  indexes : (string * string, OidSet.t ValueMap.t ref) Hashtbl.t;
+  (* secondary attribute indexes, one per entry of the schema's index
+     catalog: (class, attr, ordered value map -> oids).  A list: there
+     are few, and every insert walks it *)
+  mutable indexes : (string * string * OidSet.t ValueMap.t ref) list;
   (* bumped on create_index/drop_index and on class/relationship
      definition so cached query plans can detect that their access-path
      and extent-vs-expression choices went stale *)
@@ -152,24 +154,28 @@ let map_remove table key oid =
         | None -> None)
       !table
 
-let index_add t (o : Obj.t) =
-  Hashtbl.iter
-    (fun (cls, attr) table ->
-      if index_covers t ~index_class:cls ~obj_class:o.Obj.class_name then
-        map_add table (Obj.get o attr) o.Obj.oid)
-    t.indexes
+let rec find_index cls attr = function
+  | [] -> None
+  | (c, a, table) :: rest ->
+      if String.equal c cls && String.equal a attr then Some table else find_index cls attr rest
 
-let index_remove t (o : Obj.t) =
-  Hashtbl.iter
-    (fun (cls, attr) table ->
+(* [f table (Obj.get o attr) oid] for each index [(cls, attr, table)]
+   whose class covers [o]'s; a recursion, not an iterator's closure,
+   so an insert allocates nothing here *)
+let rec each_covering t (o : Obj.t) f = function
+  | [] -> ()
+  | (cls, attr, table) :: rest ->
       if index_covers t ~index_class:cls ~obj_class:o.Obj.class_name then
-        map_remove table (Obj.get o attr) o.Obj.oid)
-    t.indexes
+        f table (Obj.get o attr) o.Obj.oid;
+      each_covering t o f rest
+
+let index_add t o = each_covering t o map_add t.indexes
+let index_remove t o = each_covering t o map_remove t.indexes
 
 let index_update t (o : Obj.t) attr ~old_v ~new_v =
-  Hashtbl.iter
-    (fun (cls, a) table ->
-      if a = attr && index_covers t ~index_class:cls ~obj_class:o.Obj.class_name then begin
+  List.iter
+    (fun (cls, a, table) ->
+      if String.equal a attr && index_covers t ~index_class:cls ~obj_class:o.Obj.class_name then begin
         map_remove table old_v o.Obj.oid;
         map_add table new_v o.Obj.oid
       end)
@@ -212,15 +218,29 @@ let mirror_remove t (o : Obj.t) =
   end;
   index_remove t o
 
-let rebuild_mirror t =
+(* An index over the mirror as it stands, read off the extents of the
+   class and its subclasses: no other object is looked at. *)
+let build_index t cls attr =
+  let table = ref ValueMap.empty in
+  List.iter
+    (fun sub ->
+      match Hashtbl.find_opt t.extents sub with
+      | Some v -> Dense.Vec.iter (fun oid -> map_add table (Obj.get (Dense.get t.objects oid) attr) oid) v
+      | None -> ())
+    (Meta.subclasses t.schema cls);
+  table
+
+(* Rebuild the mirror from [iter] (the store's records, or a
+   snapshot's), then one index per entry of the schema's catalog. *)
+let rebuild_mirror t iter =
   Dense.clear t.objects;
   Hashtbl.reset t.extents;
   Adj.reset t.out_adj;
   Adj.reset t.in_adj;
   Hashtbl.reset t.syn_parent;
-  Hashtbl.iter (fun _ table -> table := ValueMap.empty) t.indexes;
-  Store.iter t.store (fun oid data ->
-      if oid <> schema_oid then mirror_insert t (Obj.decode ~oid data))
+  t.indexes <- [];
+  iter (fun oid data -> if oid <> schema_oid then mirror_insert t (Obj.decode ~oid data));
+  t.indexes <- List.map (fun (cls, attr) -> (cls, attr, build_index t cls attr)) (Meta.indexes t.schema)
 
 (* ---------------------------------------------------------------------- *)
 (* Lifecycle                                                               *)
@@ -256,7 +276,7 @@ let open_ ?cache_pages ?vfs ?readonly path : t =
       extents = Hashtbl.create 64;
       out_adj = Adj.create ();
       in_adj = Adj.create ();
-      indexes = Hashtbl.create 8;
+      indexes = [];
       index_epoch = 0;
       ext = Hashtbl.create 4;
       ext_mu = Mutex.create ();
@@ -270,7 +290,7 @@ let open_ ?cache_pages ?vfs ?readonly path : t =
      schema was decoded above and [register_builtin_classes] is
      idempotent, so skipping the persist loses nothing. *)
   if not ro then persist_schema t;
-  rebuild_mirror t;
+  rebuild_mirror t (Store.iter store);
   t
 
 let close t =
@@ -285,8 +305,7 @@ let close t =
 (* Build a full database view over a frozen store snapshot: its own
    schema, bus, mirror and layer state, all reconstructed from the
    snapshot's bytes, so it shares nothing mutable with the parent. *)
-let of_store_snapshot ~(store : Store.t) (snap : Store.Snapshot.s)
-    ~(index_defs : (string * string) list) : t =
+let of_store_snapshot ~(store : Store.t) (snap : Store.Snapshot.s) : t =
   let schema = Meta.empty () in
   (match Store.Snapshot.get snap ~oid:schema_oid with
   | Some data -> Meta.decode_into schema data
@@ -305,7 +324,7 @@ let of_store_snapshot ~(store : Store.t) (snap : Store.Snapshot.s)
       extents = Hashtbl.create 64;
       out_adj = Adj.create ();
       in_adj = Adj.create ();
-      indexes = Hashtbl.create 8;
+      indexes = [];
       index_epoch = 0;
       ext = Hashtbl.create 4;
       ext_mu = Mutex.create ();
@@ -315,21 +334,9 @@ let of_store_snapshot ~(store : Store.t) (snap : Store.Snapshot.s)
     }
   in
   Bus.set_subclass_pred bus (is_subclass t);
-  Store.Snapshot.iter snap (fun oid data ->
-      if oid <> schema_oid then mirror_insert t (Obj.decode ~oid data));
-  (* Rebuild the parent's secondary indexes over the frozen mirror so
-     cached plans made against the view see the same access paths. *)
-  List.iter
-    (fun (cls, attr) ->
-      let table = ref ValueMap.empty in
-      Hashtbl.replace t.indexes (cls, attr) table;
-      Dense.iter t.objects (fun _ o ->
-          if index_covers t ~index_class:cls ~obj_class:o.Obj.class_name then
-            map_add table (Obj.get o attr) o.Obj.oid))
-    index_defs;
+  (* the snapshot's own schema record names the indexes at its LSN *)
+  rebuild_mirror t (Store.Snapshot.iter snap);
   t
-
-let index_defs t = Hashtbl.fold (fun k _ acc -> k :: acc) t.indexes []
 
 (** Freeze the current committed state into a read-only database view.
 
@@ -343,16 +350,14 @@ let index_defs t = Hashtbl.fold (fun k _ acc -> k :: acc) t.indexes []
     mirror and layer state is installed under {!ext_get_or_init}. *)
 let snapshot (parent : t) : t =
   if is_view parent then fail "snapshot of a snapshot view";
-  let defs = index_defs parent in
-  of_store_snapshot ~store:parent.store (Store.snapshot parent.store) ~index_defs:defs
+  of_store_snapshot ~store:parent.store (Store.snapshot parent.store)
 
 (** An independent view of the same frozen LSN (own mirror, own layer
     state) for another domain. *)
 let snapshot_clone (v : t) : t =
   match v.view with
   | None -> fail "snapshot_clone of a live database"
-  | Some s ->
-      of_store_snapshot ~store:v.store (Store.Snapshot.clone s) ~index_defs:(index_defs v)
+  | Some s -> of_store_snapshot ~store:v.store (Store.Snapshot.clone s)
 
 (** The LSN a snapshot view is frozen at. *)
 let view_lsn t =
@@ -413,11 +418,21 @@ let commit t =
   end
   else t.tx_depth <- t.tx_depth - 1
 
-(* After the store rolled back: resynchronise the mirror, then tell
+(* After the store rolled back: take the index catalog back to the
+   stored one (an index created or dropped in the rolled-back
+   transaction is undone with it), resynchronise the mirror, then tell
    [On_abort] subscribers (the rules engine's deferred queue) that
    state they derived may be gone. *)
 let rolled_back t =
-  rebuild_mirror t;
+  (match Store.get t.store ~oid:schema_oid with
+  | Some data ->
+      let catalog = Meta.decode_indexes data in
+      if catalog <> Meta.indexes t.schema then begin
+        Meta.set_indexes t.schema catalog;
+        t.index_epoch <- t.index_epoch + 1
+      end
+  | None -> ());
+  rebuild_mirror t (Store.iter t.store);
   Hashtbl.reset t.touched;
   Bus.emit t.bus Event.Tx_abort
 
@@ -943,35 +958,47 @@ let synonym_set t a : OidSet.t =
 (* Secondary indexes (index layer, thesis 6.1.4)                           *)
 (* ---------------------------------------------------------------------- *)
 
+let persist_catalog t =
+  if Store.in_tx t.store then persist_schema t else with_tx t (fun () -> persist_schema t)
+
 (* An index keys each object by its stored [Obj.get o attr], so it can
    only serve an attribute POOL reads that way.  It cannot serve a
    relationship endpoint ([origin], [destination] and [context] are not
    stored attributes) nor a role-inherited attribute (read through
    {!get_attr}'s fallback on objects whose class does not declare it):
-   an index on either would answer from stored nulls. *)
+   an index on either would answer from stored nulls.  The catalog is
+   written with the schema record, inside the caller's transaction or
+   as a transaction of its own, so an index is as durable as the
+   records it covers. *)
 let create_index t class_name attr =
+  check_writable t;
   if not (Meta.has_attr t.schema class_name attr) then
     fail "create_index: class %s does not declare attribute %s" class_name attr;
   if Meta.is_rel t.schema class_name && List.mem attr [ "origin"; "destination"; "context" ] then
     fail "create_index: %s.%s names a relationship endpoint, not a stored attribute" class_name
       attr;
   let key = (class_name, attr) in
-  if not (Hashtbl.mem t.indexes key) then begin
-    let table = ref ValueMap.empty in
-    Hashtbl.replace t.indexes key table;
+  if not (Meta.has_index t.schema class_name attr) then begin
+    t.indexes <- (class_name, attr, build_index t class_name attr) :: t.indexes;
+    Meta.set_indexes t.schema (key :: Meta.indexes t.schema);
     t.index_epoch <- t.index_epoch + 1;
-    iter_objects t (fun o ->
-        if index_covers t ~index_class:class_name ~obj_class:o.Obj.class_name then
-          map_add table (Obj.get o attr) o.Obj.oid)
+    persist_catalog t
   end
 
 let drop_index t class_name attr =
-  if Hashtbl.mem t.indexes (class_name, attr) then begin
-    Hashtbl.remove t.indexes (class_name, attr);
-    t.index_epoch <- t.index_epoch + 1
+  check_writable t;
+  let key = (class_name, attr) in
+  if Meta.has_index t.schema class_name attr then begin
+    t.indexes <- List.filter (fun (c, a, _) -> (c, a) <> key) t.indexes;
+    Meta.set_indexes t.schema (List.filter (( <> ) key) (Meta.indexes t.schema));
+    t.index_epoch <- t.index_epoch + 1;
+    persist_catalog t
   end
 
-let has_index t class_name attr = Hashtbl.mem t.indexes (class_name, attr)
+let has_index t class_name attr = Meta.has_index t.schema class_name attr
+
+(** The index catalog, ascending [(class, attribute)] pairs. *)
+let index_defs t = Meta.indexes t.schema
 
 (** Monotone counter bumped by {!create_index}/{!drop_index} and by
     {!define_class}/{!define_rel}; cached query plans carry the epoch
@@ -980,7 +1007,7 @@ let has_index t class_name attr = Hashtbl.mem t.indexes (class_name, attr)
 let index_epoch t = t.index_epoch
 
 let index_lookup t class_name attr (v : Value.t) : OidSet.t option =
-  match Hashtbl.find_opt t.indexes (class_name, attr) with
+  match find_index class_name attr t.indexes with
   | Some table -> Some (Option.value ~default:OidSet.empty (ValueMap.find_opt v !table))
   | None -> None
 
@@ -991,7 +1018,7 @@ let index_lookup t class_name attr (v : Value.t) : OidSet.t option =
     operators use, so the result is exactly the candidate superset an
     extent scan with the same comparison predicates would keep. *)
 let index_range t class_name attr ?lo ?hi () : OidSet.t option =
-  match Hashtbl.find_opt t.indexes (class_name, attr) with
+  match find_index class_name attr t.indexes with
   | None -> None
   | Some table ->
       let above_lo k =
@@ -1038,7 +1065,7 @@ let index_range t class_name attr ?lo ?hi () : OidSet.t option =
     the value order, so "only string keys" is just "both extreme keys
     are strings" — two O(log n) probes, no full scan. *)
 let index_string_prefix t class_name attr prefix : OidSet.t option =
-  match Hashtbl.find_opt t.indexes (class_name, attr) with
+  match find_index class_name attr t.indexes with
   | None -> None
   | Some table
     when (not (ValueMap.is_empty !table))

@@ -144,6 +144,10 @@ type t = {
   flat_attrs : (string, attr_def list) Hashtbl.t;
   rel_ids : (string, int) Hashtbl.t;
   mutable rel_by_id : rel_def array;
+  (* the index catalog: the [(class, attribute)] pairs with a secondary
+     index, ascending; the database builds each index from it whenever
+     it builds a mirror *)
+  mutable indexes : (string * string) list;
 }
 
 let object_class = "Object"
@@ -219,6 +223,13 @@ let rel_of_id t id = t.rel_by_id.(id)
     that is neither. *)
 let rel_sub_ids t name = find_or t.rel_sub_ids name [||]
 
+(** The index catalog, ascending. *)
+let indexes t = t.indexes
+
+let has_index t cls attr = List.mem (cls, attr) t.indexes
+
+let set_indexes t l = t.indexes <- List.sort_uniq compare l
+
 (* ---------------------------------------------------------------------- *)
 (* Registration: closures computed once per definition                     *)
 (* ---------------------------------------------------------------------- *)
@@ -278,6 +289,7 @@ let empty () =
       flat_attrs = Hashtbl.create 64;
       rel_ids = Hashtbl.create 64;
       rel_by_id = [||];
+      indexes = [];
     }
   in
   List.iter (register_class t) builtin_classes;
@@ -408,6 +420,19 @@ let encode t : string =
       Codec.Enc.u16 e (List.length r.rel_attrs);
       List.iter (encode_attr e) r.rel_attrs)
     rels;
+  (* The index catalog trails the relationship list, and only when it
+     is non-empty.  A decoder that stops after the relationships (every
+     build before the catalog existed) reads the same schema and no
+     indexes; a record without the section decodes to an empty
+     catalog. *)
+  if t.indexes <> [] then begin
+    Codec.Enc.u16 e (List.length t.indexes);
+    List.iter
+      (fun (cls, attr) ->
+        Codec.Enc.string e cls;
+        Codec.Enc.string e attr)
+      t.indexes
+  end;
   Codec.Enc.to_string e
 
 let decode_into t (s : string) =
@@ -471,4 +496,16 @@ let decode_into t (s : string) =
         })
   in
   drain ~defined:t.rels ~name:(fun r -> r.rel_name) ~supers:(fun r -> r.rel_supers) register_rel
-    pending
+    pending;
+  set_indexes t
+    (if Codec.Dec.eof d then []
+     else
+       List.init (Codec.Dec.u16 d) (fun _ ->
+           let cls = Codec.Dec.string d in
+           (cls, Codec.Dec.string d)))
+
+(** The index catalog of a stored schema record. *)
+let decode_indexes (s : string) =
+  let t = empty () in
+  decode_into t s;
+  t.indexes

@@ -22,7 +22,8 @@ let is_reserved_attr a = a = origin_attr || a = destination_attr || a = context_
 let make ~oid ~class_name attrs =
   { oid; class_name; attrs = List.fold_left (fun m (k, v) -> SMap.add k v m) SMap.empty attrs }
 
-let get (t : t) attr = match SMap.find_opt attr t.attrs with Some v -> v | None -> Value.VNull
+(* [SMap.find], not [find_opt]: a read allocates no option *)
+let get (t : t) attr = match SMap.find attr t.attrs with v -> v | exception Not_found -> Value.VNull
 let set (t : t) attr v = t.attrs <- SMap.add attr v t.attrs
 let fields (t : t) = SMap.bindings t.attrs
 

@@ -84,13 +84,26 @@ type totals = {
   t_invariant_reuses : int Atomic.t;
 }
 
+(* The plan cache's key: a select and the sorted names its caller
+   binds.  Hashed over the whole tree (the default hash stops after ten
+   values, before most literals) and compared structurally, so a lookup
+   formats nothing. *)
+module Plan_key = struct
+  type t = Ast.select * string list
+
+  let equal (a : t) (b : t) = a = b
+  let hash (k : t) = Hashtbl.hash_param 256 256 k
+end
+
+module Plan_cache = Hashtbl.Make (Plan_key)
+
 (* Plan-cache entries carry the index epoch they were compiled under;
    a moved epoch means an index was created or dropped, or a class or
    relationship was defined, and the plan must be rebuilt (counted as
    a miss). *)
 type per_db = {
   totals : totals;
-  cache : (string, int * Plan.t) Hashtbl.t;
+  cache : (int * Plan.t) Plan_cache.t;
   cache_mu : Mutex.t; (* queries may run on any domain over a shared view *)
 }
 
@@ -119,7 +132,7 @@ let per_db db : per_db =
                 t_invariant_evals = Atomic.make 0;
                 t_invariant_reuses = Atomic.make 0;
               };
-            cache = Hashtbl.create 64;
+            cache = Plan_cache.create 64;
             cache_mu = Mutex.create ();
           })
   with
@@ -166,7 +179,7 @@ type state = {
   db : Database.t;
   config : config;
   totals : totals;
-  cache : (string, int * Plan.t) Hashtbl.t;
+  cache : (int * Plan.t) Plan_cache.t;
   cache_mu : Mutex.t;
   mutable plan_memo : (Ast.select * Plan.t) list;
       (* per-query physical-identity memo: a correlated subselect is
@@ -633,26 +646,24 @@ and index_probe st (s : Ast.select) : OidSet.t option =
   | _ -> None
 
 (** Resolve a plan and its per-query caches: the per-state
-    physical-identity memo avoids re-stringifying a correlated
-    subselect per outer row; the per-db cache (keyed on normalised
-    query text plus the names bound by the caller, the context clause
-    being part of the text) reuses plans across queries until the
-    index epoch moves. *)
+    physical-identity memo avoids re-hashing a correlated subselect per
+    outer row; the per-db cache (keyed on the select itself plus the
+    names bound by the caller, the context clause being part of the
+    select) reuses plans across queries until the index epoch moves. *)
 and plan_for st (env : env) (s : Ast.select) : Plan.t =
   match List.find_opt (fun (s', _) -> s' == s) st.plan_memo with
   | Some (_, p) -> p
   | None ->
-      let bound = List.map fst env in
-      let key =
-        Ast.to_string (Ast.Select s) ^ "|" ^ String.concat "," (List.sort_uniq compare bound)
-      in
+      let bound = List.sort_uniq compare (List.map fst env) in
+      let key = (s, bound) in
       let epoch = Database.index_epoch st.db in
       let cached =
         Mutex.lock st.cache_mu;
         let r =
-          match Hashtbl.find_opt st.cache key with
-          | Some (e, p) when e = epoch -> Some p
+          match Plan_cache.find st.cache key with
+          | e, p when e = epoch -> Some p
           | _ -> None
+          | exception Not_found -> None
         in
         Mutex.unlock st.cache_mu;
         r
@@ -670,8 +681,8 @@ and plan_for st (env : env) (s : Ast.select) : Plan.t =
                work, never block each other on the compiler *)
             let p = Pobs.Trace.with_span "pool.plan" (fun () -> Plan.compile st.db ~bound s) in
             Mutex.lock st.cache_mu;
-            if Hashtbl.length st.cache > 512 then Hashtbl.reset st.cache;
-            Hashtbl.replace st.cache key (epoch, p);
+            if Plan_cache.length st.cache > 512 then Plan_cache.reset st.cache;
+            Plan_cache.replace st.cache key (epoch, p);
             Mutex.unlock st.cache_mu;
             p
       in
@@ -731,18 +742,8 @@ and prepare st (b : Plan.binding) : string * exec =
         match b.Plan.filter with
         | [] -> fun acc o -> Value.VRef o :: acc
         | tests ->
-            (* a rejected oid allocates nothing *)
             fun acc o ->
-              let obj = Database.get_exn st.db o in
-              if
-                List.for_all
-                  (fun (t : Plan.test) ->
-                    Plan.holds t
-                      (if t.Plan.direct then Obj.get obj t.Plan.attr
-                       else eval_obj_attr st o t.Plan.attr))
-                  tests
-              then Value.VRef o :: acc
-              else acc
+              if passes st o (Database.get_exn st.db o) tests then Value.VRef o :: acc else acc
       in
       let cands = List.rev (fold_access st access keep []) in
       match b.Plan.hash_key with
@@ -764,6 +765,17 @@ and prepare st (b : Plan.binding) : string * exec =
           Pobs.Metrics.inc m_hash_joins;
           (b.Plan.var, Hash_probe (tbl, probe_expr, cands))
       | None -> (b.Plan.var, Candidates cands))
+
+(* Does object [o] pass every scan-filter test?  A recursive function
+   rather than [List.for_all] over a per-candidate closure, and a direct
+   read through [Obj.get], which returns the value unwrapped: a rejected
+   oid allocates nothing. *)
+and passes st o (obj : Obj.t) = function
+  | [] -> true
+  | (t : Plan.test) :: rest ->
+      Plan.holds t
+        (if t.Plan.direct then Obj.get obj t.Plan.attr else eval_obj_attr st o t.Plan.attr)
+      && passes st o obj rest
 
 (* Add a finished select's slot counts to the cumulative totals: once
    per execution, not once per row, so reader domains sharing a

@@ -89,7 +89,10 @@ let install (db : Database.t) : unit =
     ignore (Database.define_rel db calculated_name ~origin:taxon ~destination:name);
     ignore
       (Database.define_rel db has_working_name ~origin:taxon ~destination:working_name
-         ~kind:Meta.Aggregation ~lifetime_dep:true ~sharable:false)
+         ~kind:Meta.Aggregation ~lifetime_dep:true ~sharable:false);
+    (* name lookups ([n.epithet = '...']) probe this index, in every
+       process that opens the database: the catalog is stored *)
+    Database.create_index db name "epithet"
   end
 
 let rank_of db oid : Rank.t option =

@@ -651,6 +651,77 @@ let test_chained_replication () =
            | _ -> assert false))
         (R.Apply.stream_id sess3.R.apply))
 
+(* The index catalog survives failover.  It is part of the schema
+   record, so a follower holds the primary's indexes (the taxonomic
+   schema's [Name.epithet], and one created after the follower
+   bootstrapped) and so does the primary it is promoted to: its name
+   lookups still probe an index and answer as the old primary did. *)
+let test_promotion_keeps_indexes () =
+  let p1 = tmp_path () and p2 = tmp_path () in
+  seed p1;
+  let n1 = Promote.create_leading ~readers:1 ~path:p1 ~host:"127.0.0.1" ~repl_port:0 () in
+  let db1 =
+    match n1.Promote.n_state with
+    | Promote.Leading l -> l.l_db
+    | _ -> assert false
+  in
+  Database.with_tx db1 (fun () ->
+      List.iteri
+        (fun i e ->
+          ignore
+            (Database.create db1 Taxonomy.Tax_schema.name
+               [
+                 ("epithet", Value.VString e);
+                 ("rank", Value.VString (if i mod 2 = 0 then "Species" else "Genus"));
+               ]))
+        [ "alba"; "rubra"; "alba"; "nigra"; "rubra" ]);
+  let n2 = mk_follower ~upstream:(Printf.sprintf "127.0.0.1:%d" (feed_port n1)) p2 in
+  Fun.protect
+    ~finally:(fun () ->
+      Promote.shutdown n2;
+      Promote.shutdown n1;
+      List.iter cleanup [ p1; p2 ])
+    (fun () ->
+      Database.create_index db1 Taxonomy.Tax_schema.taxon "rank";
+      let apply =
+        match n2.Promote.n_state with
+        | Promote.Following f -> f.f_sess.R.apply
+        | _ -> Alcotest.fail "not following"
+      in
+      wait "follower catches up" (fun () ->
+          R.Apply.last_lsn apply = S.lsn (Database.store db1));
+      let catalog = [ ("Name", "epithet"); ("Taxon", "rank") ] in
+      Alcotest.(check (list (pair string string))) "primary" catalog (Database.index_defs db1);
+      let replica = R.Apply.with_lock apply (fun () -> Database.open_ ~readonly:true p2) in
+      Alcotest.(check (list (pair string string))) "follower" catalog
+        (Database.index_defs replica);
+      Database.close replica;
+      let lookups =
+        [
+          "select n.rank from Name n where n.epithet = 'alba'";
+          "first(select n from Name n where n.epithet = 'rubra' and n.rank = 'Genus')";
+          "select n from Name n where n.epithet = 'none'";
+        ]
+      in
+      let expected = List.map (Pool_lang.Pool.query db1) lookups in
+      (match Promote.promote n2 with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "promote: %s" e);
+      let db2 =
+        match n2.Promote.n_state with
+        | Promote.Leading l -> l.l_db
+        | _ -> Alcotest.fail "not leading after promotion"
+      in
+      Alcotest.(check (list (pair string string))) "promoted primary" catalog
+        (Database.index_defs db2);
+      Alcotest.(check string) "a name lookup probes" "n<-probe(Name.epithet)"
+        (Pool_lang.Pool.explain db2 "select n from Name n where n.epithet = 'alba'");
+      List.iter2
+        (fun q v ->
+          Alcotest.(check string) q (Value.to_string v)
+            (Value.to_string (Pool_lang.Pool.query db2 q)))
+        lookups expected)
+
 (* ------------------------------------------------------------------ *)
 (* The acceptance fault sweep: failover under load                     *)
 (* ------------------------------------------------------------------ *)
@@ -1005,6 +1076,7 @@ let () =
       ( "failover",
         [
           Alcotest.test_case "promotion under load" `Slow test_failover_under_load;
+          Alcotest.test_case "promotion keeps the indexes" `Quick test_promotion_keeps_indexes;
         ] );
       ( "steering",
         [ Alcotest.test_case "lagging replica never serves a token" `Quick test_lagging_replica ]

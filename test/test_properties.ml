@@ -1322,6 +1322,82 @@ let prop_abort_is_identity =
           Database.abort db;
           snapshot () = before))
 
+(* The index on [Name.epithet] (declared by the taxonomic schema) is
+   only an access path: over random floras, after committed and
+   rolled-back renames and a reopen that rebuilds it from the stored
+   catalog, name lookups answer exactly as they do once it is dropped,
+   rows in the same order. *)
+let prop_name_index_differential =
+  let gen =
+    QCheck.Gen.(
+      quad (int_range 1 1000) (int_range 1 2) (int_range 1 3)
+        (list_size (int_range 0 6) (triple (int_range 0 1000) (int_range 0 3) bool)))
+  in
+  let print (seed, fams, gens, renames) =
+    Printf.sprintf "seed %d, %d families x %d genera, renames %s" seed fams gens
+      (String.concat "; "
+         (List.map (fun (i, e, c) -> Printf.sprintf "%d->%d%s" i e (if c then "" else " (aborted)")) renames))
+  in
+  QCheck.Test.make ~name:"name lookups: indexed = unindexed, same order" ~count:25
+    (QCheck.make ~print gen) (fun (seed, families, genera, renames) ->
+      let path = tmp_path () in
+      let db = ref (Database.open_ path) in
+      Fun.protect
+        ~finally:(fun () ->
+          (try Database.close !db with _ -> ());
+          cleanup path)
+        (fun () ->
+          Taxonomy.Tax_schema.install !db;
+          let params =
+            { Taxonomy.Flora_gen.families; genera_per_family = genera; species_per_genus = 3; specimens_per_species = 1; seed }
+          in
+          Database.with_tx !db (fun () -> ignore (Taxonomy.Flora_gen.generate !db ~params ()));
+          let names = Array.of_list (Database.extent_list !db "Name") in
+          let epithet oid = V.as_string (Database.get_attr !db oid "epithet") in
+          let pool = [| epithet names.(0); "zzz"; epithet names.(Array.length names - 1); "Nus" |] in
+          List.iter
+            (fun (i, e, commit) ->
+              let rename () = Database.update !db names.(i mod Array.length names) "epithet" (V.VString pool.(e)) in
+              if commit then Database.with_tx !db rename
+              else (
+                Database.begin_tx !db;
+                rename ();
+                Database.abort !db))
+            renames;
+          let epithets =
+            List.sort_uniq compare
+              ("absent" :: Array.to_list pool @ List.map epithet (List.filteri (fun i _ -> i < 6) (Array.to_list names)))
+          in
+          let queries =
+            List.concat_map
+              (fun e ->
+                List.concat_map
+                  (fun r ->
+                    [
+                      Printf.sprintf "first(select n from Name n where n.epithet = '%s' and n.rank = '%s')" e r;
+                      Printf.sprintf "count(select n from Name n where n.rank = '%s' and n.epithet = '%s')" r e;
+                    ])
+                  [ "Familia"; "Genus"; "Species" ]
+                @ [
+                    Printf.sprintf "select n from Name n where n.epithet = '%s'" e;
+                    Printf.sprintf "select n.year from Name n where n.epithet = '%s' order by n.year desc" e;
+                  ])
+              epithets
+          in
+          let answers () = List.map (fun q -> V.to_string (Pool_lang.Pool.query !db q)) queries in
+          let probes () =
+            Pool_lang.Pool.explain !db "select n from Name n where n.epithet = 'x'"
+            = "n<-probe(Name.epithet)"
+          in
+          let live = answers () and live_probes = probes () in
+          Database.close !db;
+          db := Database.open_ path;
+          let reopened = answers () and reopened_probes = probes () in
+          Database.drop_index !db "Name" "epithet";
+          let unindexed = answers () in
+          live_probes && reopened_probes && (not (probes ())) && live = unindexed
+          && reopened = unindexed))
+
 let () =
   Alcotest.run "properties"
     [
@@ -1348,6 +1424,7 @@ let () =
           [
             prop_derivation_deterministic; prop_synonymy_symmetric;
             prop_revision_copy_preserves_specimen_sets; prop_compare_copy_is_identity;
+            prop_name_index_differential;
           ] );
       ( "pool",
         List.map QCheck_alcotest.to_alcotest

@@ -943,6 +943,181 @@ let test_pool_graph_builtins () =
     (check_both db ~env
        "select p from Person p where p in descendants(boss, 'Manages') order by p.name")
 
+(* --- plan-cache key ---------------------------------------------------- *)
+
+(* A hit hashes and compares the parsed select; it must cost less than
+   the compile it saves (formatting the select as its key once cost
+   more). *)
+let test_plan_cache_hit_allocation () =
+  with_db @@ fun db ->
+  let _ = setup db in
+  let q =
+    "first(select p from Person p where p.name = 'carol' and p.age > 20 and p.age < 60)"
+  in
+  let s =
+    match Pool_lang.Parser.parse q with
+    | Pool_lang.Ast.Call (_, [ Pool_lang.Ast.Select s ]) -> s
+    | _ -> Alcotest.fail "expected first(select ...)"
+  in
+  let words f =
+    ignore (f ());
+    let n = 100 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let hits0 = (P.stats db).Pool_lang.Eval.plan_cache_hits in
+  (* a fresh state per call: its per-query memo would answer otherwise *)
+  let hit = words (fun () -> Pool_lang.Eval.plan_for (Pool_lang.Eval.make_state db) [] s) in
+  let compile = words (fun () -> Pool_lang.Plan.compile db ~bound:[] s) in
+  Alcotest.(check bool) "the lookups hit" true
+    ((P.stats db).Pool_lang.Eval.plan_cache_hits >= hits0 + 100);
+  if not (hit < compile) then
+    Alcotest.failf "a hit allocates %.0f words, a compile %.0f" hit compile
+
+(* --- durable indexes --------------------------------------------------- *)
+
+let person_queries =
+  [
+    "select p.name from Person p where p.name = 'bob'";
+    "first(select p from Person p where p.name = 'carol' and p.age > 20)";
+    "select p.name from Person p where p.name = 'nobody'";
+    "count(select p from Person p where p.age >= 30)";
+  ]
+
+let answers db = List.map (check_both db) person_queries
+
+let reopen path db =
+  Database.close db;
+  Database.open_ path
+
+(* The index catalog lives in the schema record: a reopened database
+   has the index, its queries probe it, and the answers are unchanged. *)
+let test_index_survives_reopen () =
+  let path = tmp_path () in
+  let db = Database.open_ path in
+  let _ = setup db in
+  Database.create_index db "Person" "name";
+  let before = answers db in
+  let db = reopen path db in
+  Fun.protect
+    ~finally:(fun () ->
+      Database.close db;
+      Sys.remove path)
+    (fun () ->
+      Alcotest.(check (list (pair string string))) "catalog" [ ("Person", "name") ]
+        (Database.index_defs db);
+      Alcotest.(check string) "a name lookup probes the index" "p<-probe(Person.name)"
+        (P.explain db "select p from Person p where p.name = 'bob'");
+      let probes0 = (P.stats db).Pool_lang.Eval.index_probes in
+      Alcotest.(check (list value_testable)) "same answers" before (answers db);
+      Alcotest.(check bool) "answered through the index" true
+        ((P.stats db).Pool_lang.Eval.index_probes > probes0))
+
+(* An index created in a transaction that aborts is gone, one dropped
+   in one is back (and holds every object again); the same through the
+   group writer, whose rollback rebuilds the mirror the same way. *)
+let test_index_abort () =
+  let path = tmp_path () in
+  let db = Database.open_ path in
+  let _ = setup db in
+  let before = answers db in
+  Database.begin_tx db;
+  Database.create_index db "Person" "name";
+  Alcotest.(check bool) "created in the transaction" true (Database.has_index db "Person" "name");
+  Database.abort db;
+  Alcotest.(check bool) "gone after abort" false (Database.has_index db "Person" "name");
+  Alcotest.(check string) "scans again" "p<-extent(Person); filter(p.name)"
+    (P.explain db "select p from Person p where p.name = 'bob'");
+  Database.create_index db "Person" "name";
+  (try
+     Database.with_tx db (fun () ->
+         Database.drop_index db "Person" "name";
+         ignore (Database.create db "Person" [ ("name", str "erin"); ("age", vint 20) ]);
+         failwith "roll back")
+   with Failure _ -> ());
+  Alcotest.(check bool) "back after abort" true (Database.has_index db "Person" "name");
+  Alcotest.(check (list value_testable)) "answers after abort" before (answers db);
+  let w = Database.Writer.start db in
+  (match
+     Database.Writer.submit w (fun db ->
+         Database.drop_index db "Person" "name";
+         failwith "roll back")
+   with
+  | _ -> Alcotest.fail "the body raised"
+  | exception Failure _ -> ());
+  Database.Writer.stop w;
+  Alcotest.(check bool) "back after a writer rollback" true (Database.has_index db "Person" "name");
+  Alcotest.(check (list value_testable)) "answers after the writer rollback" before (answers db);
+  let db = reopen path db in
+  Alcotest.(check (list (pair string string))) "stored catalog" [ ("Person", "name") ]
+    (Database.index_defs db);
+  Database.close db;
+  Sys.remove path
+
+(* A snapshot view (and each clone of it) carries the catalog of the
+   LSN it is frozen at, whatever the live handle does after. *)
+let test_index_views () =
+  with_db @@ fun db ->
+  let _ = setup db in
+  Database.with_tx db (fun () -> ());
+  let v0 = Database.snapshot db in
+  Database.create_index db "Person" "name";
+  Database.create_index db "Person" "age";
+  let v1 = Database.snapshot db in
+  Database.drop_index db "Person" "name";
+  let v2 = Database.snapshot db in
+  let c1 = Database.snapshot_clone v1 in
+  let cat = Alcotest.(list (pair string string)) in
+  Alcotest.check cat "before any index" [] (Database.index_defs v0);
+  Alcotest.check cat "both" [ ("Person", "age"); ("Person", "name") ] (Database.index_defs v1);
+  Alcotest.check cat "clone of the view" (Database.index_defs v1) (Database.index_defs c1);
+  Alcotest.check cat "after the drop" [ ("Person", "age") ] (Database.index_defs v2);
+  Alcotest.(check string) "the view probes its own index" "p<-probe(Person.name)"
+    (P.explain c1 "select p from Person p where p.name = 'bob'");
+  let expected = answers db in
+  List.iter
+    (fun v -> Alcotest.(check (list value_testable)) "view answers" expected (answers v))
+    [ v0; v1; v2; c1 ];
+  Alcotest.check_raises "no index on a view"
+    (Database.Model_error "operation not permitted on a read-only snapshot view") (fun () ->
+      Database.create_index v1 "Person" "name");
+  List.iter Database.close [ v0; v1; v2; c1 ]
+
+(* The schema record before the catalog existed is this encoding with
+   no trailing section: a store written so opens with no indexes and
+   answers the same.  And a decoder that stops after the relationship
+   list (every build before the catalog) reads the same schema from a
+   record with one, since the catalog-less encoding is its prefix. *)
+let test_index_catalog_compat () =
+  let path = tmp_path () in
+  let db = Database.open_ path in
+  let _ = setup db in
+  Database.create_index db "Person" "name";
+  let indexed = answers db in
+  let schema = Database.schema db in
+  let with_catalog = Meta.encode schema in
+  Meta.set_indexes schema [];
+  let without = Meta.encode schema in
+  Meta.set_indexes schema [ ("Person", "name") ];
+  Alcotest.(check bool) "catalog-less record is a strict prefix" true
+    (String.length without < String.length with_catalog
+    && String.sub with_catalog 0 (String.length without) = without);
+  Database.close db;
+  (* rewrite the schema record as a store without the catalog has it *)
+  let st = Pstore.Store.open_ path in
+  Pstore.Store.with_tx st (fun () -> Pstore.Store.put st ~oid:Database.schema_oid without);
+  Pstore.Store.close st;
+  let db = Database.open_ path in
+  Alcotest.(check (list (pair string string))) "no indexes" [] (Database.index_defs db);
+  Alcotest.(check string) "scans" "p<-extent(Person); filter(p.name)"
+    (P.explain db "select p from Person p where p.name = 'bob'");
+  Alcotest.(check (list value_testable)) "same answers" indexed (answers db);
+  Database.close db;
+  Sys.remove path
+
 let () =
   Alcotest.run "query_engine"
     [
@@ -970,6 +1145,15 @@ let () =
           Alcotest.test_case "hits and epochs" `Quick test_plan_cache;
           Alcotest.test_case "schema epoch" `Quick test_plan_cache_schema_epoch;
           Alcotest.test_case "state survives many dbs" `Quick test_state_survives_many_dbs;
+          Alcotest.test_case "a hit allocates less than a compile" `Quick
+            test_plan_cache_hit_allocation;
+        ] );
+      ( "catalog",
+        [
+          Alcotest.test_case "reopen keeps the index" `Quick test_index_survives_reopen;
+          Alcotest.test_case "abort undoes create and drop" `Quick test_index_abort;
+          Alcotest.test_case "views carry the catalog at their LSN" `Quick test_index_views;
+          Alcotest.test_case "catalog-less records" `Quick test_index_catalog_compat;
         ] );
       ( "csr",
         [

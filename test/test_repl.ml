@@ -521,6 +521,51 @@ let test_apply_end_to_end () =
         (file_bytes rvfs "replica.db" = before);
       R.Apply.close ap)
 
+(* The index catalog is part of the schema record, so it replicates
+   like any record: a replica opened read-only over the applied stream
+   has every index of the primary, whether it was created before the
+   bootstrap snapshot or after it, and each answers as the primary's. *)
+let test_apply_index_catalog () =
+  let module D = Pmodel.Database in
+  let module Val = Pmodel.Value in
+  let fs = F.create ~seed:(seed + 7) () in
+  let db = D.open_ ~vfs:(F.vfs fs) "primary.db" in
+  let feed = Feed.create (D.store db) in
+  ignore
+    (D.define_class db "Item" [ Pmodel.Meta.attr "k" Val.TString; Pmodel.Meta.attr "n" Val.TInt ]);
+  D.create_index db "Item" "k";
+  let items =
+    D.with_tx db (fun () ->
+        List.init 40 (fun i ->
+            D.create db "Item" [ ("k", Val.VString (string_of_int (i mod 7))); ("n", Val.VInt i) ]))
+  in
+  let snap_lsn, snap_data = Feed.snapshot feed in
+  D.create_index db "Item" "n";
+  D.with_tx db (fun () ->
+      List.iteri (fun i oid -> if i mod 3 = 0 then D.update db oid "k" (Val.VString "x")) items);
+  let rfs = F.create ~seed:(seed + 8) () in
+  let ap = R.Apply.create ~vfs:(F.vfs rfs) "replica.db" in
+  R.Apply.install_snapshot ap ~stream_id:(Feed.stream_id feed) ~lsn:snap_lsn ~data:snap_data;
+  List.iter
+    (fun r -> ignore (R.Apply.apply_delta ap ~lsn:r.Feed.r_lsn ~pages:r.Feed.r_pages))
+    (Feed.deltas_after feed ~after:snap_lsn);
+  R.Apply.close ap;
+  let r = D.open_ ~vfs:(F.vfs rfs) ~readonly:true "replica.db" in
+  Alcotest.(check (list (pair string string))) "the primary's catalog"
+    [ ("Item", "k"); ("Item", "n") ] (D.index_defs r);
+  let lookup db attr v =
+    match D.index_lookup db "Item" attr v with
+    | Some oids -> D.OidSet.elements oids
+    | None -> Alcotest.failf "no index on Item.%s" attr
+  in
+  List.iter
+    (fun (attr, v) ->
+      Alcotest.(check (list int)) ("probe " ^ attr) (lookup db attr v) (lookup r attr v))
+    [ ("k", Val.VString "x"); ("k", Val.VString "1"); ("n", Val.VInt 4); ("n", Val.VInt 99) ];
+  D.close r;
+  Feed.detach feed;
+  D.close db
+
 let test_apply_delta_before_snapshot () =
   let rfs = F.create ~seed:(seed + 3) () in
   let ap = R.Apply.create ~vfs:(F.vfs rfs) "replica.db" in
@@ -757,6 +802,7 @@ let () =
       ( "apply",
         [
           Alcotest.test_case "bootstrap + catch-up + duplicates" `Quick test_apply_end_to_end;
+          Alcotest.test_case "index catalog replicates" `Quick test_apply_index_catalog;
           Alcotest.test_case "delta before snapshot" `Quick test_apply_delta_before_snapshot;
           Alcotest.test_case "lsn gap rejected" `Quick test_apply_gap_rejected;
           Alcotest.test_case "connect to bad host is Link_down" `Quick

@@ -487,6 +487,56 @@ let test_sigterm_graceful () =
   Database.close db;
   cleanup path
 
+(* --- the pdb CLI on bad POOL --------------------------------------------- *)
+
+(* Under `dune runtest` the cwd is _build/default/test; under a bare
+   `dune exec` it is the workspace root.  Find the binary either way. *)
+let pdb =
+  List.find_opt Sys.file_exists
+    [ Filename.concat ".." "bin/pdb.exe"; Filename.concat "_build/default" "bin/pdb.exe" ]
+  |> Option.value ~default:(Filename.concat ".." "bin/pdb.exe")
+
+(* [pdb query] and [pdb trace] answer a query that fails to lex, parse
+   or evaluate as /query does: the error on stderr and exit status 1,
+   not cmdliner's crash handler (exit 125). *)
+let test_cli_bad_query () =
+  let path = tmp_path () in
+  let out = path ^ ".out" in
+  let db = Database.open_ path in
+  Taxonomy.Tax_schema.install db;
+  Database.close db;
+  Fun.protect
+    ~finally:(fun () ->
+      cleanup path;
+      if Sys.file_exists out then Sys.remove out)
+    (fun () ->
+      let run cmd q =
+        let code =
+          Sys.command
+            (Printf.sprintf "%s %s %s %s > %s 2>&1" pdb cmd (Filename.quote path) (Filename.quote q)
+               (Filename.quote out))
+        in
+        let ic = open_in_bin out in
+        let text = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        (code, text)
+      in
+      List.iter
+        (fun (cmd, q, expected) ->
+          let code, text = run cmd q in
+          Alcotest.(check int) (Printf.sprintf "pdb %s %S exits 1" cmd q) 1 code;
+          if not (contains text expected) then
+            Alcotest.failf "pdb %s %S printed %S, expected %S" cmd q text expected)
+        [
+          ("query", "descendants(#6, 'Circumscribes')", "pdb query: syntax error at 12");
+          ("query", "select t from Taxon t where", "pdb query: syntax error");
+          ("query", "strlen(1)", "pdb query: evaluation error: strlen");
+          ("trace", "select n from Name n where", "pdb trace: syntax error");
+          ("trace", "not 3", "pdb trace: evaluation error");
+        ];
+      let code, text = run "query" "count(select t from Taxon t)" in
+      Alcotest.(check (pair int string)) "a good query" (0, "0\n") (code, text))
+
 let () =
   Alcotest.run "server"
     [
@@ -500,6 +550,7 @@ let () =
           Alcotest.test_case "/repl passthrough" `Quick test_repl_status_endpoint;
           Alcotest.test_case "/repl 404 without hook" `Quick test_repl_404_without_hook;
           Alcotest.test_case "/query type error 400" `Quick test_query_type_error_400;
+          Alcotest.test_case "pdb query/trace: bad POOL exits 1" `Quick test_cli_bad_query;
         ] );
       ( "abuse",
         [

@@ -355,6 +355,48 @@ let test_pool_survives_raising () =
             | Pserver.Reader_pool.Behind _ -> Alcotest.fail "unexpected Behind"
           done))
 
+(* Each reader-pool generation is built from its snapshot's own schema
+   record, so it carries exactly the index catalog of its LSN: indexes
+   created and dropped through the group writer appear and disappear
+   generation by generation, and name lookups probe what is there. *)
+let test_generation_index_catalog () =
+  let path = tmp_path () in
+  let db = Database.open_ path in
+  Taxonomy.Tax_schema.install db;
+  Database.with_tx db (fun () ->
+      ignore
+        (Database.create db "Name" [ ("epithet", Value.VString "alba"); ("rank", Value.VString "Species") ]));
+  let w = Database.Writer.start db in
+  let pool = Pserver.Reader_pool.create ~readers:2 (Pserver.Reader_pool.primary_source db) in
+  Fun.protect
+    ~finally:(fun () ->
+      Pserver.Reader_pool.stop pool;
+      Database.Writer.stop w;
+      Database.close db;
+      cleanup path)
+    (fun () ->
+      let catalog_at ?min_lsn () =
+        match
+          Pserver.Reader_pool.read pool ?min_lsn (fun v ->
+              ( Database.index_defs v,
+                Pool_lang.Pool.explain v "select n from Name n where n.epithet = 'alba'" ))
+        with
+        | Pserver.Reader_pool.Served (r, _) -> r
+        | Pserver.Reader_pool.Behind _ -> Alcotest.fail "generation behind its token"
+      in
+      let check msg defs plan (defs', plan') =
+        Alcotest.(check (list (pair string string))) msg defs defs';
+        Alcotest.(check string) (msg ^ ": plan") plan plan'
+      in
+      check "first generation" [ ("Name", "epithet") ] "n<-probe(Name.epithet)" (catalog_at ());
+      let lsn, () = Database.Writer.submit w (fun db -> Database.create_index db "Taxon" "rank") in
+      check "after create_index"
+        [ ("Name", "epithet"); ("Taxon", "rank") ]
+        "n<-probe(Name.epithet)" (catalog_at ~min_lsn:lsn ());
+      let lsn, () = Database.Writer.submit w (fun db -> Database.drop_index db "Name" "epithet") in
+      check "after drop_index" [ ("Taxon", "rank") ] "n<-extent(Name); filter(n.epithet)"
+        (catalog_at ~min_lsn:lsn ()))
+
 (* The HTTP face of the same property: a malformed query is a 400, and
    the next query on the same pool is a clean 200. *)
 let test_bad_query_then_good () =
@@ -451,7 +493,12 @@ let () =
           Alcotest.test_case "lsn tokens under concurrent writers" `Slow
             (test_monotonicity ~writers:4);
         ] );
-      ("refresh", [ Alcotest.test_case "lag bound" `Quick test_refresh_lag ]);
+      ( "refresh",
+        [
+          Alcotest.test_case "lag bound" `Quick test_refresh_lag;
+          Alcotest.test_case "generations carry the index catalog" `Quick
+            test_generation_index_catalog;
+        ] );
       ( "lifecycle",
         [ Alcotest.test_case "generations released on stop" `Quick test_generation_release ]
       );

@@ -712,6 +712,40 @@ let test_traversal_allocation_flat () =
   flat "descendants of a species" d144 d576;
   flat "ancestors of a species" a144 a576
 
+(* A scan filter rejects an object without allocating, so the minor
+   words of a filtered scan that keeps nothing do not grow with the
+   extent: Specimens outnumber Names by ~900 here, and one word per
+   rejected object would already set the two scans further apart than
+   the 256 words allowed. *)
+let test_filtered_scan_allocation_flat () =
+  with_db (fun db ->
+      let params =
+        { Flora_gen.families = 4; genera_per_family = 8; species_per_genus = 10; specimens_per_species = 4; seed = 42 }
+      in
+      Database.with_tx db (fun () -> ignore (Flora_gen.generate db ~params ()));
+      let names = Database.count db S.name and specimens = Database.count db S.specimen in
+      if specimens - names < 512 then Alcotest.failf "%d specimens, %d names" specimens names;
+      let scan_words q =
+        ignore (Pool_lang.Pool.query db q);
+        let runs = 20 in
+        let before = Gc.minor_words () in
+        for _ = 1 to runs do
+          ignore (Sys.opaque_identity (Pool_lang.Pool.query db q))
+        done;
+        (Gc.minor_words () -. before) /. float_of_int runs
+      in
+      let s_names = "select n from Name n where n.rank = 'none'"
+      and s_specimens = "select s from Specimen s where s.herbarium = 'none'" in
+      Alcotest.(check string) "names: a filtered scan" "n<-extent(Name); filter(n.rank)"
+        (Pool_lang.Pool.explain db s_names);
+      Alcotest.(check string) "specimens: a filtered scan" "s<-extent(Specimen); filter(s.herbarium)"
+        (Pool_lang.Pool.explain db s_specimens);
+      let count s = "count(" ^ s ^ ")" in
+      let w_names = scan_words (count s_names) and w_specimens = scan_words (count s_specimens) in
+      if Float.abs (w_specimens -. w_names) > 256. then
+        Alcotest.failf "no-match scan: %.0f minor words over %d specimens, %.0f over %d names"
+          w_specimens specimens w_names names)
+
 let () =
   Alcotest.run "taxonomy"
     [
@@ -772,5 +806,10 @@ let () =
             test_compare_contexts_oracle;
           Alcotest.test_case "allocation follows the walk, not the flora" `Quick
             test_traversal_allocation_flat;
+        ] );
+      ( "queries",
+        [
+          Alcotest.test_case "a rejected object allocates nothing" `Quick
+            test_filtered_scan_allocation_flat;
         ] );
     ]
