@@ -218,17 +218,40 @@ let mirror_remove t (o : Obj.t) =
   end;
   index_remove t o
 
-(* An index over the mirror as it stands, read off the extents of the
-   class and its subclasses: no other object is looked at. *)
+(* The non-empty extent vectors of [class_name], and of its subclasses
+   when [deep] (as in ODMG).  Each object is in exactly one vector (its
+   exact class's), so the vectors are disjoint. *)
+let extent_vecs t ~deep class_name : Dense.Vec.t list =
+  let vec c =
+    match Hashtbl.find_opt t.extents c with
+    | Some v when Dense.Vec.length v > 0 -> Some v
+    | _ -> None
+  in
+  if deep then
+    List.filter_map vec
+      (if Meta.is_rel t.schema class_name then Meta.rel_subclasses t.schema class_name
+       else Meta.subclasses t.schema class_name)
+  else Option.to_list (vec class_name)
+
+(* An index over the mirror as it stands, read off the class's deep
+   extent: no other object is looked at. *)
 let build_index t cls attr =
   let table = ref ValueMap.empty in
   List.iter
-    (fun sub ->
-      match Hashtbl.find_opt t.extents sub with
-      | Some v -> Dense.Vec.iter (fun oid -> map_add table (Obj.get (Dense.get t.objects oid) attr) oid) v
-      | None -> ())
-    (Meta.subclasses t.schema cls);
+    (Dense.Vec.iter (fun oid -> map_add table (Obj.get (Dense.get t.objects oid) attr) oid))
+    (extent_vecs t ~deep:true cls);
   table
+
+(* Make the live tables match the schema's index catalog: keep each
+   table still catalogued, build the new ones, drop the rest. *)
+let sync_indexes t =
+  t.indexes <-
+    List.map
+      (fun (cls, attr) ->
+        match find_index cls attr t.indexes with
+        | Some table -> (cls, attr, table)
+        | None -> (cls, attr, build_index t cls attr))
+      (Meta.indexes t.schema)
 
 (* Rebuild the mirror from [iter] (the store's records, or a
    snapshot's), then one index per entry of the schema's catalog. *)
@@ -240,7 +263,7 @@ let rebuild_mirror t iter =
   Hashtbl.reset t.syn_parent;
   t.indexes <- [];
   iter (fun oid data -> if oid <> schema_oid then mirror_insert t (Obj.decode ~oid data));
-  t.indexes <- List.map (fun (cls, attr) -> (cls, attr, build_index t cls attr)) (Meta.indexes t.schema)
+  sync_indexes t
 
 (* ---------------------------------------------------------------------- *)
 (* Lifecycle                                                               *)
@@ -818,21 +841,6 @@ let retarget t rel_oid ?origin ?destination () =
 (* Extents                                                                 *)
 (* ---------------------------------------------------------------------- *)
 
-(* The non-empty extent vectors of [class_name], and of its subclasses
-   when [deep] (as in ODMG).  Each object is in exactly one vector (its
-   exact class's), so the vectors are disjoint. *)
-let extent_vecs t ~deep class_name : Dense.Vec.t list =
-  let vec c =
-    match Hashtbl.find_opt t.extents c with
-    | Some v when Dense.Vec.length v > 0 -> Some v
-    | _ -> None
-  in
-  if deep then
-    List.filter_map vec
-      (if Meta.is_rel t.schema class_name then Meta.rel_subclasses t.schema class_name
-       else Meta.subclasses t.schema class_name)
-  else Option.to_list (vec class_name)
-
 (** Fold over the extent of a class in ascending oid order (the order
     of {!OidSet.fold} over {!extent}), without building a set.  [deep]
     (default) includes subclasses.  [f] must not create or delete
@@ -979,8 +987,8 @@ let create_index t class_name attr =
       attr;
   let key = (class_name, attr) in
   if not (Meta.has_index t.schema class_name attr) then begin
-    t.indexes <- (class_name, attr, build_index t class_name attr) :: t.indexes;
     Meta.set_indexes t.schema (key :: Meta.indexes t.schema);
+    sync_indexes t;
     t.index_epoch <- t.index_epoch + 1;
     persist_catalog t
   end
@@ -989,8 +997,8 @@ let drop_index t class_name attr =
   check_writable t;
   let key = (class_name, attr) in
   if Meta.has_index t.schema class_name attr then begin
-    t.indexes <- List.filter (fun (c, a, _) -> (c, a) <> key) t.indexes;
     Meta.set_indexes t.schema (List.filter (( <> ) key) (Meta.indexes t.schema));
+    sync_indexes t;
     t.index_epoch <- t.index_epoch + 1;
     persist_catalog t
   end

@@ -1086,6 +1086,46 @@ let test_index_views () =
       Database.create_index v1 "Person" "name");
   List.iter Database.close [ v0; v1; v2; c1 ]
 
+(* An index on a relationship class covers its instances and those of
+   its relationship subclasses, whenever it is built: at create_index
+   over links that already exist, at reopen, after an abort and in a
+   snapshot view.  Probe and range answers equal the index-free ones. *)
+let test_index_on_relationship () =
+  let path = tmp_path () in
+  let db = Database.open_ path in
+  let _, _, carol, dave, acme, _ = setup db in
+  ignore (Database.define_rel db "Contracts" ~supers:[ "WorksFor" ] ~origin:"Person" ~destination:"Company");
+  ignore (Database.link db "Contracts" ~origin:dave ~destination:acme ~attrs:[ ("salary", vint 60) ]);
+  let qs =
+    [
+      "select w from WorksFor w where w.salary = 60";
+      "select w from WorksFor w where w.salary > 55 and w.salary <= 70";
+      "count(select w from Contracts w where w.salary = 60)";
+    ]
+  in
+  let unindexed = List.map (check_both db) qs in
+  Alcotest.check value_testable "two links earn 60"
+    (V.VInt 2) (P.query db "count(select w from WorksFor w where w.salary = 60)");
+  let check label db =
+    Alcotest.(check string) (label ^ ": probes") "w<-probe(WorksFor.salary)"
+      (P.explain db "select w from WorksFor w where w.salary = 60");
+    Alcotest.(check (list value_testable)) (label ^ ": answers") unindexed
+      (List.map (check_both db) qs)
+  in
+  Database.create_index db "WorksFor" "salary";
+  check "created over existing links" db;
+  let db = reopen path db in
+  check "reopened" db;
+  Database.begin_tx db;
+  ignore (Database.link db "WorksFor" ~origin:carol ~destination:acme ~attrs:[ ("salary", vint 60) ]);
+  Database.abort db;
+  check "after an abort" db;
+  let v = Database.snapshot db in
+  check "snapshot view" v;
+  Database.close v;
+  Database.close db;
+  Sys.remove path
+
 (* The schema record before the catalog existed is this encoding with
    no trailing section: a store written so opens with no indexes and
    answers the same.  And a decoder that stops after the relationship
@@ -1154,6 +1194,7 @@ let () =
           Alcotest.test_case "abort undoes create and drop" `Quick test_index_abort;
           Alcotest.test_case "views carry the catalog at their LSN" `Quick test_index_views;
           Alcotest.test_case "catalog-less records" `Quick test_index_catalog_compat;
+          Alcotest.test_case "relationship indexes" `Quick test_index_on_relationship;
         ] );
       ( "csr",
         [
