@@ -525,6 +525,13 @@ let bench_micro () =
     ignore (Database.create db "Item" [ ("v", Value.VInt i) ])
   done;
   let q = "select i.v from Item i where i.v > 250 order by i.v" in
+  (* the shape of a flora browse "placement" request (279 characters,
+     67 tokens), as perfbench's flora workload sends it *)
+  let browse_q =
+    "select first(t.targets('AscribedName', null)).epithet from ancestors(first(first(select n from \
+     Name n where n.epithet = 'vulgaris' and n.rank = 'Species').sources('AscribedName', null)), \
+     'Circumscribes', first(select c from Context c where c.name = 'generated-classification')) t"
+  in
   let cursor = ref 0 in
   let tests =
     Test.make_grouped ~name:"micro"
@@ -545,6 +552,8 @@ let bench_micro () =
         Test.make ~name:"obj_create"
           (Staged.stage (fun () -> ignore (Database.create db "Scratch" [ ("v", Value.VInt 0) ])));
         Test.make ~name:"pool_parse" (Staged.stage (fun () -> ignore (Pool_lang.Parser.parse q)));
+        Test.make ~name:"pool_parse_browse"
+          (Staged.stage (fun () -> ignore (Pool_lang.Parser.parse browse_q)));
         Test.make ~name:"pool_query" (Staged.stage (fun () -> ignore (Pool_lang.Pool.query db q)));
       ]
   in

@@ -281,7 +281,8 @@ let open_ ?cache_pages ?vfs ?readonly path : t =
   let store = Store.open_ ?cache_pages ?vfs ?readonly path in
   let ro = Store.is_readonly store in
   let schema = Meta.empty () in
-  (match Store.get store ~oid:schema_oid with
+  let stored = Store.get store ~oid:schema_oid in
+  (match stored with
   | Some data -> Meta.decode_into schema data
   | None ->
       if ro then fail "%s: readonly open of a store with no schema" path;
@@ -309,10 +310,15 @@ let open_ ?cache_pages ?vfs ?readonly path : t =
     }
   in
   Bus.set_subclass_pred bus (is_subclass t);
-  (* A read-only handle (replica serving) must not write: the stored
-     schema was decoded above and [register_builtin_classes] is
-     idempotent, so skipping the persist loses nothing. *)
-  if not ro then persist_schema t;
+  (* The record is written only when it is missing or out of date (a
+     fresh store, a builtin class added since), and under the journal:
+     an open that only reads writes nothing.  A read-only handle
+     (replica serving) never writes; [register_builtin_classes] is
+     idempotent, so its schema is whole without the write. *)
+  (if not ro then
+     let data = Meta.encode schema in
+     if not (Option.equal String.equal stored (Some data)) then
+       Store.with_tx store (fun () -> Store.put store ~oid:schema_oid data));
   rebuild_mirror t (Store.iter store);
   t
 
@@ -441,20 +447,18 @@ let commit t =
   end
   else t.tx_depth <- t.tx_depth - 1
 
-(* After the store rolled back: take the index catalog back to the
-   stored one (an index created or dropped in the rolled-back
-   transaction is undone with it), resynchronise the mirror, then tell
+(* After the store rolled back: take the schema back to the stored
+   record (a class, relationship or index defined, created or dropped
+   in the rolled-back transaction is undone with it; cached plans are
+   dropped when it moved), resynchronise the mirror, then tell
    [On_abort] subscribers (the rules engine's deferred queue) that
    state they derived may be gone. *)
 let rolled_back t =
   (match Store.get t.store ~oid:schema_oid with
-  | Some data ->
-      let catalog = Meta.decode_indexes data in
-      if catalog <> Meta.indexes t.schema then begin
-        Meta.set_indexes t.schema catalog;
-        t.index_epoch <- t.index_epoch + 1
-      end
-  | None -> ());
+  | Some data when not (String.equal data (Meta.encode t.schema)) ->
+      Meta.reload t.schema data;
+      t.index_epoch <- t.index_epoch + 1
+  | _ -> ());
   rebuild_mirror t (Store.iter t.store);
   Hashtbl.reset t.touched;
   Bus.emit t.bus Event.Tx_abort

@@ -391,7 +391,13 @@ let decode_card d =
 
 let encode t : string =
   let e = Codec.Enc.create ~size:4096 () in
-  let user_classes = List.filter (fun c -> not (List.exists (fun b -> b.class_name = c.class_name) builtin_classes)) (classes t) in
+  (* classes and relationships in name order, not the tables' order:
+     the record is a function of the schema alone, so a caller can tell
+     whether the stored one is current by comparing bytes *)
+  let user_classes =
+    List.filter (fun c -> not (List.exists (fun b -> b.class_name = c.class_name) builtin_classes)) (classes t)
+    |> List.sort (fun a b -> String.compare a.class_name b.class_name)
+  in
   Codec.Enc.u32 e (List.length user_classes);
   List.iter
     (fun c ->
@@ -401,7 +407,7 @@ let encode t : string =
       Codec.Enc.u16 e (List.length c.attrs);
       List.iter (encode_attr e) c.attrs)
     user_classes;
-  let rels = rels t in
+  let rels = List.sort (fun a b -> String.compare a.rel_name b.rel_name) (rels t) in
   Codec.Enc.u32 e (List.length rels);
   List.iter
     (fun r ->
@@ -504,8 +510,18 @@ let decode_into t (s : string) =
            let cls = Codec.Dec.string d in
            (cls, Codec.Dec.string d)))
 
-(** The index catalog of a stored schema record. *)
-let decode_indexes (s : string) =
-  let t = empty () in
-  decode_into t s;
-  t.indexes
+(** Replace [t]'s whole schema with the one in record [s]: classes,
+    relationships and the index catalog. *)
+let reload t (s : string) =
+  Hashtbl.reset t.classes;
+  Hashtbl.reset t.ancestors;
+  Hashtbl.reset t.class_subs;
+  Hashtbl.reset t.rel_subs;
+  Hashtbl.reset t.rels;
+  Hashtbl.reset t.rel_sub_ids;
+  Hashtbl.reset t.flat_attrs;
+  Hashtbl.reset t.rel_ids;
+  t.rel_by_id <- [||];
+  t.indexes <- [];
+  List.iter (register_class t) builtin_classes;
+  decode_into t s

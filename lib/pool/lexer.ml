@@ -52,16 +52,30 @@ let pp_token ppf = function
   | SLASH -> Format.pp_print_string ppf "/"
   | EOF -> Format.pp_print_string ppf "end of input"
 
-let keywords =
-  [
-    "select"; "distinct"; "from"; "where"; "order"; "by"; "asc"; "desc"; "and"; "or"; "not";
-    "in"; "like"; "between"; "context"; "as"; "true"; "false"; "null"; "mod"; "union"; "inter";
-    "except"; "exists";
-  ]
+(* The keywords, matched on the lowercased word: a [match] on string
+   constants compiles to a string switch, so no word is compared with
+   the whole list. *)
+let keyword (lower : string) =
+  match lower with
+  | "select" | "distinct" | "from" | "where" | "order" | "by" | "asc" | "desc" | "and" | "or" | "not"
+  | "in" | "like" | "between" | "context" | "as" | "true" | "false" | "null" | "mod" | "union"
+  | "inter" | "except" | "exists" ->
+      true
+  | _ -> false
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
+
+(* [s] with each doubled [quote] taken as one *)
+let undouble s quote =
+  let b = Buffer.create (String.length s) in
+  let i = ref 0 in
+  while !i < String.length s do
+    Buffer.add_char b s.[!i];
+    i := !i + if s.[!i] = quote then 2 else 1
+  done;
+  Buffer.contents b
 
 (** Tokenise [src]; returns tokens with their source positions. *)
 let tokenize (src : string) : (token * int) list =
@@ -80,18 +94,21 @@ let tokenize (src : string) : (token * int) list =
       done
     end
     else if is_ident_start c then begin
-      let j = ref !i in
-      while !j < n && is_ident_char src.[!j] do
-        incr j
-      done;
-      let word = String.sub src !i (!j - !i) in
-      let lower = String.lowercase_ascii word in
       (* keywords are matched case-insensitively, but only for words
          written uniformly lower- or uppercase: mixed-case words like
          "In" or "Select" remain identifiers (class names may collide
          with keywords otherwise) *)
-      let uniform = word = lower || word = String.uppercase_ascii word in
-      if uniform && List.mem lower keywords then push (KW lower) pos else push (IDENT word) pos;
+      let j = ref !i and lower = ref false and upper = ref false in
+      while !j < n && is_ident_char src.[!j] do
+        (match src.[!j] with 'a' .. 'z' -> lower := true | 'A' .. 'Z' -> upper := true | _ -> ());
+        incr j
+      done;
+      let word = String.sub src !i (!j - !i) in
+      if !lower && !upper then push (IDENT word) pos
+      else begin
+        let low = if !upper then String.lowercase_ascii word else word in
+        push (if keyword low then KW low else IDENT word) pos
+      end;
       i := !j
     end
     else if is_digit c then begin
@@ -110,57 +127,52 @@ let tokenize (src : string) : (token * int) list =
       i := !j
     end
     else if c = '\'' || c = '"' then begin
-      let quote = c in
-      let buf = Buffer.create 16 in
-      incr i;
-      let closed = ref false in
-      while (not !closed) && !i < n do
-        if src.[!i] = quote then
-          if !i + 1 < n && src.[!i + 1] = quote then begin
-            Buffer.add_char buf quote;
-            i := !i + 2
-          end
-          else begin
-            closed := true;
-            incr i
-          end
-        else begin
-          Buffer.add_char buf src.[!i];
-          incr i
+      (* a doubled quote stands for one quote character *)
+      let j = ref (!i + 1) and doubled = ref false and closed = ref false in
+      while (not !closed) && !j < n do
+        if src.[!j] <> c then incr j
+        else if !j + 1 < n && src.[!j + 1] = c then begin
+          doubled := true;
+          j := !j + 2
         end
+        else closed := true
       done;
       if not !closed then fail pos "unterminated string literal";
-      push (STRING (Buffer.contents buf)) pos
+      let body = String.sub src (!i + 1) (!j - !i - 1) in
+      push (STRING (if !doubled then undouble body c else body)) pos;
+      i := !j + 1
     end
     else begin
-      let two = if !i + 1 < n then String.sub src !i 2 else "" in
-      match two with
-      | "!=" | "<>" ->
+      let next = if !i + 1 < n then src.[!i + 1] else ' ' in
+      match (c, next) with
+      | ('!', '=') | ('<', '>') ->
           push NEQ pos;
           i := !i + 2
-      | "<=" ->
+      | '<', '=' ->
           push LE pos;
           i := !i + 2
-      | ">=" ->
+      | '>', '=' ->
           push GE pos;
           i := !i + 2
-      | _ -> (
+      | _ ->
           incr i;
-          match c with
-          | '(' -> push LPAREN pos
-          | ')' -> push RPAREN pos
-          | '[' -> push LBRACKET pos
-          | ']' -> push RBRACKET pos
-          | ',' -> push COMMA pos
-          | '.' -> push DOT pos
-          | '*' -> push STAR pos
-          | '=' -> push EQ pos
-          | '<' -> push LT pos
-          | '>' -> push GT pos
-          | '+' -> push PLUS pos
-          | '-' -> push MINUS pos
-          | '/' -> push SLASH pos
-          | _ -> fail pos "unexpected character %C" c)
+          push
+            (match c with
+            | '(' -> LPAREN
+            | ')' -> RPAREN
+            | '[' -> LBRACKET
+            | ']' -> RBRACKET
+            | ',' -> COMMA
+            | '.' -> DOT
+            | '*' -> STAR
+            | '=' -> EQ
+            | '<' -> LT
+            | '>' -> GT
+            | '+' -> PLUS
+            | '-' -> MINUS
+            | '/' -> SLASH
+            | _ -> fail pos "unexpected character %C" c)
+            pos
     end
   done;
   push EOF n;

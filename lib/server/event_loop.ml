@@ -194,6 +194,10 @@ type 'req t = {
   pipeline_depth : int;
   timeout_ns : int;
   handled : int Atomic.t;  (** requests answered (all protocols) *)
+  rbuf : Bytes.t;
+      (** the loop's one read buffer: every socket and the wake pipe are
+          read into it, and a read's bytes are copied out (into [c_in])
+          before the next.  Only the loop thread touches it *)
   mutable accepted : int;
   mutable overloaded : int;  (** connections answered with l_overload *)
   mutable timeouts : int;  (** connections answered with l_timeout *)
@@ -220,6 +224,13 @@ let m_timeout =
    sweep deadlines.  Bounds shutdown latency. *)
 let poll_interval_s = 0.25
 
+(* Bytes per socket read.  The buffer is far above the minor heap's
+   size limit, so it is allocated once per loop, never per read. *)
+let read_chunk = 65536
+
+(* The byte a worker writes to the wake pipe; never mutated. *)
+let wake_byte = Bytes.make 1 '!'
+
 (* Worker threads: execute handlers, post completions, poke the pipe.
    [execute] is expected to be total (the protocol layer catches its
    own errors); if it raises anyway the connection is closed without a
@@ -241,7 +252,7 @@ let worker_loop (t : _ t) =
       Mutex.lock t.dmu;
       Queue.push (conn, resp) t.done_q;
       Mutex.unlock t.dmu;
-      (try ignore (Unix.write t.wake_w (Bytes.make 1 '!') 0 1)
+      (try ignore (Unix.write t.wake_w wake_byte 0 1)
        with
       | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE | Unix.EBADF), _, _)
         ->
@@ -276,6 +287,7 @@ let create ?(max_conns = 1024) ?(max_buffer = 4 lsl 20) ?(pipeline_depth = 64)
       pipeline_depth;
       timeout_ns = int_of_float (timeout_s *. 1e9);
       handled = Atomic.make 0;
+      rbuf = Bytes.create read_chunk;
       accepted = 0;
       overloaded = 0;
       timeouts = 0;
@@ -428,10 +440,8 @@ let parse_available t (c : _ conn) =
   if c.c_in = "" then c.c_deadline <- Pobs.Monotonic.now_ns () + t.timeout_ns;
   advance t c
 
-let read_chunk = 65536
-
 let handle_readable t (c : _ conn) =
-  let buf = Bytes.create read_chunk in
+  let buf = t.rbuf in
   if c.c_lingering then begin
     (* drain and discard until the client's EOF closes us cleanly *)
     match Unix.read c.c_fd buf 0 read_chunk with
@@ -510,9 +520,8 @@ let accept_ready t (l : _ listener) =
   done
 
 let drain_completions t =
-  let b = Bytes.create 64 in
   (try
-     while Unix.read t.wake_r b 0 64 > 0 do
+     while Unix.read t.wake_r t.rbuf 0 read_chunk > 0 do
        ()
      done
    with Unix.Unix_error _ -> ());

@@ -338,6 +338,38 @@ let test_server_rejects_damage () =
           | Pserver.Client.Ok _ -> ()
           | Pserver.Client.Err e -> Alcotest.fail ("clean query after damage: " ^ e)))
 
+(* The serving front end's fixed cost per request stays in the minor
+   heap: 2,000 binary-protocol queries over a real socket may promote or
+   allocate directly in the major heap fewer than 1,024 words each (a
+   64 KiB read buffer allocated per readable event would be 8,193 words
+   on its own).  Counted over the whole process: loop, workers and this
+   client. *)
+let test_major_words_per_request () =
+  with_server (fun _http_port bin_port ->
+      let cl = Pserver.Client.connect ~port:bin_port () in
+      Fun.protect
+        ~finally:(fun () -> Pserver.Client.close cl)
+        (fun () ->
+          let q = List.hd equiv_queries in
+          let ask () =
+            match Pserver.Client.query cl q with
+            | Pserver.Client.Ok _ -> ()
+            | Pserver.Client.Err e -> Alcotest.fail ("query failed: " ^ e)
+          in
+          for _ = 1 to 200 do
+            ask ()
+          done;
+          let n = 2000 in
+          Gc.minor ();
+          let before = (Gc.quick_stat ()).Gc.major_words in
+          for _ = 1 to n do
+            ask ()
+          done;
+          Gc.minor ();
+          let per = ((Gc.quick_stat ()).Gc.major_words -. before) /. float_of_int n in
+          if per >= 1024. then
+            Alcotest.failf "%.0f major-heap words per request (limit 1024)" per))
+
 let () =
   Alcotest.run "binary"
     [
@@ -357,5 +389,6 @@ let () =
           Alcotest.test_case "error equivalence" `Quick test_error_equivalence;
           Alcotest.test_case "server rejects damage" `Quick test_server_rejects_damage;
           Alcotest.test_case "client connects to localhost" `Quick test_localhost_resolves;
+          Alcotest.test_case "major-heap words per request" `Quick test_major_words_per_request;
         ] );
     ]

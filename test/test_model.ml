@@ -673,6 +673,80 @@ let test_rel_with_rel_superclass_extent () =
       Alcotest.(check int) "rel extent deep" 2
         (Database.OidSet.cardinal (Database.extent db "Base")))
 
+(* An abort takes the whole schema back to the stored record: a class or
+   relationship defined in the rolled-back transaction is gone at once,
+   as it is after a reopen, and cached plans see the epoch move. *)
+let test_abort_undoes_schema () =
+  let path = tmp_path () in
+  let db = Database.open_ path in
+  people_schema db;
+  let gone db name =
+    Alcotest.(check bool) (name ^ " undefined") false (Meta.is_class (Database.schema db) name)
+  in
+  (* plain abort *)
+  let epoch = Database.index_epoch db in
+  Database.begin_tx db;
+  ignore (Database.define_class db "Ghost" [ Meta.attr "x" V.TInt ]);
+  ignore (Database.define_rel db "Haunts" ~origin:"Ghost" ~destination:"Person");
+  Database.abort db;
+  gone db "Ghost";
+  Alcotest.(check bool) "Haunts undefined" false (Meta.is_rel (Database.schema db) "Haunts");
+  Alcotest.(check bool) "epoch moved" true (Database.index_epoch db > epoch + 2);
+  Alcotest.(check bool) "earlier classes kept" true (Meta.is_class (Database.schema db) "Employee");
+  (match Database.create db "Ghost" [] with
+  | _ -> Alcotest.fail "created an object of a rolled-back class"
+  | exception _ -> ());
+  (* a raising with_tx *)
+  (match
+     Database.with_tx db (fun () ->
+         ignore (Database.define_class db "Wraith" []);
+         failwith "veto")
+   with
+  | () -> Alcotest.fail "with_tx must re-raise"
+  | exception Failure _ -> ());
+  gone db "Wraith";
+  (* a group-writer rollback *)
+  let w = Database.Writer.start db in
+  (match
+     Database.Writer.submit w (fun db ->
+         ignore (Database.define_class db "Spectre" []);
+         failwith "veto")
+   with
+  | _ -> Alcotest.fail "failing body must raise at the submitter"
+  | exception Failure _ -> ());
+  (match Database.Writer.read w (fun db -> Meta.is_class (Database.schema db) "Spectre") with
+  | _, Ok defined -> Alcotest.(check bool) "Spectre undefined" false defined
+  | _, Error e -> raise e);
+  ignore (Database.Writer.submit w (fun db -> Database.define_class db "Kept" []));
+  Database.Writer.stop w;
+  Alcotest.(check bool) "a committed class stays" true (Meta.is_class (Database.schema db) "Kept");
+  (* the live schema is the stored one *)
+  Database.close db;
+  let db = Database.open_ path in
+  List.iter (gone db) [ "Ghost"; "Wraith"; "Spectre" ];
+  Alcotest.(check bool) "Kept after reopen" true (Meta.is_class (Database.schema db) "Kept");
+  Database.close db;
+  Sys.remove path
+
+(* Opening and closing a store whose schema record is current writes
+   nothing: no page write and no fsync. *)
+let test_open_of_unchanged_store_writes_nothing () =
+  let fs = Pstore.Fault.create () in
+  let vfs = Pstore.Fault.vfs fs in
+  let db = Database.open_ ~vfs "quiet.db" in
+  people_schema db;
+  ignore (Database.create db "Person" [ ("name", str "Ada"); ("age", vint 36) ]);
+  Database.close db;
+  let c = Pstore.Fault.counters fs in
+  let writes = c.Pstore.Fault.writes and fsyncs = c.Pstore.Fault.fsyncs in
+  for _ = 1 to 2 do
+    let db = Database.open_ ~vfs "quiet.db" in
+    Alcotest.(check int) "objects" 1 (Database.count db "Person");
+    Database.close db
+  done;
+  Alcotest.(check int) "page writes" writes c.Pstore.Fault.writes;
+  Alcotest.(check int) "fsyncs" fsyncs c.Pstore.Fault.fsyncs
+
 let () =
   Alcotest.run "model"
     [
@@ -718,6 +792,9 @@ let () =
           Alcotest.test_case "abort rebuilds mirror" `Quick test_tx_abort_rebuilds_mirror;
           Alcotest.test_case "events emitted" `Quick test_events_emitted;
           Alcotest.test_case "index maintenance" `Quick test_index_maintenance;
+          Alcotest.test_case "abort undoes schema definitions" `Quick test_abort_undoes_schema;
+          Alcotest.test_case "open of an unchanged store writes nothing" `Quick
+            test_open_of_unchanged_store_writes_nothing;
         ] );
       ( "coverage",
         [

@@ -431,6 +431,122 @@ let test_downcast_on_rels () =
       Alcotest.(check int) "downcast to subclass" 1
         (V.as_int (P.query db "count((Special) (select r from Base r))")))
 
+(* --- lexer and parser against their polymorphic-compare oracle ------- *)
+
+(* A run's outcome: the value, or the error it raised (a literal too
+   large for an int raises [Failure] in both lexers). *)
+let outcome f x =
+  match f x with
+  | v -> Ok v
+  | exception Pool_lang.Lexer.Syntax_error (m, p) -> Error (Printf.sprintf "syntax error at %d: %s" p m)
+  | exception Failure m -> Error ("failure: " ^ m)
+
+(* Strings over POOL's alphabet, built from fragments that sit on the
+   lexer's decisions: keywords in every case mix (only uniform case
+   makes a keyword), the two-character operators and their one-character
+   prefixes, doubled quotes, comments, unterminated strings, numbers on
+   the int/float edge, and characters POOL does not accept. *)
+let pool_string_gen =
+  let open QCheck.Gen in
+  let case_mix w =
+    map
+      (fun (mode, seed) ->
+        match mode with
+        | 0 -> w
+        | 1 -> String.uppercase_ascii w
+        | 2 -> String.capitalize_ascii w
+        | _ ->
+            String.mapi
+              (fun i c -> if (seed lsr (i mod 30)) land 1 = 1 then Char.uppercase_ascii c else c)
+              w)
+      (pair (int_bound 3) int)
+  in
+  let keyword =
+    oneofl
+      [ "select"; "distinct"; "from"; "where"; "order"; "by"; "asc"; "desc"; "and"; "or"; "not";
+        "in"; "like"; "between"; "context"; "as"; "true"; "false"; "null"; "mod"; "union";
+        "inter"; "except"; "exists" ]
+    >>= case_mix
+  in
+  let ident =
+    oneofl [ "x"; "n"; "Name"; "Taxon"; "epithet"; "_t1"; "selects"; "in_"; "Z9"; "ctx" ] >>= case_mix
+  in
+  let fragment =
+    frequency
+      [
+        (6, keyword);
+        (4, ident);
+        ( 6,
+          oneofl
+            [ "<>"; "!="; "<="; ">="; "<"; ">"; "="; "!"; "("; ")"; "["; "]"; ","; "."; "*"; "+"; "-";
+              "/"; "<<"; "=>"; "=<"; "><"; "!!" ] );
+        ( 4,
+          oneofl
+            [ "'abc'"; "'it''s'"; "''"; "''''"; "\"a\"\"b\""; "\"\""; "'mixed\"q'"; "'unterminated";
+              "\"open"; "'a''"; "'tail''" ] );
+        (2, oneofl [ "-- note\n"; "--"; "-- to end"; "--\n"; "- -" ]);
+        (3, oneofl [ "0"; "42"; "3.5"; "7."; "1.x"; "12.34.5"; "99999999999999999999"; "5e3" ]);
+        (6, oneofl [ " "; " "; "\t"; "\n"; "\r" ]);
+        (2, oneofl [ "#"; "%"; "@"; "?"; ";"; "{"; "~"; "\000" ]);
+        ( 3,
+          oneofl
+            [ "select n from Name n where "; "n.epithet = 'x'"; " and n.rank = 'Genus'";
+              "first(select c from Context c)"; "descendants(t, 'Circumscribes', c)"; " in context c";
+              "x between 1 and 2"; " order by n.epithet desc"; "exists(select y from Y y)"; "[1, 2]";
+              "(Taxon) t"; "t.targets('AscribedName', null)"; "not x in y"; "a mod 2" ] );
+      ]
+  in
+  map (String.concat "") (list_size (int_bound 24) fragment)
+
+let test_lexer_differential =
+  QCheck.Test.make ~count:3000 ~name:"tokenize = the polymorphic-compare lexer"
+    (QCheck.make ~print:(Printf.sprintf "%S") pool_string_gen)
+    (fun src ->
+      outcome Pool_lang.Lexer.tokenize src = outcome Lexer_oracle.tokenize src
+      && outcome Pool_lang.Parser.parse src = outcome Parser_oracle.parse src)
+
+(* The POOL queries examples/ sends (and the one PCL condition), and
+   one of each request shape perfbench/flora.ml sends, with sample
+   names filled in. *)
+let reference_queries =
+  let ctx = "first(select c from Context c where c.name = 'revision')" in
+  let taxon rank ep =
+    Printf.sprintf
+      "first(first(select n from Name n where n.epithet = '%s' and n.rank = '%s').sources('AscribedName', null))"
+      ep rank
+  in
+  [
+    "select w.origin.name, w.role from WorksFor w where w.destination.name = 'Acme' order by w.origin.name";
+    "self.age >= 18";
+    "select r.origin.name from Person x, x.into('MemberOf') r where x = ada in context ctx";
+    "select b.title from Book b where b in descendants(root, 'Shelves') order by b.title in context ctx";
+    "count(b.into('Shelves', null))";
+    "select n.epithet, n.rank, n.year, n.status from Name n where n.epithet = 'vulgaris'";
+    Printf.sprintf
+      "select first(t.targets('AscribedName', null)).epithet from ancestors(%s, 'Circumscribes', %s) t"
+      (taxon "Species" "vulgaris") ctx;
+    Printf.sprintf "descendants(%s, 'Circumscribes', %s)" (taxon "Genus" "Apium") ctx;
+    Printf.sprintf "select s.collector, s.number, s.collected from descendants(%s, 'Circumscribes', %s) s"
+      (taxon "Species" "vulgaris") ctx;
+    Printf.sprintf
+      "select t from (select n from Name n where n.epithet = 'Apium' and n.rank = 'Genus') g, Taxon t where t in \
+       descendants(first(g.sources('AscribedName', null)), 'Circumscribes') in context %s"
+      ctx;
+    Printf.sprintf
+      "select t, first(t.targets('AscribedName', null)).year from descendants(%s, 'Circumscribes', %s) t"
+      (taxon "Genus" "Apium") ctx;
+    "count(select c from Context c)";
+  ]
+
+let test_reference_parse_identity () =
+  List.iter
+    (fun q ->
+      if Pool_lang.Lexer.tokenize q <> Lexer_oracle.tokenize q then Alcotest.failf "tokens of %S differ" q;
+      match Pool_lang.Parser.parse q with
+      | e -> if e <> Parser_oracle.parse q then Alcotest.failf "parse tree of %S differs" q
+      | exception Pool_lang.Lexer.Syntax_error (m, p) -> Alcotest.failf "parse %S failed at %d: %s" q p m)
+    reference_queries
+
 let () =
   Alcotest.run "pool"
     [
@@ -475,5 +591,11 @@ let () =
           Alcotest.test_case "rel extent & context attr" `Quick test_rel_extent_in_context;
           Alcotest.test_case "union of selects" `Quick test_union_of_selects;
           Alcotest.test_case "downcast on relationship classes" `Quick test_downcast_on_rels;
+        ] );
+      ( "differential",
+        [
+          QCheck_alcotest.to_alcotest test_lexer_differential;
+          Alcotest.test_case "examples and perfbench queries parse as before" `Quick
+            test_reference_parse_identity;
         ] );
     ]
