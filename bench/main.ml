@@ -395,13 +395,23 @@ let bench_fig46 () =
 (* Section: taxonomic workloads (thesis 7.1.3.1)                        *)
 (* ------------------------------------------------------------------ *)
 
+let tax_params families =
+  { Taxonomy.Flora_gen.families; genera_per_family = 6; species_per_genus = 8; specimens_per_species = 3; seed = 11 }
+
+(* The thesis's querying by context (7.1.3.3): the taxa below a family
+   in one classification. *)
+let taxa_below_root db ~root ~ctx =
+  time_median ~runs:31 (fun () ->
+      ignore
+        (Pool_lang.Pool.query
+           ~env:[ ("root", Value.VRef root); ("ctx", Value.VRef ctx) ]
+           db "count(select t from Taxon t where t in descendants(root, 'Circumscribes') in context ctx)"))
+
 let bench_tax () =
   let path = tmp_path "tax" in
   let db = Database.open_ path in
   Taxonomy.Tax_schema.install db;
-  let params =
-    { Taxonomy.Flora_gen.families = 3; genera_per_family = 6; species_per_genus = 8; specimens_per_species = 3; seed = 11 }
-  in
+  let params = tax_params 3 in
   let flora = Taxonomy.Flora_gen.generate db ~params () in
   let ctx2 = Taxonomy.Flora_gen.perturb db flora () in
   let root = List.hd flora.Taxonomy.Flora_gen.root_taxa in
@@ -427,18 +437,30 @@ let bench_tax () =
          ignore
            (Pgraph.Compare.compare_contexts db ~rel:Taxonomy.Tax_schema.circumscribes
               ~ctx_a:ctx ~ctx_b:ctx2 ())));
-  let env = [ ("root", Value.VRef root); ("ctx", Value.VRef ctx) ] in
   report "POOL: names at rank Species"
     (time_median (fun () ->
          ignore
            (Pool_lang.Pool.query db "count(select n from Name n where n.rank = 'Species')")));
-  report "POOL: taxa below root in context"
-    (time_median (fun () ->
-         ignore
-           (Pool_lang.Pool.query ~env db
-              "count(select t from Taxon t where t in descendants(root, 'Circumscribes') in context ctx)")));
+  report "POOL: taxa below root in context" (taxa_below_root db ~root ~ctx);
   Database.close db;
-  cleanup path
+  cleanup path;
+  (* the same query as the flora grows: one family's answer, whatever
+     the number of families *)
+  List.iter
+    (fun families ->
+      let path = tmp_path "tax" in
+      let db = Database.open_ path in
+      Taxonomy.Tax_schema.install db;
+      let params = tax_params families in
+      let flora = Database.with_tx db (fun () -> Taxonomy.Flora_gen.generate db ~params ()) in
+      ignore (Database.with_tx db (fun () -> Taxonomy.Flora_gen.perturb db flora ()));
+      report
+        (Printf.sprintf "  ... at %d species"
+           (families * params.Taxonomy.Flora_gen.genera_per_family * params.Taxonomy.Flora_gen.species_per_genus))
+        (taxa_below_root db ~root:(List.hd flora.Taxonomy.Flora_gen.root_taxa) ~ctx:flora.Taxonomy.Flora_gen.ctx);
+      Database.close db;
+      cleanup path)
+    [ 3; 6; 12; 24 ]
 
 (* ------------------------------------------------------------------ *)
 (* Section: ablations (DESIGN.md design decisions)                      *)

@@ -8,6 +8,7 @@
      pdb stats FILE             storage statistics
      pdb metrics FILE           Prometheus text exposition of all metrics
      pdb trace FILE QUERY       run a query with span tracing, print the tree
+                                and the plan with per-binding counts
      pdb verify FILE            verify every page checksum (exit 1 on corruption)
      pdb scrub FILE [--from H:P] scrub checksums; repair from a primary
      pdb serve FILE [-p PORT]   HTTP interface (thesis 6.1.7)
@@ -202,14 +203,19 @@ let trace_cmd =
     with_query_db "trace" file (fun db ->
         Pobs.Trace.enabled := true;
         Pobs.Trace.set_capacity 4096;
-        let v = Pool_lang.Pool.query db query in
+        let plan = ref None in
+        let v = Pool_lang.Pool.query ~plan:(fun p -> plan := Some p) db query in
         Pobs.Trace.enabled := false;
         let rows = match v with Value.VList l | Value.VSet l | Value.VBag l -> l | v -> [ v ] in
         Printf.printf "(%d rows)\n\n" (List.length rows);
-        print_string (Pobs.Trace.to_text ()))
+        print_string (Pobs.Trace.to_text ());
+        Option.iter (Printf.printf "\nplan: %s\n") !plan)
   in
   Cmd.v
-    (Cmd.info "trace" ~doc:"Run a POOL query with span tracing and print the span tree.")
+    (Cmd.info "trace"
+       ~doc:
+         "Run a POOL query with span tracing and print the span tree, then the plan of its \
+          outermost select with each binding's candidates, rejections and emissions.")
     Term.(const run $ db_arg $ q)
 
 let parse_host_port ~what spec =

@@ -91,7 +91,6 @@ let no_obj = Obj.make ~oid:(-1) ~class_name:"" []
 let schema t = t.schema
 let bus t = t.bus
 let store t = t.store
-let ext_find t key : ext option = Hashtbl.find_opt t.ext key
 let ext_set t key (v : ext) = Hashtbl.replace t.ext key v
 
 (** Atomically fetch the layer state under [key], installing [mk ()]
@@ -218,19 +217,31 @@ let mirror_remove t (o : Obj.t) =
   end;
   index_remove t o
 
+(** The classes whose objects make up the deep extent of [class_name]:
+    itself and its subclasses (as in ODMG), relationship subclasses for
+    a relationship class. *)
+let extent_classes t class_name =
+  if Meta.is_rel t.schema class_name then Meta.rel_subclasses t.schema class_name
+  else Meta.subclasses t.schema class_name
+
+(** Is [oid] a live object of one of [classes]?  With
+    [extent_classes t c], whether [oid] is in [c]'s deep extent: a class
+    test, no scan. *)
+let in_extent t classes oid =
+  let rec mem name = function [] -> false | c :: rest -> String.equal c name || mem name rest in
+  let o = Dense.get t.objects oid in
+  o != no_obj && mem o.Obj.class_name classes
+
 (* The non-empty extent vectors of [class_name], and of its subclasses
-   when [deep] (as in ODMG).  Each object is in exactly one vector (its
-   exact class's), so the vectors are disjoint. *)
+   when [deep].  Each object is in exactly one vector (its exact
+   class's), so the vectors are disjoint. *)
 let extent_vecs t ~deep class_name : Dense.Vec.t list =
   let vec c =
     match Hashtbl.find_opt t.extents c with
     | Some v when Dense.Vec.length v > 0 -> Some v
     | _ -> None
   in
-  if deep then
-    List.filter_map vec
-      (if Meta.is_rel t.schema class_name then Meta.rel_subclasses t.schema class_name
-       else Meta.subclasses t.schema class_name)
+  if deep then List.filter_map vec (extent_classes t class_name)
   else Option.to_list (vec class_name)
 
 (* An index over the mirror as it stands, read off the class's deep

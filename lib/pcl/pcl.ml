@@ -64,8 +64,8 @@ let split_on_colon (src : string) : string * string =
 
 let parse_rule (src : string) : t =
   let header, body = split_on_colon src in
-  let toks = Array.of_list (Lexer.tokenize header) in
-  let st = { Parser.toks; pos = 0 } in
+  let toks, poss = Lexer.scan header in
+  let st = { Parser.toks; poss; pos = 0 } in
   let expect_kw kw =
     match Parser.peek st with
     | Lexer.KW k when k = kw -> Parser.advance st

@@ -17,6 +17,10 @@ type expr =
       (* plan-internal, never parsed: a loop-invariant WHERE
          subexpression whose value the evaluator keeps in slot [i] of
          the running select (see {!Plan}) *)
+  | Param of int
+      (* plan-internal, never parsed: the [i]th literal of a planned
+         query, read from the execution's parameter vector (see
+         {!Plan.parameterise}) *)
 
 and select = {
   distinct : bool;
@@ -40,6 +44,7 @@ let rec pp ppf = function
   | Downcast (c, e) -> Format.fprintf ppf "((%s) %a)" c pp e
   | Select s -> pp_select ppf s
   | Slot (_, e) -> pp ppf e
+  | Param i -> Format.fprintf ppf "?%d" i
 
 and pp_select ppf s =
   Format.fprintf ppf "(select%s " (if s.distinct then " distinct" else "");

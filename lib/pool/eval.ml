@@ -19,7 +19,11 @@
     loop-invariant subexpressions are computed on first use and
     kept for as long as the ranges they depend on stay bound
     ({!Plan.hoist}); a subexpression that raises is never kept, so
-    errors surface on exactly the row where the interpreter raises. *)
+    errors surface on exactly the row where the interpreter raises.
+    The planned engine runs the outermost select of a query
+    parameterised ({!Plan.parameterise}), so plans are cached per
+    query shape; the interpreter, and everything outside selects,
+    sees the literals as parsed. *)
 
 open Pmodel
 module OidSet = Database.OidSet
@@ -84,10 +88,11 @@ type totals = {
   t_invariant_reuses : int Atomic.t;
 }
 
-(* The plan cache's key: a select and the sorted names its caller
-   binds.  Hashed over the whole tree (the default hash stops after ten
-   values, before most literals) and compared structurally, so a lookup
-   formats nothing. *)
+(* The plan cache's key: a parameterised select (its literals are
+   [Ast.Param]s, so one entry serves every query of a shape) and the
+   sorted names its caller binds.  Hashed over the whole tree (the
+   default hash stops after ten values) and compared structurally, so a
+   lookup formats nothing. *)
 module Plan_key = struct
   type t = Ast.select * string list
 
@@ -166,14 +171,24 @@ let db_stats db : db_stats =
     adjacency_rebuilds = 0;
   }
 
-(* Slot storage of one select execution: a cell per hoisted WHERE
-   subexpression of its plan ([None] = not computed for the current
-   outer bindings), plus counts flushed to [totals] when it ends.
-   Local to the execution — plans, shared through the cache, stay
-   immutable. *)
-type frame = { cells : Value.t option array; mutable evals : int; mutable reuses : int }
+(* One hoisted WHERE subexpression's value for the current outer
+   bindings, and once [in] has tested against it, its elements as a
+   hash set ([None]: a value no hash can key, see [hashable]). *)
+type cell = Empty | Cached of Value.t | Hashed of Value.t * (Value.t, unit) Hashtbl.t option
 
-let new_frame n = { cells = Array.make n None; evals = 0; reuses = 0 }
+(* Slot storage of one select execution: a cell per hoisted WHERE
+   subexpression of its plan, plus counts flushed to [totals] when it
+   ends.  Local to the execution — plans, shared through the cache,
+   stay immutable. *)
+type frame = { cells : cell array; mutable evals : int; mutable reuses : int }
+
+let new_frame n = { cells = Array.make n Empty; evals = 0; reuses = 0 }
+
+(** Exact counts of one binding of a select, summed over its outer
+    rows: of the values its access path offered (the candidates), how
+    many its class test or scan filter dropped, and how many it bound
+    to its variable. *)
+type counts = { mutable rejected : int; mutable emitted : int }
 
 type state = {
   db : Database.t;
@@ -186,6 +201,12 @@ type state = {
          planned once, not once per outer row *)
   mutable ctx : int option; (* current classification context *)
   mutable frame : frame; (* slots of the innermost running select *)
+  mutable params : Value.t array; (* literals of the running parameterised select *)
+  mutable parameterised : bool; (* a parameterised select is running *)
+  mutable counting : bool; (* keep [counted] (EXPLAIN with counts, [Pool.query ?plan]) *)
+  mutable counted : (Plan.t * (int * int) list) option;
+      (* plan and (rejected, emitted) per binding of the last outermost
+         planned select *)
   mutable index_probes : int; (* per-query statistics, for explain/tests *)
   mutable extent_scans : int;
   mutable range_scans : int;
@@ -203,6 +224,10 @@ let make_state ?(config = default_config) db =
     plan_memo = [];
     ctx = None;
     frame = new_frame 0;
+    params = [||];
+    parameterised = false;
+    counting = false;
+    counted = None;
     index_probes = 0;
     extent_scans = 0;
     range_scans = 0;
@@ -216,11 +241,20 @@ type env = (string * Value.t) list
    are hoisted; [Expr] sources are evaluated per outer row exactly as
    the reference interpreter does. *)
 type exec =
-  | Candidates of Value.t list (* hoisted, ascending oid order *)
+  | Candidates of Value.t list * int
+      (* hoisted, ascending oid order; and how many the filter dropped *)
   | Hash_probe of (Value.t, int list ref) Hashtbl.t * Ast.expr * Value.t list
       (* build table, probe-key expression, full candidate list (the
          fallback when the probe key fails to evaluate — the nested
          loop then reproduces reference error behaviour exactly) *)
+  | Member of {
+      set : Ast.expr;
+      classes : string list; (* the range's deep extent, as a class test *)
+      tests : Plan.test list;
+      extent : (Value.t list * int) Lazy.t;
+          (* the filtered extent: the fallback when [set] fails to
+             evaluate, as for [Hash_probe] *)
+    }
   | Per_row of Ast.expr
 
 (* Hash keys must agree with [Value.equal_value], which equates VInt
@@ -236,6 +270,15 @@ let rec norm_key (v : Value.t) : Value.t =
   | Value.VSet l -> Value.VSet (List.map norm_key l)
   | Value.VBag l -> Value.VBag (List.map norm_key l)
   | v -> v
+
+(* Can [norm_key v] stand for [v] in a hash table?  Not when [v] holds
+   an int beyond 2^53: [VInt] = [VFloat] rounds it, so two distinct ints
+   would share a key. *)
+let rec hashable (v : Value.t) =
+  match v with
+  | Value.VInt i -> abs i <= 1 lsl 53
+  | Value.VList l | Value.VSet l | Value.VBag l -> List.for_all hashable l
+  | _ -> true
 
 (* --- helpers -------------------------------------------------------- *)
 
@@ -362,22 +405,57 @@ let rec eval (st : state) (env : env) (e : Ast.expr) : Value.t =
   | Ast.Binop ("or", a, b) ->
       let cond e = coerce "or" Value.as_bool (eval st env e) in
       Value.VBool (cond a || cond b)
-  | Ast.Binop (op, a, b) -> eval_binop st op (eval st env a) (eval st env b)
+  | Ast.Binop ("in", a, Ast.Slot (i, e)) ->
+      (* the collection first, as for every operator below *)
+      let set = slot_set st env i e in
+      let x = eval st env a in
+      Value.VBool
+        (match set with
+        | Hashed (_, Some h) when hashable x -> Hashtbl.mem h (norm_key x)
+        | Cached v | Hashed (v, _) -> List.exists (Value.equal_value x) (elements v)
+        | Empty -> assert false)
+  | Ast.Binop (op, a, b) ->
+      let b = eval st env b in
+      eval_binop st op (eval st env a) b
   | Ast.Downcast (cls, e) -> eval_downcast st cls (eval st env e)
   | Ast.Call (f, args) -> eval_call st env f args
   | Ast.Select s -> eval_select st env s
-  | Ast.Slot (i, e) -> (
-      let f = st.frame in
-      match f.cells.(i) with
-      | Some v ->
-          f.reuses <- f.reuses + 1;
-          v
-      | None ->
-          (* kept only once computed: a raise leaves the cell empty *)
-          let v = eval st env e in
-          f.cells.(i) <- Some v;
-          f.evals <- f.evals + 1;
-          v)
+  | Ast.Slot (i, e) -> slot st env i e
+  | Ast.Param i -> st.params.(i)
+
+and slot st env i e : Value.t =
+  let f = st.frame in
+  match f.cells.(i) with
+  | Cached v | Hashed (v, _) ->
+      f.reuses <- f.reuses + 1;
+      v
+  | Empty ->
+      (* kept only once computed: a raise leaves the cell empty *)
+      let v = eval st env e in
+      f.cells.(i) <- Cached v;
+      f.evals <- f.evals + 1;
+      v
+
+(* Slot [i]'s cell, with the hash set of its elements built on the
+   first [in] test against this value *)
+and slot_set st env i e : cell =
+  let f = st.frame in
+  ignore (slot st env i e);
+  match f.cells.(i) with
+  | Cached v ->
+      let set =
+        if hashable v then begin
+          let l = elements v in
+          let h = Hashtbl.create (List.length l) in
+          List.iter (fun x -> Hashtbl.replace h (norm_key x) ()) l;
+          Some h
+        end
+        else None
+      in
+      let c = Hashed (v, set) in
+      f.cells.(i) <- c;
+      c
+  | c -> c
 
 and eval_path st (recv : Value.t) attr : Value.t =
   match recv with
@@ -715,12 +793,14 @@ and fold_access st (a : Plan.access) f acc =
   match a with
   | Plan.Extent cls -> fallback cls
   | Plan.Probe { cls; attr; value } -> (
-      match Database.index_lookup st.db cls attr value with
+      match Database.index_lookup st.db cls attr st.params.(value) with
       | Some s ->
           bump_probe ();
           of_set s
       | None -> fallback cls)
   | Plan.Range { cls; attr; lo; hi } -> (
+      let lo = Plan.tightest ~is_lo:true st.params lo
+      and hi = Plan.tightest ~is_lo:false st.params hi in
       match Database.index_range st.db cls attr ?lo ?hi () with
       | Some s ->
           bump_range ();
@@ -732,20 +812,43 @@ and fold_access st (a : Plan.access) f acc =
           bump_range ();
           of_set s
       | None -> fallback cls)
-  | Plan.Src _ -> assert false (* handled by the caller *)
+  | Plan.Member _ | Plan.Src _ -> assert false (* handled by the caller *)
 
-and prepare st (b : Plan.binding) : string * exec =
+(* The candidates of an index or extent access path that pass [tests],
+   ascending, and how many the tests dropped. *)
+and scan st access tests : Value.t list * int =
+  let dropped = ref 0 in
+  let keep =
+    match tests with
+    | [] -> fun acc o -> Value.VRef o :: acc
+    | tests ->
+        fun acc o ->
+          if passes st o (Database.get_exn st.db o) tests then Value.VRef o :: acc
+          else begin
+            incr dropped;
+            acc
+          end
+  in
+  let cands = List.rev (fold_access st access keep []) in
+  (cands, !dropped)
+
+and prepare st (b : Plan.binding) : string * exec * counts =
+  let counts = { rejected = 0; emitted = 0 } in
   match b.Plan.access with
-  | Plan.Src e -> (b.Plan.var, Per_row e)
+  | Plan.Src e -> (b.Plan.var, Per_row e, counts)
+  | Plan.Member { cls; set } ->
+      let tests = b.Plan.filter in
+      ( b.Plan.var,
+        Member
+          {
+            set;
+            classes = Database.extent_classes st.db cls;
+            tests;
+            extent = lazy (scan st (Plan.Extent cls) tests);
+          },
+        counts )
   | access -> (
-      let keep =
-        match b.Plan.filter with
-        | [] -> fun acc o -> Value.VRef o :: acc
-        | tests ->
-            fun acc o ->
-              if passes st o (Database.get_exn st.db o) tests then Value.VRef o :: acc else acc
-      in
-      let cands = List.rev (fold_access st access keep []) in
+      let cands, dropped = scan st access b.Plan.filter in
       match b.Plan.hash_key with
       | Some (attr, probe_expr) ->
           (* buckets are built in ascending oid order, preserving the
@@ -763,8 +866,25 @@ and prepare st (b : Plan.binding) : string * exec =
           st.hash_joins <- st.hash_joins + 1;
           Atomic.incr st.totals.t_hash_joins;
           Pobs.Metrics.inc m_hash_joins;
-          (b.Plan.var, Hash_probe (tbl, probe_expr, cands))
-      | None -> (b.Plan.var, Candidates cands))
+          (b.Plan.var, Hash_probe (tbl, probe_expr, cands), counts)
+      | None -> (b.Plan.var, Candidates (cands, dropped), counts))
+
+(* The elements of a [Member] set that lie in the range's extent and
+   pass its tests, ascending and distinct — the order and multiplicity
+   of the extent scan they replace — and how many elements were
+   dropped. *)
+and members st ~classes ~tests (set : Value.t) : Value.t list * int =
+  let keep = function
+    | Value.VRef o ->
+        Database.in_extent st.db classes o
+        && (tests = [] || passes st o (Database.get_exn st.db o) tests)
+    | _ -> false
+  in
+  let all = elements set in
+  let kept = List.filter keep all in
+  (* a set's refs are already ascending oids *)
+  let kept = match set with Value.VSet _ -> kept | _ -> List.sort_uniq Value.compare_value kept in
+  (kept, List.length all - List.length kept)
 
 (* Does object [o] pass every scan-filter test?  A recursive function
    rather than [List.for_all] over a per-candidate closure, and a direct
@@ -773,7 +893,7 @@ and prepare st (b : Plan.binding) : string * exec =
 and passes st o (obj : Obj.t) = function
   | [] -> true
   | (t : Plan.test) :: rest ->
-      Plan.holds t
+      Plan.holds t st.params.(t.Plan.param)
         (if t.Plan.direct then Obj.get obj t.Plan.attr else eval_obj_attr st o t.Plan.attr)
       && passes st o obj rest
 
@@ -790,19 +910,35 @@ and note_invariants st (f : frame) =
 
 and eval_select st (env : env) (s : Ast.select) : Value.t =
   let saved_ctx = st.ctx and saved_frame = st.frame in
-  (match s.Ast.context with
-  | Some c -> (
-      match eval st env c with
-      | Value.VRef ctx -> st.ctx <- Some ctx
-      | Value.VNull -> st.ctx <- None
-      | v -> fail "in context: expected a context reference, got %a" Value.pp v)
-  | None -> ());
+  (* the outermost planned select runs parameterised, and so does
+     everything nested in it *)
+  let outermost = st.config = Planned && not st.parameterised in
   Fun.protect
     ~finally:(fun () ->
       if st.frame != saved_frame then note_invariants st st.frame;
       st.ctx <- saved_ctx;
-      st.frame <- saved_frame)
+      st.frame <- saved_frame;
+      if outermost then begin
+        st.parameterised <- false;
+        st.params <- [||]
+      end)
     (fun () ->
+      let s =
+        if outermost then begin
+          let s, params = Plan.parameterise s in
+          st.params <- params;
+          st.parameterised <- true;
+          s
+        end
+        else s
+      in
+      (match s.Ast.context with
+      | Some c -> (
+          match eval st env c with
+          | Value.VRef ctx -> st.ctx <- Some ctx
+          | Value.VNull -> st.ctx <- None
+          | v -> fail "in context: expected a context reference, got %a" Value.pp v)
+      | None -> ());
       let rows = ref [] in
       let finish where env =
         let keep =
@@ -836,19 +972,35 @@ and eval_select st (env : env) (s : Ast.select) : Value.t =
          (* binding range [i] afresh empties the slots that depend on it *)
          let rebind i =
            for j = 0 to Array.length levels - 1 do
-             if levels.(j) > i then cells.(j) <- None
+             if levels.(j) > i then cells.(j) <- Empty
            done
          in
          let rec bind env i = function
            | [] -> finish where env
-           | (var, exec) :: rest -> (
+           | (var, exec, c) :: rest -> (
                let each v =
+                 c.emitted <- c.emitted + 1;
                  rebind i;
                  bind ((var, v) :: env) (i + 1) rest
                in
                match exec with
-               | Candidates vs -> List.iter each vs
+               | Candidates (vs, dropped) ->
+                   c.rejected <- c.rejected + dropped;
+                   List.iter each vs
                | Per_row e -> List.iter each (elements (eval st env e))
+               | Member { set; classes; tests; extent } ->
+                   let vs, dropped =
+                     match try Some (eval st env set) with _ -> None with
+                     | Some v -> members st ~classes ~tests v
+                     | None ->
+                         (* the set failed to evaluate, whatever the
+                            exception: replay the extent scan, so the
+                            WHERE raises (or not) exactly as the
+                            interpreter's *)
+                         Lazy.force extent
+                   in
+                   c.rejected <- c.rejected + dropped;
+                   List.iter each vs
                | Hash_probe (tbl, probe_expr, cands) ->
                    if cands <> [] then begin
                      match try Some (norm_key (eval st env probe_expr)) with _ -> None with
@@ -864,7 +1016,10 @@ and eval_select st (env : env) (s : Ast.select) : Value.t =
                          List.iter each cands
                    end)
          in
-         bind env 0 execs
+         bind env 0 execs;
+         if outermost && st.counting then
+           st.counted <-
+             Some (plan, List.map (fun (_, _, c) -> (c.rejected, c.emitted)) execs)
        end
        else begin
          let probe = index_probe st s in

@@ -77,11 +77,30 @@ let undouble s quote =
   done;
   Buffer.contents b
 
-(** Tokenise [src]; returns tokens with their source positions. *)
-let tokenize (src : string) : (token * int) list =
+(** Tokenise [src] into an array of tokens and an array of their
+    source positions, filled as the scan goes (doubling when full).
+    Both arrays may be longer than the token count: from the final
+    [EOF] on, every token is [EOF] at position [String.length src]. *)
+let scan (src : string) : token array * int array =
   let n = String.length src in
-  let toks = ref [] in
-  let push t pos = toks := (t, pos) :: !toks in
+  let cap = ref ((n / 4) + 8) (* most tokens take more than 4 characters *) in
+  let toks = ref (Array.make !cap EOF) and poss = ref (Array.make !cap n) in
+  let count = ref 0 in
+  let push t pos =
+    if !count = !cap then begin
+      let grow a fill =
+        let a' = Array.make (2 * !cap) fill in
+        Array.blit a 0 a' 0 !cap;
+        a'
+      in
+      toks := grow !toks EOF;
+      poss := grow !poss n;
+      cap := 2 * !cap
+    end;
+    !toks.(!count) <- t;
+    !poss.(!count) <- pos;
+    incr count
+  in
   let i = ref 0 in
   while !i < n do
     let c = src.[!i] in
@@ -176,4 +195,11 @@ let tokenize (src : string) : (token * int) list =
     end
   done;
   push EOF n;
-  List.rev !toks
+  (!toks, !poss)
+
+(** Tokenise [src]; returns tokens with their source positions, the
+    last one [EOF]. *)
+let tokenize (src : string) : (token * int) list =
+  let toks, poss = scan src in
+  let rec go i = (toks.(i), poss.(i)) :: (match toks.(i) with EOF -> [] | _ -> go (i + 1)) in
+  go 0

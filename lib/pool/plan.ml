@@ -12,15 +12,30 @@
     how they are ordered, only how many candidates are inspected — and,
     by the exactness rule below, never whether the query raises.
 
+    Plans are compiled from a {e parameterised} select
+    ({!parameterise}): each literal is a numbered [Ast.Param], and an
+    execution reads the values from its parameter vector.  A plan
+    therefore serves every query of its shape, whatever its literals;
+    only a LIKE pattern, whose prefix picks the access path, stays a
+    literal and so part of the shape.
+
     Access paths recognised from top-level WHERE conjuncts over an
-    unshadowed class-extent range [Var cls]:
+    unshadowed class-extent range [Var cls] (a [lit] is a parameter):
 
     - [var.attr = lit]              -> {!constructor:Probe} (equality index)
     - [var.attr </<=/>/>= lit]      -> {!constructor:Range} (ordered index walk;
-                                       conjuncts on the same attr combine)
+                                       bounds on the same attr combine at
+                                       execution, tightest wins)
     - [var.attr like 'abc%...']     -> {!constructor:Prefix} (contiguous string
                                        block of the ordered index)
     - [var.attr between a and b] parses as two range conjuncts
+    - [var in e], [e] mentioning neither [var] nor a later range
+                                    -> {!constructor:Member}: [e] is evaluated
+                                       once per outer row, and its elements
+                                       that are refs in [cls]'s deep extent
+                                       (a class test, no scan) are the
+                                       candidates, ascending and distinct.
+                                       An equality probe takes precedence.
 
     Hash joins: a non-first range whose WHERE has a top-level conjunct
     [var.attr = e], where [e] depends on earlier range variables but
@@ -52,8 +67,11 @@
     [and] reaches that conjunct on every row, and where it is false the
     row is rejected silently.  (A LIKE prefix scan declines unless
     every indexed value is a string, on which [like] cannot raise; a
-    hash-join probe key that raises makes the evaluator replay the
-    nested loop.)  Second, a range is narrowed only when no later range
+    hash-join probe key or a [Member] set that raises makes the
+    evaluator replay the nested loop over the range's extent, so the
+    WHERE raises on exactly the row where the interpreter's does, and
+    not at all when no row reaches it, e.g. over an empty extent.)
+    Second, a range is narrowed only when no later range
     is a per-row source ({!constructor:Src}): such a source is
     evaluated once per binding of the ranges before it, whatever the
     WHERE answers, and may raise on a row the WHERE would reject
@@ -70,9 +88,13 @@
     does); the evaluator computes a slot the first time the WHERE
     reaches it and keeps the value until a range below that level is
     rebound — once per outer binding instead of once per candidate
-    row.  When anything is hoisted the evaluator runs this copy, not
-    the query's own clause, so a plan taken from the cache (built from
-    an earlier parse of the same text) hoists exactly as a fresh one.
+    row.  A [Member] set is the hoisted form of its [e], so the access
+    path and the WHERE's re-check share one slot; [v in] a slot tests
+    a hash set built once per slot value.  When anything is hoisted
+    the evaluator runs this copy, not the query's own clause.  The
+    copy is made from the parameterised clause, so a plan taken from
+    the cache reads the current query's literals, never those of the
+    query it was compiled for.
 
     Plans contain no oids or values read from the data, only schema
     facts (which indexes exist, which names denote class extents, which
@@ -85,24 +107,25 @@ module SSet = Set.Make (String)
 
 type access =
   | Extent of string (* class extent scan, ascending oid *)
-  | Probe of { cls : string; attr : string; value : Value.t }
+  | Probe of { cls : string; attr : string; value : int (* parameter *) }
   | Range of {
       cls : string;
       attr : string;
-      lo : (Value.t * bool) option; (* value, inclusive *)
-      hi : (Value.t * bool) option;
+      lo : (int * bool) list; (* every lower bound on [attr]: parameter, inclusive *)
+      hi : (int * bool) list;
     }
   | Prefix of { cls : string; attr : string; prefix : string }
+  | Member of { cls : string; set : Ast.expr (* hoisted form: shares the WHERE's slot *) }
   | Src of Ast.expr (* arbitrary source expression, evaluated per outer row *)
 
 type cmp = Equal | Not_equal | Less | Less_eq | Greater | Greater_eq
 
 (** One scan-filter test, [var.attr cmp lit] with the attribute on the
-    left. *)
+    left and the literal a parameter. *)
 type test = {
   attr : string;
   cmp : cmp;
-  lit : Value.t;
+  param : int;
   direct : bool;
       (* every class of the range's deep extent declares [attr]: read
          it with [Obj.get], no role or endpoint lookup *)
@@ -154,6 +177,43 @@ let rec free_vars (e : Ast.expr) : SSet.t =
       in
       List.fold_left (fun acc (e, _) -> SSet.union acc (under e)) free s.Ast.order_by
   | Ast.Slot (_, e) -> free_vars e
+  | Ast.Param _ -> SSet.empty
+
+(* --- parameters ---------------------------------------------------------- *)
+
+(** [parameterise s] is [s] with every literal replaced by
+    [Ast.Param i], numbered left to right, and the literals' values in
+    that order: the plan-cache key of a query shape, and the parameter
+    vector of this query, in one walk.  A LIKE pattern stays a literal,
+    since its prefix picks the access path. *)
+let parameterise (s : Ast.select) : Ast.select * Value.t array =
+  let lits = ref [] and n = ref 0 in
+  let rec expr (e : Ast.expr) : Ast.expr =
+    match e with
+    | Ast.Lit v ->
+        lits := v :: !lits;
+        incr n;
+        Ast.Param (!n - 1)
+    | Ast.Var _ | Ast.Param _ | Ast.Slot _ -> e
+    | Ast.Path (a, attr) -> Ast.Path (expr a, attr)
+    | Ast.Unop (op, a) -> Ast.Unop (op, expr a)
+    | Ast.Binop ("like", a, (Ast.Lit _ as pattern)) -> Ast.Binop ("like", expr a, pattern)
+    | Ast.Binop (op, a, b) ->
+        let a = expr a in
+        Ast.Binop (op, a, expr b)
+    | Ast.Downcast (cls, a) -> Ast.Downcast (cls, expr a)
+    | Ast.Call (f, args) -> Ast.Call (f, List.map expr args)
+    | Ast.Select s -> Ast.Select (select s)
+  and select (s : Ast.select) : Ast.select =
+    let projections = Option.map (List.map (fun (e, a) -> (expr e, a))) s.Ast.projections in
+    let ranges = List.map (fun (e, v) -> (expr e, v)) s.Ast.ranges in
+    let where = Option.map expr s.Ast.where in
+    let order_by = List.map (fun (e, asc) -> (expr e, asc)) s.Ast.order_by in
+    let context = Option.map expr s.Ast.context in
+    { s with projections; ranges; where; order_by; context }
+  in
+  let s = select s in
+  (s, Array.of_list (List.rev !lits))
 
 (* --- conjunct analysis -------------------------------------------------- *)
 
@@ -176,18 +236,24 @@ let tighter ~is_lo a b =
       let take_a = if is_lo then c > 0 || (c = 0 && not ia) else c < 0 || (c = 0 && not ia) in
       Some (if take_a then ba else if c = 0 then (va, ia && ib) else bb)
 
-(** Equality/range/prefix facts about [var.attr] found in one conjunct. *)
+(** The tightest of a {!constructor:Range}'s bounds [bs] under the
+    parameter vector [params]; [None] for no bound. *)
+let tightest ~is_lo (params : Value.t array) bs =
+  List.fold_left (fun acc (p, incl) -> tighter ~is_lo acc (Some (params.(p), incl))) None bs
+
+(** Equality/range/prefix facts about [var.attr] found in one conjunct;
+    values are parameters. *)
 type fact =
-  | Eq of string * Value.t
-  | Lo of string * (Value.t * bool)
-  | Hi of string * (Value.t * bool)
+  | Eq of string * int
+  | Lo of string * (int * bool)
+  | Hi of string * (int * bool)
   | Like of string * string (* attr, literal prefix *)
 
-(** [v.attr OP lit] or [lit OP v.attr] with OP a comparison, as
-    [(v, attr, cmp, lit)] with the attribute on the left.  Swapping
-    the sides mirrors the operator: {!Pmodel.Value.compare_value} is
-    antisymmetric. *)
-let comparison (c : Ast.expr) : (string * string * cmp * Value.t) option =
+(** [v.attr OP lit] or [lit OP v.attr] with OP a comparison and [lit] a
+    parameter, as [(v, attr, cmp, param)] with the attribute on the
+    left.  Swapping the sides mirrors the operator:
+    {!Pmodel.Value.compare_value} is antisymmetric. *)
+let comparison (c : Ast.expr) : (string * string * cmp * int) option =
   let cmp_of = function
     | "=" -> Some Equal
     | "!=" -> Some Not_equal
@@ -205,10 +271,10 @@ let comparison (c : Ast.expr) : (string * string * cmp * Value.t) option =
     | (Equal | Not_equal) as c -> c
   in
   match c with
-  | Ast.Binop (op, Ast.Path (Ast.Var v, attr), Ast.Lit lit) ->
-      Option.map (fun cmp -> (v, attr, cmp, lit)) (cmp_of op)
-  | Ast.Binop (op, Ast.Lit lit, Ast.Path (Ast.Var v, attr)) ->
-      Option.map (fun cmp -> (v, attr, mirror cmp, lit)) (cmp_of op)
+  | Ast.Binop (op, Ast.Path (Ast.Var v, attr), Ast.Param p) ->
+      Option.map (fun cmp -> (v, attr, cmp, p)) (cmp_of op)
+  | Ast.Binop (op, Ast.Param p, Ast.Path (Ast.Var v, attr)) ->
+      Option.map (fun cmp -> (v, attr, mirror cmp, p)) (cmp_of op)
   | _ -> None
 
 let fact_of var (c : Ast.expr) : fact option =
@@ -231,10 +297,10 @@ let fact_of var (c : Ast.expr) : fact option =
           | Not_equal -> None)
       | _ -> None)
 
-(** Does attribute value [v] pass [t], as the query's own comparison
-    would answer? *)
-let holds (t : test) (v : Value.t) : bool =
-  let c = Value.compare_value v t.lit in
+(** Does attribute value [v] pass [t], its literal [lit], as the
+    query's own comparison would answer? *)
+let holds (t : test) (lit : Value.t) (v : Value.t) : bool =
+  let c = Value.compare_value v lit in
   match t.cmp with
   | Equal -> c = 0
   | Not_equal -> c <> 0
@@ -246,7 +312,7 @@ let holds (t : test) (v : Value.t) : bool =
 (* Is [t] implied by the index access of its binding? *)
 let guaranteed (a : access) (t : test) : bool =
   match (a, t.cmp) with
-  | Probe { attr; value; _ }, Equal -> attr = t.attr && Value.equal_value value t.lit
+  | Probe { attr; value; _ }, Equal -> attr = t.attr && value = t.param
   | Range { attr; _ }, (Less | Less_eq | Greater | Greater_eq) ->
       (* the walk's bounds are the tightest of every bound on [attr] *)
       attr = t.attr
@@ -285,7 +351,7 @@ let hoist (ranges : string list) (w : Ast.expr) : (Ast.expr * int array) option 
         let a = go a in
         Ast.Binop (op, a, go b)
     | Ast.Downcast (cls, a) -> Ast.Downcast (cls, go a)
-    | Ast.Lit _ | Ast.Var _ | Ast.Select _ | Ast.Slot _ -> e
+    | Ast.Lit _ | Ast.Var _ | Ast.Select _ | Ast.Slot _ | Ast.Param _ -> e
   in
   let w = go w in
   if !levels = [] then None else Some (w, Array.of_list (List.rev !levels))
@@ -293,9 +359,10 @@ let hoist (ranges : string list) (w : Ast.expr) : (Ast.expr * int array) option 
 (* --- compilation -------------------------------------------------------- *)
 
 (** Pick the access path for range [(cls, var)]: an equality probe
-    from the conjuncts [probe_cs], else a LIKE prefix, else a range
-    from the conjuncts [cs] — all conditional on an index existing. *)
-let access_for db cls var ~probe_cs (cs : Ast.expr list) : access =
+    from the conjuncts [probe_cs], else the membership set [member],
+    else a LIKE prefix, else a range from the conjuncts [cs] — index
+    paths conditional on an index existing. *)
+let access_for db cls var ~probe_cs ~member (cs : Ast.expr list) : access =
   let facts = List.filter_map (fact_of var) cs in
   let indexed attr = Database.has_index db cls attr in
   let probe =
@@ -303,43 +370,31 @@ let access_for db cls var ~probe_cs (cs : Ast.expr list) : access =
       (fun c -> match fact_of var c with Some (Eq (a, v)) when indexed a -> Some (a, v) | _ -> None)
       probe_cs
   in
-  match probe with
-  | Some (attr, value) -> Probe { cls; attr; value }
-  | None -> (
+  match (probe, member) with
+  | Some (attr, value), _ -> Probe { cls; attr; value }
+  | None, Some set -> Member { cls; set }
+  | None, None -> (
       let prefix =
         List.find_map (function Like (a, p) when indexed a -> Some (a, p) | _ -> None) facts
       in
       match prefix with
       | Some (attr, prefix) -> Prefix { cls; attr; prefix }
       | None -> (
-          (* combine all range facts per attribute; take the first
-             indexed attribute that has at least one bound *)
+          (* every range fact on the first indexed attribute that has
+             one; the evaluator combines their values *)
           let attrs =
             List.filter_map (function Lo (a, _) | Hi (a, _) -> Some a | _ -> None) facts
           in
-          let ranged =
-            List.find_map
-              (fun attr ->
-                if not (indexed attr) then None
-                else
-                  let lo =
-                    List.fold_left
-                      (fun acc -> function
-                        | Lo (a, b) when a = attr -> tighter ~is_lo:true acc (Some b)
-                        | _ -> acc)
-                      None facts
-                  and hi =
-                    List.fold_left
-                      (fun acc -> function
-                        | Hi (a, b) when a = attr -> tighter ~is_lo:false acc (Some b)
-                        | _ -> acc)
-                      None facts
-                  in
-                  if lo = None && hi = None then None else Some (attr, lo, hi))
-              (List.sort_uniq compare attrs)
-          in
-          match ranged with
-          | Some (attr, lo, hi) -> Range { cls; attr; lo; hi }
+          let bounds pick = List.filter_map pick facts in
+          match List.find_opt indexed (List.sort_uniq compare attrs) with
+          | Some attr ->
+              Range
+                {
+                  cls;
+                  attr;
+                  lo = bounds (function Lo (a, b) when a = attr -> Some b | _ -> None);
+                  hi = bounds (function Hi (a, b) when a = attr -> Some b | _ -> None);
+                }
           | None -> Extent cls))
 
 (** A hash-join key for range [var] (not the first range): a top-level
@@ -364,10 +419,11 @@ let hash_key_for var ~outer_vars ~later_vars (cs : Ast.expr list) : (string * As
       | _ -> None)
     cs
 
-(** Compile [s] against the schema facts of [db].  [bound] is the set
-    of variables already bound by the caller (query [env] plus outer
-    range variables for correlated subselects): a range source [Var x]
-    with [x] bound is a plain expression, not an extent. *)
+(** Compile the parameterised select [s] against the schema facts of
+    [db].  [bound] is the set of variables already bound by the caller
+    (query [env] plus outer range variables for correlated
+    subselects): a range source [Var x] with [x] bound is a plain
+    expression, not an extent. *)
 let compile db ~bound (s : Ast.select) : t =
   let schema = Database.schema db in
   let cs = match s.Ast.where with Some w -> conjuncts w | None -> [] in
@@ -408,10 +464,10 @@ let compile db ~bound (s : Ast.select) : t =
     | c :: rest -> (
         let test =
           match comparison c with
-          | Some (v, attr, cmp, lit) ->
+          | Some (v, attr, cmp, param) ->
               Option.bind (last v (n - 1)) (fun i ->
                   Option.map
-                    (fun cls -> (i, { attr; cmp; lit; direct = declared cls attr }))
+                    (fun cls -> (i, { attr; cmp; param; direct = declared cls attr }))
                     extent_cls.(i))
           | None -> None
         in
@@ -421,6 +477,26 @@ let compile db ~bound (s : Ast.select) : t =
   (* the run and the conjunct that ends it: on every row the
      interpreter reaches each of them, and nothing before them raises *)
   let reached = List.filteri (fun k _ -> k <= List.length run) cs in
+  let hoisted = Option.bind s.Ast.where (hoist (Array.to_list vars)) in
+  (* the reached conjuncts as the running clause has them: hoisting
+     rewrites within conjuncts, never the [and] chain *)
+  let hoisted_reached =
+    match hoisted with
+    | Some (w, _) -> List.filteri (fun k _ -> k <= List.length run) (conjuncts w)
+    | None -> reached
+  in
+  (* a reached [var i in e], [e] mentioning neither range [i] nor a
+     later one: [e] as the running clause has it *)
+  let member i =
+    let own_and_later = SSet.of_list (Array.to_list (Array.sub vars i (n - i))) in
+    List.find_map
+      (function
+        | Ast.Binop ("in", Ast.Var x, e), Ast.Binop ("in", _, running)
+          when x = var i && SSet.disjoint (free_vars e) own_and_later ->
+            Some running
+        | _ -> None)
+      (List.combine reached hoisted_reached)
+  in
   let binding i =
     let var = var i in
     match extent_cls.(i) with
@@ -432,10 +508,13 @@ let compile db ~bound (s : Ast.select) : t =
         (* the interpreter itself probes the first range on any equality
            conjunct with an index: the plan probes the same one *)
         let probe_cs = if i = 0 && Meta.is_class schema cls then cs else exact in
-        let access = access_for db cls var ~probe_cs exact in
+        let member = if narrowable then member i else None in
+        let access = access_for db cls var ~probe_cs ~member exact in
         let hash_key =
-          if i = 0 then None
-          else
+          match access with
+          | Member _ -> None
+          | _ when i = 0 -> None
+          | _ ->
             hash_key_for var
               ~outer_vars:(SSet.of_list (bound @ Array.to_list (Array.sub vars 0 i)))
               ~later_vars:(SSet.of_list (Array.to_list (Array.sub vars (i + 1) (n - i - 1))))
@@ -450,10 +529,7 @@ let compile db ~bound (s : Ast.select) : t =
         in
         { var; access; hash_key; filter }
   in
-  {
-    bindings = List.init n binding;
-    hoisted = Option.bind s.Ast.where (hoist (Array.to_list vars));
-  }
+  { bindings = List.init n binding; hoisted }
 
 (* --- description (EXPLAIN-style, used by tests and the CLI) ------------- *)
 
@@ -462,17 +538,29 @@ let describe_access = function
   | Probe { cls; attr; _ } -> Printf.sprintf "probe(%s.%s)" cls attr
   | Range { cls; attr; lo; hi } ->
       Printf.sprintf "range(%s.%s%s%s)" cls attr
-        (match lo with Some _ -> " lo" | None -> "")
-        (match hi with Some _ -> " hi" | None -> "")
+        (if lo <> [] then " lo" else "")
+        (if hi <> [] then " hi" else "")
   | Prefix { cls; attr; prefix } -> Printf.sprintf "prefix(%s.%s,%S)" cls attr prefix
+  | Member { cls; _ } -> Printf.sprintf "member(%s)" cls
   | Src _ -> "expr"
 
-let describe (t : t) : string =
+(** EXPLAIN text of [t].  [counts], one [(rejected, emitted)] per
+    binding, adds what an execution's bindings touched. *)
+let describe ?counts (t : t) : string =
+  let touched i =
+    match counts with
+    | Some cs ->
+        let rejected, emitted = List.nth cs i in
+        Printf.sprintf " {candidates %d, rejected %d, emitted %d}" (rejected + emitted) rejected
+          emitted
+    | None -> ""
+  in
   String.concat "; "
-    (List.map
-       (fun b ->
-         Printf.sprintf "%s<-%s%s" b.var (describe_access b.access)
-           (match b.hash_key with Some (attr, _) -> Printf.sprintf " hash(%s)" attr | None -> ""))
+    (List.mapi
+       (fun i b ->
+         Printf.sprintf "%s<-%s%s%s" b.var (describe_access b.access)
+           (match b.hash_key with Some (attr, _) -> Printf.sprintf " hash(%s)" attr | None -> "")
+           (touched i))
        t.bindings
     @ (match t.hoisted with
       | Some (_, levels) -> List.map (Printf.sprintf "hoist@%d") (Array.to_list levels)

@@ -49,14 +49,28 @@ let kind_of_state (st : Eval.state) : string =
   else if st.Eval.extent_scans > 0 then "extent_scan"
   else "expr"
 
+(* [Eval.eval]; when [plan] is given, it receives the EXPLAIN text,
+   with per-binding counts, of the last select the planned engine ran
+   at the query's outermost level *)
+let exec ?plan st env ast =
+  match plan with
+  | None -> Eval.eval st env ast
+  | Some f ->
+      st.Eval.counting <- true;
+      let v = Eval.eval st env ast in
+      Option.iter (fun (p, counts) -> f (Plan.describe ~counts p)) st.Eval.counted;
+      v
+
 (** Run a POOL query string; returns the result value (a [VList] of
-    rows for select queries). *)
-let query ?(env = []) ?config (db : Database.t) (src : string) : Value.t =
+    rows for select queries).  [plan], when given, receives the EXPLAIN
+    text of the last select the planned engine ran at the query's
+    outermost level, with each binding's counts (see {!explain}). *)
+let query ?(env = []) ?config ?plan (db : Database.t) (src : string) : Value.t =
   if not !Pobs.Metrics.enabled then begin
     (* metrics off: the untimed PR3 hot path, one branch of overhead *)
     let ast = Pobs.Trace.with_span "pool.parse" (fun () -> Parser.parse src) in
     let st = Eval.make_state ?config db in
-    Pobs.Trace.with_span "pool.exec" (fun () -> Eval.eval st env ast)
+    Pobs.Trace.with_span "pool.exec" (fun () -> exec ?plan st env ast)
   end
   else
     Pobs.Trace.with_span "pool.query" ~attrs:[ ("query", src) ] (fun () ->
@@ -68,7 +82,7 @@ let query ?(env = []) ?config (db : Database.t) (src : string) : Value.t =
           in
           let st = Eval.make_state ?config db in
           let t0 = Pobs.Monotonic.now_ns () in
-          let v = Pobs.Trace.with_span "pool.exec" (fun () -> Eval.eval st env ast) in
+          let v = Pobs.Trace.with_span "pool.exec" (fun () -> exec ?plan st env ast) in
           let dur_ns = Pobs.Monotonic.now_ns () - t0 in
           let kind = kind_of_state st in
           (match List.assoc_opt kind m_exec_ns with
@@ -102,10 +116,22 @@ let query_explain ?(env = []) ?config db src : Value.t * [ `Index_probe | `Exten
   let v = Eval.eval st env ast in
   ((v : Value.t), if st.Eval.index_probes > 0 then `Index_probe else `Extent_scan)
 
-(** Compile a query and render its physical plan (EXPLAIN). *)
-let explain ?(env = []) db src : string =
+(** Compile a query and render its physical plan (EXPLAIN): one
+    [var<-access] per range, then the hoisted slots and scan filters.
+    With [~counts:true] the query runs under the planned engine, and
+    each binding shows what it touched, summed over its outer rows:
+    the candidates its access path offered, how many its class test or
+    scan filter rejected, and how many it emitted (bound).  The plan
+    shown is then that of the last select run at the query's outermost
+    level. *)
+let explain ?(env = []) ?(counts = false) db src : string =
   match Parser.parse src with
-  | Ast.Select s -> Plan.describe (Plan.compile db ~bound:(List.map fst env) s)
+  | ast when counts ->
+      let text = ref "expr" in
+      ignore (exec ~plan:(fun p -> text := p) (Eval.make_state db) env ast);
+      !text
+  | Ast.Select s ->
+      Plan.describe (Plan.compile db ~bound:(List.map fst env) (fst (Plan.parameterise s)))
   | _ -> "expr"
 
 (** Evaluate a boolean POOL expression — used by rule conditions. *)

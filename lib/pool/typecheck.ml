@@ -138,6 +138,7 @@ let rec check_expr schema (env : (string * sty) list) (e : Ast.expr) (errors : e
       | _ -> Unknown)
   | Ast.Select s -> check_select schema env s errors
   | Ast.Slot (_, e) -> check_expr schema env e errors
+  | Ast.Param _ -> Unknown
 
 and check_select schema env (s : Ast.select) errors : sty =
   (* ranges bind left to right *)

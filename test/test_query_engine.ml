@@ -649,18 +649,19 @@ let check_invariants db ?env q ~evals ~reuses =
 let test_once_per_outer_binding () =
   with_db @@ fun db ->
   let _ = setup db in
-  (* level 0: once per execution, 4 Person rows *)
+  (* level 0: once per execution, by the member access path; the
+     WHERE re-checks its 2 members *)
   let r =
     check_invariants db "select p.name from Person p where p in (select x from Person x where x.age > 30)"
-      ~evals:1 ~reuses:3
+      ~evals:1 ~reuses:2
   in
   Alcotest.check value_testable "older people" (V.VList [ str "bob"; str "carol" ]) r;
-  (* level 1: once per p, reused over the 4 q rows of each *)
+  (* level 1: once per p, reused over the members of each *)
   let q =
     "select p.name, q.name from Person p, Person q where q in (select x from Person x where x.age > p.age)"
   in
-  Alcotest.(check string) "EXPLAIN" "p<-extent(Person); q<-extent(Person); hoist@1" (P.explain db q);
-  let r = check_invariants db q ~evals:4 ~reuses:12 in
+  Alcotest.(check string) "EXPLAIN" "p<-extent(Person); q<-member(Person); hoist@1" (P.explain db q);
+  let r = check_invariants db q ~evals:4 ~reuses:6 in
   Alcotest.(check int) "pairs with an older second" 6 (List.length (V.as_elements r));
   (* the querying-by-context shape: a sub-select range, then an
      invariant over it — once per binding of the first range *)
@@ -668,7 +669,7 @@ let test_once_per_outer_binding () =
     "select q.name from (select x from Person x where x.age > 45) g, Person q where q in \
      descendants(g, 'Manages')"
   in
-  Alcotest.(check string) "EXPLAIN" "g<-expr; q<-extent(Person); hoist@1" (P.explain db q);
+  Alcotest.(check string) "EXPLAIN" "g<-expr; q<-member(Person); hoist@1" (P.explain db q);
   let r = check_invariants db q ~evals:1 ~reuses:3 in
   Alcotest.check value_testable "carol's reports" (V.VList [ str "alice"; str "bob"; str "dave" ]) r;
   (* a select depending on the last range is not hoisted *)
@@ -680,14 +681,15 @@ let test_once_per_outer_binding () =
 let test_correlated_subselect_own_invariant () =
   (* the outer WHERE depends on its only range, so nothing hoists
      there; the sub-select's plan hoists descendants(p, ..), which is
-     invariant in its own range x: once per outer row *)
+     invariant in its own range x: once per outer row, by the member
+     access path, and reused by the re-check of its 5 members in all *)
   with_db @@ fun db ->
   let _ = setup db in
   let r =
     check_invariants db
       "select p.name from Person p where exists(select x from Person x where x in descendants(p, \
        'Manages'))"
-      ~evals:4 ~reuses:12
+      ~evals:4 ~reuses:5
   in
   Alcotest.check value_testable "managers" (V.VList [ str "bob"; str "carol" ]) r
 
@@ -736,8 +738,9 @@ let test_filter_explain () =
   Alcotest.(check string) "run ends at a call" "p<-extent(Person); filter(p.name)"
     (P.explain db
        "select p from Person p where 'carol' != p.name and strlen(p.name) > 3 and p.age > 1 and p.name = 'x'");
-  (* filters sit after the bindings and the hoists *)
-  Alcotest.(check string) "after hoists" "p<-extent(Person); hoist@0; filter(p.name)"
+  (* filters sit after the bindings and the hoists; a membership
+     conjunct ending the run is the access path *)
+  Alcotest.(check string) "after hoists" "p<-member(Person); hoist@0; filter(p.name)"
     (P.explain db "select p from Person p where p.name = 'dave' and p in (select x from Person x where x.age > 30)")
 
 let test_filter_later_source () =
@@ -929,6 +932,186 @@ let test_filter_vs_legacy =
               (P.explain db q) run pp_outcome planned pp_outcome legacy)
         [ "first"; "cached" ];
       true)
+
+(* Membership conjuncts [v in e] over the schema of [Filter_prop], plus
+   an empty subclass [Void].  A query is a template whose literals are
+   holes ([@A] an age, [@N] a name, [@E] an extra), filled twice with
+   independent literals: the second run of a shape takes its plans from
+   the cache and must answer with its own literals.  The range [p] the
+   membership constrains may be the first range or a later one, an
+   object or relationship extent, the empty extent, shadowed, or a
+   downcast source; ranges after it may be extents, the empty extent or
+   per-row sources; the set may use earlier ranges, [p] itself or a
+   later range, and may be a ref, a collection with non-refs and
+   duplicates, a downcast, null, or raise on some rows.  The
+   membership conjunct follows a head of run conjuncts, sometimes a
+   raising one, and precedes a tail that may raise. *)
+module Member_prop = struct
+  let setup db seed =
+    Filter_prop.setup db seed;
+    ignore (Database.define_class db "Void" ~supers:[ "Item" ] [])
+
+  (* from clause, earlier ranges a set may use, later ranges *)
+  let froms =
+    [
+      ("Item p", [], []);
+      ("Special p", [], []);
+      ("Void p", [], []);
+      ("Object p", [], []);
+      ("Link p", [], []);
+      ("Item q, Special p", [ "q" ], []);
+      ("Link q, Item p", [ "q" ], []);
+      ("Item q, Link p", [ "q" ], []);
+      ("Item p, Item q", [], [ "q" ]);
+      ("Item p, Void q", [], [ "q" ]);
+      ("Item p, p.targets('Link') q", [], [ "q" ]);
+      ("Item p, p.age.x q", [], [ "q" ]);
+      ("Item q, q.targets('Link') r, Item p", [ "q"; "r" ], []);
+      ("Special p, Link q, Item p", [ "q" ], []);
+      ("(Special) Item p", [], []);
+    ]
+
+  let sets ~outer ~later =
+    let open QCheck.Gen in
+    let ranged vs f = match vs with [] -> [] | _ -> [ map f (oneofl vs) ] in
+    oneof
+      ([
+         return "(select x from Item x where x.age > @A)";
+         return "(select x from Special x where x.extra = @E)";
+         return "(select x from Item x where x.name = @N or x.age = @A)";
+         return "first(select x from Item x where x.age = @A)";
+         return "descendants(first(select x from Item x where x.age = @A), 'Link')";
+         return "bag(first(select x from Item x where x.age = @A), first(select x from Item x where x.age >= @A))";
+         return "(Special) (select x from Item x where x.age >= @A)";
+         return "list(@A, @N)";
+         return "Special";
+         return "Link";
+         return "null";
+         return "strlen(@A)";
+         return "descendants(p, 'Link')";
+       ]
+      @ ranged outer (Printf.sprintf "descendants(%s, 'Link')")
+      @ ranged outer (Printf.sprintf "%s.targets('Link')")
+      @ ranged outer (Printf.sprintf "(select x from Item x where x.age > %s.age)")
+      @ ranged outer (Printf.sprintf "(select x from Item x where strlen(%s.name) < @A)")
+      @ ranged later (Printf.sprintf "descendants(%s, 'Link')"))
+
+  let gen =
+    let open QCheck.Gen in
+    let head =
+      oneofl
+        [
+          "p.age > @A"; "@A <= p.age"; "p.name = @N"; "p.extra != @E"; "p.age = @A"; "p.nope = @A";
+          "p.weight >= @E"; "true";
+        ]
+    and raising = oneofl [ "strlen(p.name) > 0"; "p.age + 1 > 0"; "p.age.x = 1" ] in
+    oneofl froms >>= fun (from, outer, later) ->
+    sets ~outer ~later >>= fun set ->
+    list_size (int_range 0 2) head >>= fun hd ->
+    frequency [ (4, return []); (1, map (fun r -> [ r ]) raising) ] >>= fun before ->
+    frequency [ (5, return (Printf.sprintf "p in %s" set)); (1, return (Printf.sprintf "not (p in %s)" set)) ]
+    >>= fun member ->
+    list_size (int_range 0 2) (frequency [ (2, head); (1, raising) ]) >>= fun tl ->
+    oneofl [ ""; " order by p.age desc"; " in context first(select c from Context c where c.name = 'c1')" ]
+    >>= fun suffix ->
+    let vars = List.filter (fun v -> v <> "p") (outer @ later) in
+    let proj = String.concat ", " ("p" :: vars) in
+    let where = String.concat " and " (hd @ before @ (member :: tl)) in
+    map
+      (fun seed -> (seed, Printf.sprintf "select %s from %s where %s%s" proj from where suffix))
+      (int_bound 1_000_000)
+
+  (* [template] with each hole filled from [rnd]: mostly values the
+     attribute holds, sometimes another type *)
+  let fill rnd template =
+    let pick a = a.(Random.State.int rnd (Array.length a)) in
+    let other = [| "null"; "'a'"; "2.5"; "true" |] in
+    let lit own = if Random.State.int rnd 5 = 0 then pick other else pick own in
+    let b = Buffer.create (String.length template) in
+    let n = String.length template in
+    let i = ref 0 in
+    while !i < n do
+      if template.[!i] = '@' && !i + 1 < n then begin
+        Buffer.add_string b
+          (match template.[!i + 1] with
+          | 'A' -> lit [| "10"; "20"; "30"; "20.0"; "25"; "0" |]
+          | 'N' -> lit [| "'a'"; "'ab'"; "'b'" |]
+          | _ -> lit [| "1"; "2"; "5" |]);
+        i := !i + 2
+      end
+      else begin
+        Buffer.add_char b template.[!i];
+        incr i
+      end
+    done;
+    Buffer.contents b
+end
+
+let member_count =
+  match Sys.getenv_opt "MEMBER_TORTURE" with Some "long" -> 10_000 | _ -> 1000
+
+let test_member_vs_legacy =
+  QCheck.Test.make ~name:"membership paths = legacy, value or exception, new literals from the cache"
+    ~count:member_count
+    (QCheck.make ~print:(fun (seed, q) -> Printf.sprintf "seed %d: %s" seed q) Member_prop.gen)
+    (fun (seed, template) ->
+      with_db @@ fun db ->
+      Member_prop.setup db seed;
+      let rnd = Random.State.make [| seed |] in
+      List.iter
+        (fun run ->
+          let q = Member_prop.fill rnd template in
+          let legacy = outcome ~config:P.legacy_config db q in
+          let hits0 = (P.stats db).Pool_lang.Eval.plan_cache_hits in
+          let planned = outcome db q in
+          if not (same_outcome planned legacy) then
+            QCheck.Test.fail_reportf "query %s (%s) diverged on the %s run:@.opt: %a@.leg: %a" q
+              (P.explain db q) run pp_outcome planned pp_outcome legacy;
+          if run = "second" && (P.stats db).Pool_lang.Eval.plan_cache_hits = hits0 then
+            QCheck.Test.fail_reportf "query %s: the second shape's run missed the plan cache" q)
+        [ "first"; "second" ];
+      true)
+
+(* The generator reaches both sides of every rule: the member path
+   taken, and declined for each reason. *)
+let test_member_gen_coverage () =
+  let rnd = Random.State.make [| 31 |] in
+  let member = ref 0 and declined = ref 0 in
+  for _ = 1 to 200 do
+    let seed, template = Member_prop.gen rnd in
+    with_db @@ fun db ->
+    Member_prop.setup db seed;
+    let plan = P.explain db (Member_prop.fill rnd template) in
+    if contains plan "member(" then incr member
+    else if contains template " in " && not (contains template "not (p in") then incr declined
+  done;
+  if !member < 60 || !declined < 30 then
+    Alcotest.failf "%d plans took the member path, %d declined it" !member !declined
+
+(* The per-binding counts EXPLAIN reports, and the member path beside
+   the extent scan it replaces: same rows, fewer candidates. *)
+let test_explain_counts () =
+  with_db @@ fun db ->
+  let _ = setup db in
+  Alcotest.(check string) "a filtered extent scan"
+    "p<-extent(Person) {candidates 4, rejected 1, emitted 3}; filter(p.age)"
+    (P.explain ~counts:true db "select p from Person p where p.age > 25");
+  Alcotest.(check string) "the member path, once per outer row"
+    "p<-extent(Person) {candidates 4, rejected 0, emitted 4}; q<-member(Person) {candidates 5, \
+     rejected 0, emitted 5}; hoist@1"
+    (P.explain ~counts:true db "select p, q from Person p, Person q where q in descendants(p, 'Manages')");
+  Alcotest.(check string) "a set that names other classes"
+    "q<-member(Person) {candidates 3, rejected 1, emitted 2}; hoist@0"
+    (P.explain ~counts:true db
+       "select q from Person q where q in list(first(select c from Company c), first(select p from \
+        Person p where p.age > 45), first(select p from Person p where p.age < 30))");
+  Alcotest.(check string) "a later per-row source: no member path"
+    "p<-extent(Person) {candidates 4, rejected 0, emitted 4}; w<-expr {candidates 3, rejected 0, \
+     emitted 3}; hoist@0"
+    (P.explain ~counts:true db
+       "select p, w from Person p, p.targets('WorksFor') w where p in descendants(first(select x from \
+        Person x where x.name = 'carol'), 'Manages')");
+  Alcotest.(check string) "not a select" "expr" (P.explain ~counts:true db "count(Person)")
 
 (* --- POOL-level graph builtins under both engines ---------------------- *)
 
@@ -1227,5 +1410,12 @@ let () =
           Alcotest.test_case "no narrowing past a raising conjunct" `Quick
             test_no_narrowing_past_a_raising_conjunct;
           QCheck_alcotest.to_alcotest test_filter_vs_legacy;
+        ] );
+      ( "member",
+        [
+          QCheck_alcotest.to_alcotest test_member_vs_legacy;
+          Alcotest.test_case "the generator takes and declines the path" `Quick
+            test_member_gen_coverage;
+          Alcotest.test_case "EXPLAIN counts" `Quick test_explain_counts;
         ] );
     ]

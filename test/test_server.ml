@@ -537,6 +537,39 @@ let test_cli_bad_query () =
       let code, text = run "query" "count(select t from Taxon t)" in
       Alcotest.(check (pair int string)) "a good query" (0, "0\n") (code, text))
 
+(* [pdb trace] ends with the plan of the query's select and what each
+   binding touched: the member path offers the one descendant. *)
+let test_cli_trace_plan () =
+  let path = tmp_path () in
+  let out = path ^ ".out" in
+  let db = Database.open_ path in
+  Taxonomy.Tax_schema.install db;
+  let taxon rank = Database.create db "Taxon" [ ("rank", Value.VString rank) ] in
+  let genus = taxon "Genus" in
+  ignore (taxon "Genus");
+  ignore (Database.link db "Circumscribes" ~origin:genus ~destination:(taxon "Species"));
+  Database.close db;
+  Fun.protect
+    ~finally:(fun () ->
+      cleanup path;
+      if Sys.file_exists out then Sys.remove out)
+    (fun () ->
+      let q =
+        "select t from Taxon t where t in descendants(first(select g from Taxon g where g.rank = \
+         'Genus'), 'Circumscribes')"
+      in
+      let code =
+        Sys.command
+          (Printf.sprintf "%s trace %s %s > %s 2>&1" pdb (Filename.quote path) (Filename.quote q)
+             (Filename.quote out))
+      in
+      let ic = open_in_bin out in
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Alcotest.(check int) "exit status" 0 code;
+      let plan = "\nplan: t<-member(Taxon) {candidates 1, rejected 0, emitted 1}; hoist@0\n" in
+      if not (contains text plan) then Alcotest.failf "pdb trace printed %S, expected %S" text plan)
+
 let () =
   Alcotest.run "server"
     [
@@ -551,6 +584,7 @@ let () =
           Alcotest.test_case "/repl 404 without hook" `Quick test_repl_404_without_hook;
           Alcotest.test_case "/query type error 400" `Quick test_query_type_error_400;
           Alcotest.test_case "pdb query/trace: bad POOL exits 1" `Quick test_cli_bad_query;
+          Alcotest.test_case "pdb trace prints the plan with counts" `Quick test_cli_trace_plan;
         ] );
       ( "abuse",
         [

@@ -746,6 +746,127 @@ let test_filtered_scan_allocation_flat () =
         Alcotest.failf "no-match scan: %.0f minor words over %d specimens, %.0f over %d names"
           w_specimens specimens w_names names)
 
+(* The request shapes of the flora browse workload (perfbench/flora.ml),
+   over a classification named [ctx]. *)
+let browse_shapes =
+  let ctx c = Printf.sprintf "first(select c from Context c where c.name = '%s')" c in
+  let taxon rank ep =
+    Printf.sprintf
+      "first(first(select n from Name n where n.epithet = '%s' and n.rank = '%s').sources('AscribedName', null))"
+      ep rank
+  in
+  [
+    ( "name_lookup",
+      `Species,
+      fun ep _ -> Printf.sprintf "select n.epithet, n.rank, n.year, n.status from Name n where n.epithet = '%s'" ep );
+    ( "placement",
+      `Species,
+      fun ep c ->
+        Printf.sprintf
+          "select first(t.targets('AscribedName', null)).epithet from ancestors(%s, 'Circumscribes', %s) t"
+          (taxon "Species" ep) (ctx c) );
+    ("subtree", `Genus, fun ep c -> Printf.sprintf "descendants(%s, 'Circumscribes', %s)" (taxon "Genus" ep) (ctx c));
+    ( "specimens",
+      `Species,
+      fun ep c ->
+        Printf.sprintf "select s.collector, s.number, s.collected from descendants(%s, 'Circumscribes', %s) s"
+          (taxon "Species" ep) (ctx c) );
+    ( "context_query",
+      `Genus,
+      fun ep c ->
+        Printf.sprintf
+          "select t from (select n from Name n where n.epithet = '%s' and n.rank = 'Genus') g, Taxon t where t in \
+           descendants(first(g.sources('AscribedName', null)), 'Circumscribes') in context %s"
+          ep (ctx c) );
+  ]
+
+let browse_flora db =
+  let params =
+    { Flora_gen.families = 32; genera_per_family = 10; species_per_genus = 2; specimens_per_species = 1; seed = 5 }
+  in
+  let flora = Database.with_tx db (fun () -> Flora_gen.generate db ~params ()) in
+  ignore (Database.with_tx db (fun () -> Flora_gen.perturb db flora ()));
+  let epithets rank =
+    List.sort_uniq compare
+      (List.map V.as_string
+         (V.as_elements (Pool_lang.Pool.query db (Printf.sprintf "select n.epithet from Name n where n.rank = '%s'" rank))))
+  in
+  (epithets "Species", epithets "Genus")
+
+(* A plan serves every query of its shape: replaying each browse shape
+   with 200 distinct epithets and both classifications, every plan
+   after the first query of a shape comes from the cache, and every
+   answer is the reference interpreter's. *)
+let test_browse_plans_cached () =
+  with_db (fun db ->
+      let species, genera = browse_flora db in
+      let take n l = List.filteri (fun i _ -> i < n) l in
+      if List.length species < 200 || List.length genera < 200 then
+        Alcotest.failf "%d species and %d genus epithets" (List.length species) (List.length genera);
+      let stats () = Pool_lang.Pool.stats db in
+      List.iter
+        (fun (shape, rank, text) ->
+          let eps = take 200 (match rank with `Species -> species | `Genus -> genera) in
+          let q i ep = text ep (if i mod 2 = 0 then "generated-classification" else "revision") in
+          ignore (Pool_lang.Pool.query db (q 0 (List.hd eps)));
+          let s0 = stats () in
+          List.iteri
+            (fun i ep ->
+              if i > 0 then begin
+                let planned = Pool_lang.Pool.query db (q i ep) in
+                if i mod 20 = 0 then
+                  let legacy = Pool_lang.Pool.query ~config:Pool_lang.Pool.legacy_config db (q i ep) in
+                  if V.compare_value planned legacy <> 0 then Alcotest.failf "%s: %s differs" shape (q i ep)
+              end)
+            eps;
+          let s1 = stats () in
+          let hits = s1.Pool_lang.Eval.plan_cache_hits - s0.Pool_lang.Eval.plan_cache_hits
+          and misses = s1.Pool_lang.Eval.plan_cache_misses - s0.Pool_lang.Eval.plan_cache_misses in
+          let ratio = float_of_int hits /. float_of_int (hits + misses) in
+          if ratio < 0.99 then Alcotest.failf "%s: hit ratio %.3f (%d hits, %d misses)" shape ratio hits misses)
+        browse_shapes)
+
+(* The browse workload's context query ranges over its genus's
+   descendants, not over every taxon: EXPLAIN shows the member path,
+   and its Taxon candidates are the elements descendants(...) returns
+   (taxa and specimens; the specimens are rejected). *)
+let test_context_query_members () =
+  with_db (fun db ->
+      let _, genera = browse_flora db in
+      let _, _, text = List.find (fun (s, _, _) -> s = "context_query") browse_shapes in
+      List.iter
+        (fun ep ->
+          let q = text ep "generated-classification" in
+          let plan = Pool_lang.Pool.explain ~counts:true db q in
+          let candidates, rejected, emitted =
+            try
+              Scanf.sscanf plan
+                "g<-expr {candidates 1, rejected 0, emitted 1}; t<-member(Taxon) {candidates %d, rejected %d, \
+                 emitted %d}; hoist@1"
+                (fun c r e -> (c, r, e))
+            with Scanf.Scan_failure _ | End_of_file -> Alcotest.failf "plan of %s: %s" q plan
+          in
+          let below =
+            V.as_int
+              (Pool_lang.Pool.query db
+                 (Printf.sprintf
+                    "count(descendants(first(first(select n from Name n where n.epithet = '%s' and n.rank = \
+                     'Genus').sources('AscribedName', null)), 'Circumscribes', first(select c from Context c where \
+                     c.name = 'generated-classification')))"
+                    ep))
+          in
+          let rows = List.length (Pool_lang.Pool.rows db q) in
+          Alcotest.(check (list int)) ("candidates, rejected, emitted of " ^ ep) [ below; below - rows; rows ]
+            [ candidates; rejected; emitted ])
+        (List.filteri (fun i _ -> i < 10)
+           (* as the workload does, genera whose epithet names no other *)
+           (List.filter
+              (fun ep ->
+                Pool_lang.Pool.query db
+                  (Printf.sprintf "count(select n from Name n where n.epithet = '%s' and n.rank = 'Genus')" ep)
+                = V.VInt 1)
+              genera)))
+
 let () =
   Alcotest.run "taxonomy"
     [
@@ -811,5 +932,8 @@ let () =
         [
           Alcotest.test_case "a rejected object allocates nothing" `Quick
             test_filtered_scan_allocation_flat;
+          Alcotest.test_case "browse plans come from the cache" `Quick test_browse_plans_cached;
+          Alcotest.test_case "the context query touches its members only" `Quick
+            test_context_query_members;
         ] );
     ]
