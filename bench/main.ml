@@ -3,7 +3,7 @@
    the later subsystems.  See EXPERIMENTS.md for the mapping from
    thesis experiment to harness section and for the recorded results.
 
-   Usage: main.exe [all|raw|queries|struct|fig44|fig45|fig46|tax|ablation|tables|schema|micro|recovery|gates]
+   Usage: main.exe [all|raw|queries|struct|fig44|fig45|fig46|tax|views|ablation|tables|schema|micro|recovery|gates]
 
    `gates` runs every performance floor and exits non-zero if any
    fails; `all` runs the ch. 7 reproduction, `micro` and `recovery`. *)
@@ -461,6 +461,72 @@ let bench_tax () =
       Database.close db;
       cleanup path)
     [ 3; 6; 12; 24 ]
+
+(* ------------------------------------------------------------------ *)
+(* Section: views — what a snapshot, a clone, an abort and an open cost *)
+(* ------------------------------------------------------------------ *)
+
+(* Median wall-clock (ms) and median words allocated by this domain
+   (minor plus those allocated straight in the major heap) of [runs]
+   calls of [f]; [f] returns what [after] disposes of untimed. *)
+let cost ?(runs = 5) ?(after = ignore) f =
+  (* the counters are exact only right after a minor collection *)
+  let words () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let samples =
+    List.init runs (fun _ ->
+        let w0 = words () in
+        let r, ms = time_once f in
+        let w = words () -. w0 in
+        after r;
+        (ms, w))
+  in
+  let median l = List.nth (List.sort compare l) (List.length l / 2) in
+  (median (List.map fst samples), median (List.map snd samples))
+
+(* The four ways a database handle gets a mirror, over the floras of
+   [bench tax] (6 genera x 8 species x 3 specimens per family, plus the
+   perturbed second classification): a view of the live handle, a
+   clone of that view, the abort of a transaction that changed one
+   object, and a fresh open of the store. *)
+let bench_views () =
+  Printf.printf "\n== Views: snapshot, clone, abort, open ==\n";
+  Printf.printf "%-8s %9s %-22s %-22s %-22s %-22s\n" "species" "store" "snapshot" "snapshot_clone"
+    "abort (1-object tx)" "open_";
+  List.iter
+    (fun families ->
+      let path = tmp_path "views" in
+      let db = Database.open_ path in
+      Taxonomy.Tax_schema.install db;
+      let params = tax_params families in
+      let flora = Database.with_tx db (fun () -> Taxonomy.Flora_gen.generate db ~params ()) in
+      ignore (Database.with_tx db (fun () -> Taxonomy.Flora_gen.perturb db flora ()));
+      let species = List.length flora.Taxonomy.Flora_gen.species_taxa in
+      let name = List.hd (Database.extent_list db "Name") in
+      let cell (ms, w) =
+        if w < 10_000. then Printf.sprintf "%.2f ms, %.0f words" ms w
+        else Printf.sprintf "%.2f ms, %.0fk words" ms (w /. 1000.)
+      in
+      let snapshot = cost ~after:Database.close (fun () -> Database.snapshot db) in
+      let view = Database.snapshot db in
+      let clone = cost ~after:Database.close (fun () -> Database.snapshot_clone view) in
+      Database.close view;
+      let abort =
+        cost (fun () ->
+            Database.begin_tx db;
+            Database.update db name "epithet" (Value.VString "aborted");
+            Database.abort db)
+      in
+      Database.close db;
+      let store_kib = (Unix.stat path).Unix.st_size / 1024 in
+      let open_ = cost ~after:Database.close (fun () -> Database.open_ path) in
+      Printf.printf "%-8d %5d KiB %-22s %-22s %-22s %-22s\n" species store_kib (cell snapshot)
+        (cell clone) (cell abort) (cell open_);
+      cleanup path)
+    [ 3; 6; 12 ]
 
 (* ------------------------------------------------------------------ *)
 (* Section: ablations (DESIGN.md design decisions)                      *)
@@ -1314,6 +1380,7 @@ let () =
     | "fig45" -> bench_fig45 ()
     | "fig46" -> bench_fig46 ()
     | "tax" -> bench_tax ()
+    | "views" -> bench_views ()
     | "ablation" -> bench_ablation ()
     | "tables" -> bench_tables ()
     | "recovery" -> bench_recovery ()

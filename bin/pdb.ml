@@ -167,10 +167,9 @@ let stats_cmd =
     with_db file (fun db ->
         let s = Pstore.Store.stats (Database.store db) in
         Printf.printf
-          "objects       %d\npages         %d\npage reads    %d\npage writes   %d\nevictions     %d\njournal bytes %d\nsnapshots     %d\npinned vers   %d\nsnap reads    %d\n"
+          "objects       %d\npages         %d\npage reads    %d\npage writes   %d\nevictions     %d\njournal bytes %d\n"
           s.Pstore.Store.objects s.Pstore.Store.pages s.Pstore.Store.page_reads
-          s.Pstore.Store.page_writes s.Pstore.Store.evictions s.Pstore.Store.journal_bytes
-          s.Pstore.Store.snapshots s.Pstore.Store.pinned_versions s.Pstore.Store.snapshot_reads;
+          s.Pstore.Store.page_writes s.Pstore.Store.evictions s.Pstore.Store.journal_bytes;
         let q = Pool_lang.Pool.stats db in
         Printf.printf
           "index probes  %d\nrange scans   %d\nhash joins    %d\nextent scans  %d\nplan hits     %d\nplan misses   %d\ninv evals     %d\ninv reuses    %d\n"

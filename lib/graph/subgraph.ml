@@ -51,10 +51,6 @@ let copy_into db (g : t) ~into : int list =
 
 (* --- comparisons (thesis 7.1: comparing classifications) --------------- *)
 
-(** Nodes present in both subgraphs — e.g. specimens shared by two
-    classifications. *)
-let shared_nodes a b = OidSet.inter a.nodes b.nodes
-
 (** Jaccard overlap of the node sets: |a ∩ b| / |a ∪ b|. *)
 let overlap a b : float =
   let inter = OidSet.cardinal (OidSet.inter a.nodes b.nodes) in

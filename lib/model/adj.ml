@@ -30,6 +30,10 @@ type t = int array Dense.t
 
 let create () : t = Dense.create empty
 let reset (t : t) = Dense.clear t
+
+(** A table of its own: rows are changed in place, so each is copied
+    (the shared {!empty} row is absent and stays shared). *)
+let copy (t : t) : t = Dense.copy ~entry:Array.copy t
 let find (t : t) oid = Dense.get t oid
 let count a = a.(0)
 let cls a i = a.(1 + (width * i))

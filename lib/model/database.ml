@@ -9,7 +9,10 @@
     {!Pevent.Bus} for the rules and view layers.
 
     All objects are mirrored in memory (write-through to the store);
-    abort rebuilds the in-memory mirror from the rolled-back store. *)
+    abort rebuilds the in-memory mirror from the rolled-back store.  The
+    mirror never changes an {!Obj.t} in place (an update binds a new
+    one), so a snapshot view copies the mirror's tables and shares its
+    objects. *)
 
 open Pstore
 open Pevent
@@ -48,10 +51,10 @@ type ext = ..
 
 type t = {
   store : Store.t;
-  (* [Some s] marks a frozen snapshot view: reads come from the mirror
-     built off [s], mutators are rejected, and [close] releases the
-     snapshot instead of closing the (shared) store. *)
-  view : Store.Snapshot.s option;
+  (* [Some lsn] marks a snapshot view frozen at [lsn]: reads come from
+     its own copy of the mirror, mutators are rejected, and [close]
+     leaves the (shared) store open. *)
+  view : int option;
   schema : Meta.t;
   bus : Bus.t;
   (* in-memory mirror, indexed by oid (see {!Dense}) *)
@@ -184,6 +187,13 @@ let index_update t (o : Obj.t) attr ~old_v ~new_v =
 (* Mirror (re)construction                                                 *)
 (* ---------------------------------------------------------------------- *)
 
+(* union the two endpoints of synonym record [o] *)
+let syn_union t (o : Obj.t) =
+  let a = Value.as_ref (Obj.get o "a") and b = Value.as_ref (Obj.get o "b") in
+  let rec root x = match Hashtbl.find_opt t.syn_parent x with Some p when p <> x -> root p | _ -> x in
+  let ra = root a and rb = root b in
+  if ra <> rb then Hashtbl.replace t.syn_parent (max ra rb) (min ra rb)
+
 let mirror_insert t (o : Obj.t) =
   Dense.set t.objects o.Obj.oid o;
   (match Hashtbl.find_opt t.extents o.Obj.class_name with
@@ -199,13 +209,7 @@ let mirror_insert t (o : Obj.t) =
     Adj.add t.out_adj origin ~cls ~rel ~far:destination ~ctx;
     Adj.add t.in_adj destination ~cls ~rel ~far:origin ~ctx
   end;
-  if o.Obj.class_name = synonym_class then begin
-    (* union the two endpoints *)
-    let a = Value.as_ref (Obj.get o "a") and b = Value.as_ref (Obj.get o "b") in
-    let rec root x = match Hashtbl.find_opt t.syn_parent x with Some p when p <> x -> root p | _ -> x in
-    let ra = root a and rb = root b in
-    if ra <> rb then Hashtbl.replace t.syn_parent (max ra rb) (min ra rb)
-  end;
+  if o.Obj.class_name = synonym_class then syn_union t o;
   index_add t o
 
 let mirror_remove t (o : Obj.t) =
@@ -214,6 +218,13 @@ let mirror_remove t (o : Obj.t) =
   if is_rel_instance t o then begin
     Adj.remove t.out_adj (Obj.origin o) ~rel:o.Obj.oid;
     Adj.remove t.in_adj (Obj.destination o) ~rel:o.Obj.oid
+  end;
+  (* a union cannot be split: rebuild them from the synonyms left *)
+  if o.Obj.class_name = synonym_class then begin
+    Hashtbl.reset t.syn_parent;
+    Option.iter
+      (Dense.Vec.iter (fun oid -> syn_union t (Dense.get t.objects oid)))
+      (Hashtbl.find_opt t.extents synonym_class)
   end;
   index_remove t o
 
@@ -264,8 +275,8 @@ let sync_indexes t =
         | None -> (cls, attr, build_index t cls attr))
       (Meta.indexes t.schema)
 
-(* Rebuild the mirror from [iter] (the store's records, or a
-   snapshot's), then one index per entry of the schema's catalog. *)
+(* Rebuild the mirror from [iter] over the store's records, then one
+   index per entry of the schema's catalog. *)
 let rebuild_mirror t iter =
   Dense.clear t.objects;
   Hashtbl.reset t.extents;
@@ -333,75 +344,74 @@ let open_ ?cache_pages ?vfs ?readonly path : t =
   rebuild_mirror t (Store.iter store);
   t
 
-let close t =
-  match t.view with
-  | Some s -> Store.Snapshot.release s
-  | None -> Store.close t.store
+(* A view holds no resource of its own. *)
+let close t = if not (is_view t) then Store.close t.store
 
 (* ---------------------------------------------------------------------- *)
 (* Snapshot views                                                          *)
 (* ---------------------------------------------------------------------- *)
 
-(* Build a full database view over a frozen store snapshot: its own
-   schema, bus, mirror and layer state, all reconstructed from the
-   snapshot's bytes, so it shares nothing mutable with the parent. *)
-let of_store_snapshot ~(store : Store.t) (snap : Store.Snapshot.s) : t =
-  let schema = Meta.empty () in
-  (match Store.Snapshot.get snap ~oid:schema_oid with
-  | Some data -> Meta.decode_into schema data
-  | None -> fail "snapshot: store has no schema record");
-  register_builtin_classes schema;
-  let bus = Bus.create () in
+(* A view of its own over [tables] (a record whose mirror it takes):
+   fresh layer state and bus, no transaction. *)
+let view_of tables ~lsn =
   let t =
     {
-      (* the parent's handle, kept only for stats plumbing: every view
-         read goes to the mirror, and [check_writable] fences writes *)
-      store;
-      view = Some snap;
-      schema;
-      bus;
-      objects = Dense.create no_obj;
-      extents = Hashtbl.create 64;
-      out_adj = Adj.create ();
-      in_adj = Adj.create ();
-      indexes = [];
-      index_epoch = 0;
+      tables with
+      view = Some lsn;
+      bus = Bus.create ();
       ext = Hashtbl.create 4;
       ext_mu = Mutex.create ();
-      syn_parent = Hashtbl.create 64;
-      touched = Hashtbl.create 64;
+      touched = Hashtbl.create 1;
       tx_depth = 0;
     }
   in
-  Bus.set_subclass_pred bus (is_subclass t);
-  (* the snapshot's own schema record names the indexes at its LSN *)
-  rebuild_mirror t (Store.Snapshot.iter snap);
+  Bus.set_subclass_pred t.bus (is_subclass t);
   t
 
 (** Freeze the current committed state into a read-only database view.
 
     The view is a complete, self-contained {!t}: queries, extents,
-    indexes and graph traversals all work, pinned at the store LSN the
-    snapshot captured.  Mutators and transactions are rejected.
-    [close] on the view releases the pinned page versions (it never
-    touches the parent).  A view is built for one domain; to fan out
-    across N domains either [snapshot_clone] it per domain or share one
-    view — shared views are safe because all reads go to the immutable
-    mirror and layer state is installed under {!ext_get_or_init}. *)
+    indexes and graph traversals all work, pinned at the store LSN it
+    was taken at.  Mutators and transactions are rejected.  It is a
+    copy of the mirror taken between transactions (under the store's
+    commit-boundary lock, so a {!Writer} batch on another domain is
+    never seen half done): the object table, extents, adjacency rows,
+    synonym unions, index tables and schema are the view's own, the
+    objects themselves (never changed in place) are shared with the
+    parent.  Changes to the live handle made outside a transaction
+    are not fenced by that lock: a handle other domains take views of
+    changes only inside transactions.  A view is built for one domain;
+    to fan out across N domains either [snapshot_clone] it per domain
+    or share one view —
+    shared views are safe because all reads go to the frozen mirror and
+    layer state is installed under {!ext_get_or_init}. *)
 let snapshot (parent : t) : t =
   if is_view parent then fail "snapshot of a snapshot view";
-  of_store_snapshot ~store:parent.store (Store.snapshot parent.store)
+  Store.at_commit_boundary parent.store (fun () ->
+      let extents = Hashtbl.create (Hashtbl.length parent.extents) in
+      Hashtbl.iter (fun c v -> Hashtbl.replace extents c (Dense.Vec.copy v)) parent.extents;
+      view_of
+        {
+          parent with
+          schema = Meta.copy parent.schema;
+          objects = Dense.copy parent.objects;
+          extents;
+          out_adj = Adj.copy parent.out_adj;
+          in_adj = Adj.copy parent.in_adj;
+          indexes = List.map (fun (c, a, m) -> (c, a, ref !m)) parent.indexes;
+          syn_parent = Hashtbl.copy parent.syn_parent;
+        }
+        ~lsn:(Store.lsn parent.store))
 
-(** An independent view of the same frozen LSN (own mirror, own layer
-    state) for another domain. *)
+(** Another view of the same frozen state (own layer state) for another
+    domain: it shares the base view's tables, which nothing writes. *)
 let snapshot_clone (v : t) : t =
   match v.view with
   | None -> fail "snapshot_clone of a live database"
-  | Some s -> of_store_snapshot ~store:v.store (Store.Snapshot.clone s)
+  | Some lsn -> view_of v ~lsn
 
 (** The LSN a snapshot view is frozen at. *)
-let view_lsn t =
-  match t.view with Some s -> Store.Snapshot.lsn s | None -> Store.lsn t.store
+let view_lsn t = match t.view with Some lsn -> lsn | None -> Store.lsn t.store
 
 (* ---------------------------------------------------------------------- *)
 (* Schema definition (persisted)                                           *)
@@ -458,27 +468,31 @@ let commit t =
   end
   else t.tx_depth <- t.tx_depth - 1
 
-(* After the store rolled back: take the schema back to the stored
-   record (a class, relationship or index defined, created or dropped
-   in the rolled-back transaction is undone with it; cached plans are
-   dropped when it moved), resynchronise the mirror, then tell
-   [On_abort] subscribers (the rules engine's deferred queue) that
-   state they derived may be gone. *)
-let rolled_back t =
+(* After the store rolled back, and before its commit-boundary lock is
+   released: take the schema back to the stored record (a class,
+   relationship or index defined, created or dropped in the rolled-back
+   transaction is undone with it; cached plans are dropped when it
+   moved) and resynchronise the mirror. *)
+let resync t =
   (match Store.get t.store ~oid:schema_oid with
   | Some data when not (String.equal data (Meta.encode t.schema)) ->
       Meta.reload t.schema data;
       t.index_epoch <- t.index_epoch + 1
   | _ -> ());
   rebuild_mirror t (Store.iter t.store);
-  Hashtbl.reset t.touched;
+  Hashtbl.reset t.touched
+
+(* Then tell [On_abort] subscribers (the rules engine's deferred queue)
+   that state they derived may be gone. *)
+let rolled_back t =
+  resync t;
   Bus.emit t.bus Event.Tx_abort
 
 let abort t =
   if t.tx_depth <= 0 then fail "abort outside transaction";
   t.tx_depth <- 0;
-  Store.abort t.store;
-  rolled_back t
+  Store.abort ~rolled_back:(fun () -> resync t) t.store;
+  Bus.emit t.bus Event.Tx_abort
 
 let with_tx t f =
   begin_tx t;
@@ -561,8 +575,9 @@ let update t oid attr (v : Value.t) : unit =
      let rdef = Meta.rel_exn t.schema o.Obj.class_name in
      if rdef.Meta.constant then fail "relationship %s is constant" o.Obj.class_name);
   let old_v = Obj.get o attr in
-  Obj.set o attr v;
+  let o = Obj.with_attr o attr v in
   persist t o;
+  Dense.set t.objects oid o;
   index_update t o attr ~old_v ~new_v:v;
   touch t oid;
   if is_rel_instance t o then
@@ -835,8 +850,11 @@ let retarget t rel_oid ?origin ?destination () =
   | exception e ->
       mirror_insert t r;
       raise e);
-  Obj.set r Obj.origin_attr (Value.VRef new_origin);
-  Obj.set r Obj.destination_attr (Value.VRef new_destination);
+  let r =
+    Obj.with_attr
+      (Obj.with_attr r Obj.origin_attr (Value.VRef new_origin))
+      Obj.destination_attr (Value.VRef new_destination)
+  in
   persist t r;
   mirror_insert t r;
   touch t rel_oid;
@@ -975,7 +993,7 @@ let synonym_set t a : OidSet.t =
   Hashtbl.fold
     (fun oid _ acc -> if syn_root t oid = ra then OidSet.add oid acc else acc)
     t.syn_parent
-    (OidSet.singleton a)
+    (OidSet.add ra (OidSet.singleton a))
 
 (* ---------------------------------------------------------------------- *)
 (* Secondary indexes (index layer, thesis 6.1.4)                           *)

@@ -51,6 +51,20 @@ let get t oid =
 
 let count t = t.count
 
+(** A table of its own with the entries of [t], each passed through
+    [entry] (the identity by default): the directory and every chunk
+    are copied, the [absent] value and the shared unallocated chunk are
+    not. *)
+let copy ?entry t =
+  let chunk c =
+    if c == t.none then c
+    else
+      match entry with
+      | None -> Array.copy c
+      | Some f -> Array.map (fun v -> if v == t.absent then v else f v) c
+  in
+  { t with dir = Array.map chunk t.dir; live = Array.copy t.live }
+
 (** Chunks currently allocated. *)
 let chunks t = Array.fold_left (fun n c -> if c == t.none then n else n + 1) 0 t.dir
 
@@ -158,6 +172,9 @@ module Vec = struct
 
   let create () = { a = [||]; n = 0; last_set = Atomic.make OidSet.empty }
   let length v = v.n
+
+  (* the array is trimmed to its entries; the cached set is immutable *)
+  let copy v = { a = Array.sub v.a 0 v.n; n = v.n; last_set = Atomic.make (Atomic.get v.last_set) }
 
   (* first index in [lo, hi) whose oid is >= [x] *)
   let rec lower a lo hi x =

@@ -42,8 +42,6 @@ type card = { cmin : int; cmax : int option }
 
 let card ?(cmin = 0) ?cmax () = { cmin; cmax }
 let many = { cmin = 0; cmax = None }
-let exactly_one = { cmin = 1; cmax = Some 1 }
-let at_most_one = { cmin = 0; cmax = Some 1 }
 
 let pp_card ppf c =
   match c.cmax with
@@ -294,6 +292,26 @@ let empty () =
   in
   List.iter (register_class t) builtin_classes;
   t
+
+(** A schema of its own, equal to [t] and with the same relationship
+    ids.  The tables are copied; their values are never changed in
+    place (a registration replaces them), so they are shared.  Not an
+    {!encode}/{!decode_into} round trip: decoding interns relationship
+    classes in name order, and the live schema's ids are in definition
+    order. *)
+let copy t =
+  {
+    classes = Hashtbl.copy t.classes;
+    rels = Hashtbl.copy t.rels;
+    ancestors = Hashtbl.copy t.ancestors;
+    class_subs = Hashtbl.copy t.class_subs;
+    rel_subs = Hashtbl.copy t.rel_subs;
+    rel_sub_ids = Hashtbl.copy t.rel_sub_ids;
+    flat_attrs = Hashtbl.copy t.flat_attrs;
+    rel_ids = Hashtbl.copy t.rel_ids;
+    rel_by_id = t.rel_by_id;
+    indexes = t.indexes;
+  }
 
 (* ---------------------------------------------------------------------- *)
 (* Schema definition with validation                                       *)

@@ -25,6 +25,10 @@ let make ~oid ~class_name attrs =
 (* [SMap.find], not [find_opt]: a read allocates no option *)
 let get (t : t) attr = match SMap.find attr t.attrs with v -> v | exception Not_found -> Value.VNull
 let set (t : t) attr v = t.attrs <- SMap.add attr v t.attrs
+
+(** [t] with [attr] bound to [v], as a new object: [t] is unchanged, so
+    a value shared by several mirrors stays what each of them holds. *)
+let with_attr (t : t) attr v = { t with attrs = SMap.add attr v t.attrs }
 let fields (t : t) = SMap.bindings t.attrs
 
 let origin t = Value.as_ref (get t origin_attr)

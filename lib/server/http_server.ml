@@ -202,9 +202,6 @@ let stats_json ?serving (db : Database.t) : string =
             ("cache_misses", Int s.Pstore.Store.cache_misses);
             ("evictions", Int s.Pstore.Store.evictions);
             ("journal_bytes", Int s.Pstore.Store.journal_bytes);
-            ("snapshots", Int s.Pstore.Store.snapshots);
-            ("pinned_versions", Int s.Pstore.Store.pinned_versions);
-            ("snapshot_reads", Int s.Pstore.Store.snapshot_reads);
           ] );
       ( "query",
         Obj

@@ -32,16 +32,9 @@ type source = {
 
 (** Source for a live writable database: a fresh [Database.snapshot]
     cloned once per reader.  Safe to build while a [Database.Writer]
-    group is running — snapshot creation blocks until the current batch
-    commits. *)
+    group is running — the snapshot copy waits for the current batch to
+    end. *)
 let primary_source (db : Database.t) : source =
-  (* A freshly created database's schema record sits dirty in the page
-     cache until the first commit ([Database.open_] writes it outside
-     any transaction), and a snapshot frozen before that commit would
-     see no schema at all.  An empty transaction flushes it: pager
-     commits cover every dirty cache page, not just this tx's. *)
-  if not (Pstore.Store.is_readonly (Database.store db)) then
-    Database.with_tx db (fun () -> ());
   {
     src_lsn = (fun () -> Pstore.Store.lsn (Database.store db));
     src_build =
@@ -108,8 +101,7 @@ let close_handles (g : gen) =
   List.iter (fun v -> try Database.close v with _ -> ()) g.handles
 
 (* Drop an in-flight reference; the last one out closes a retired
-   generation (outside the pool lock — closing releases pinned page
-   versions under the pager's own lock). *)
+   generation (outside the pool lock). *)
 let release_gen t (g : gen) =
   Mutex.lock t.mu;
   g.inflight <- g.inflight - 1;

@@ -27,17 +27,11 @@ let leaf_max = 290
 let internal_max = 330
 
 type t = {
-  pager : Pager.t option; (* [None] for read-only snapshot trees *)
-  read : int -> Bytes.t; (* all read paths go through this seam *)
+  pager : Pager.t;
   mutable root : int;
   set_root : int -> unit; (* persist the root page number (store header) *)
   alloc_page : unit -> int;
 }
-
-(* The pager, or fail: every mutator goes through this, so a tree built
-   over a frozen snapshot rejects writes instead of corrupting it. *)
-let wpager t =
-  match t.pager with Some p -> p | None -> fail "btree: read-only (snapshot)"
 
 (* --- node accessors -------------------------------------------------- *)
 
@@ -99,7 +93,7 @@ let leaf_has b i key = i < nkeys b && Int64.equal (l_key b i) key
 (* --- lifecycle -------------------------------------------------------- *)
 
 let create pager ~root ~set_root ~alloc_page =
-  let t = { pager = Some pager; read = Pager.read pager; root; set_root; alloc_page } in
+  let t = { pager; root; set_root; alloc_page } in
   if root = 0 then begin
     let r = alloc_page () in
     Pager.with_write pager r (fun b -> init_node b ~leaf:true);
@@ -108,22 +102,11 @@ let create pager ~root ~set_root ~alloc_page =
   end;
   t
 
-(** A read-only tree over an arbitrary page source (a frozen pager
-    snapshot).  Mutators raise {!Btree_error}. *)
-let create_reader ~(read : int -> Bytes.t) ~root =
-  {
-    pager = None;
-    read;
-    root;
-    set_root = (fun _ -> fail "btree: read-only (snapshot)");
-    alloc_page = (fun () -> fail "btree: read-only (snapshot)");
-  }
-
 (* --- find ------------------------------------------------------------- *)
 
 let find t (key : int64) : Heap.rid option =
   let rec go page =
-    let b = t.read page in
+    let b = Pager.read t.pager page in
     if is_leaf b then begin
       let i = leaf_lower_bound b key in
       if leaf_has b i key then Some (l_get b i) else None
@@ -142,8 +125,8 @@ let mem t key = Option.is_some (find t key)
 let split_child t parent_pg ci child_pg =
   let right_pg = t.alloc_page () in
   let sep = ref 0L in
-  let child_b = Bytes.copy (t.read child_pg) in
-  Pager.with_write (wpager t) right_pg (fun rb ->
+  let child_b = Bytes.copy (Pager.read t.pager child_pg) in
+  Pager.with_write t.pager right_pg (fun rb ->
       if is_leaf child_b then begin
         let n = nkeys child_b in
         let m = n / 2 in
@@ -165,11 +148,11 @@ let split_child t parent_pg ci child_pg =
         set_nkeys rb (n - m - 1);
         sep := i_key child_b m
       end);
-  Pager.with_write (wpager t) child_pg (fun cb ->
+  Pager.with_write t.pager child_pg (fun cb ->
       let n = nkeys cb in
       let m = n / 2 in
       set_nkeys cb m);
-  Pager.with_write (wpager t) parent_pg (fun pb ->
+  Pager.with_write t.pager parent_pg (fun pb ->
       let n = nkeys pb in
       (* shift keys/children right of position ci *)
       for j = n - 1 downto ci do
@@ -184,11 +167,11 @@ let node_full b = if is_leaf b then nkeys b >= leaf_max else nkeys b >= internal
 
 let insert t (key : int64) (rid : Heap.rid) : unit =
   (* grow root if full *)
-  let root_b = t.read t.root in
+  let root_b = Pager.read t.pager t.root in
   if node_full root_b then begin
     let new_root = t.alloc_page () in
     let old_root = t.root in
-    Pager.with_write (wpager t) new_root (fun b ->
+    Pager.with_write t.pager new_root (fun b ->
         init_node b ~leaf:false;
         i_set_child b 0 old_root);
     t.root <- new_root;
@@ -196,9 +179,9 @@ let insert t (key : int64) (rid : Heap.rid) : unit =
     split_child t new_root 0 old_root
   end;
   let rec go page =
-    let b = t.read page in
+    let b = Pager.read t.pager page in
     if is_leaf b then begin
-      Pager.with_write (wpager t) page (fun b ->
+      Pager.with_write t.pager page (fun b ->
           let i = leaf_lower_bound b key in
           if leaf_has b i key then l_set b i key rid
           else begin
@@ -211,10 +194,10 @@ let insert t (key : int64) (rid : Heap.rid) : unit =
     else begin
       let ci = upper_bound_internal b key in
       let child = i_child b ci in
-      let cb = t.read child in
+      let cb = Pager.read t.pager child in
       if node_full cb then begin
         split_child t page ci child;
-        let b = t.read page in
+        let b = Pager.read t.pager page in
         let ci = upper_bound_internal b key in
         go (i_child b ci)
       end
@@ -227,11 +210,11 @@ let insert t (key : int64) (rid : Heap.rid) : unit =
 
 let delete t (key : int64) : bool =
   let rec go page =
-    let b = t.read page in
+    let b = Pager.read t.pager page in
     if is_leaf b then begin
       let i = leaf_lower_bound b key in
       if leaf_has b i key then begin
-        Pager.with_write (wpager t) page (fun b ->
+        Pager.with_write t.pager page (fun b ->
             let n = nkeys b in
             if n - i - 1 > 0 then l_blit b (i + 1) i (n - i - 1);
             set_nkeys b (n - 1));
@@ -256,7 +239,7 @@ let snapshot page_b =
 
 let iter t (f : int64 -> Heap.rid -> unit) : unit =
   let rec go page =
-    let b = snapshot (t.read page) in
+    let b = snapshot (Pager.read t.pager page) in
     if is_leaf b then
       for i = 0 to nkeys b - 1 do
         f (l_key b i) (l_get b i)
@@ -282,7 +265,7 @@ let cardinal t = fold t (fun n _ _ -> n + 1) 0
 let check t =
   let count = ref 0 in
   let rec go page lo hi =
-    let b = snapshot (t.read page) in
+    let b = snapshot (Pager.read t.pager page) in
     if Bytes.get_uint8 b 0 <> kind_btree then fail "check: page %d is not a btree node" page;
     if is_leaf b then
       for i = 0 to nkeys b - 1 do

@@ -95,8 +95,7 @@ module Space = struct
 end
 
 type t = {
-  pager : Pager.t option; (* [None] for read-only snapshot heaps *)
-  read : int -> Bytes.t; (* all read paths go through this seam *)
+  pager : Pager.t;
   pa : page_alloc;
   (* Free bytes per heap page.  Built lazily from the pages this process
      writes; pages it has not seen are assumed full, which merely costs
@@ -105,29 +104,8 @@ type t = {
   scratch : Bytes.t; (* compaction copy of one page's record area *)
 }
 
-let wpager t =
-  match t.pager with Some p -> p | None -> fail "heap: read-only (snapshot)"
-
 let create pager pa =
-  {
-    pager = Some pager;
-    read = Pager.read pager;
-    pa;
-    space = Space.create ();
-    scratch = Bytes.create Pager.page_size;
-  }
-
-(** A read-only heap over an arbitrary page source (a frozen pager
-    snapshot).  Mutators raise {!Heap_error}. *)
-let create_reader ~(read : int -> Bytes.t) =
-  let ro _ = fail "heap: read-only (snapshot)" in
-  {
-    pager = None;
-    read;
-    pa = { alloc_page = (fun () -> ro 0); free_page = ro };
-    space = Space.create ();
-    scratch = Bytes.empty;
-  }
+  { pager; pa; space = Space.create (); scratch = Bytes.create Pager.page_size }
 
 (* --- page accessors ------------------------------------------------- *)
 
@@ -177,7 +155,7 @@ let write_blob t (data : string) : int =
     | [] -> ()
     | p :: rest ->
         let chunk = min blob_capacity (len - off) in
-        Pager.with_write (wpager t) p (fun b ->
+        Pager.with_write t.pager p (fun b ->
             Bytes.fill b 0 Pager.page_size '\000';
             Bytes.set_uint8 b 0 kind_blob;
             let next = match rest with [] -> 0 | q :: _ -> q in
@@ -193,7 +171,7 @@ let read_blob t first total_len : string =
   let buf = Buffer.create total_len in
   let rec go page =
     if page <> 0 then begin
-      let b = t.read page in
+      let b = Pager.read t.pager page in
       if Bytes.get_uint8 b 0 <> kind_blob then fail "blob chain hits non-blob page %d" page;
       let next = Int32.to_int (Bytes.get_int32_le b 1) in
       let len = Bytes.get_uint16_le b 5 in
@@ -211,7 +189,7 @@ let free_blob t first =
   let rec go page =
     if page <> 0 then begin
       let next =
-        let b = t.read page in
+        let b = Pager.read t.pager page in
         Int32.to_int (Bytes.get_int32_le b 1)
       in
       t.pa.free_page page;
@@ -251,7 +229,7 @@ let first_slot b ~live =
 
 let insert_into_page t page (payload : string) (len_field : int) : rid =
   let slot_ref = ref (-1) in
-  Pager.with_write (wpager t) page (fun b ->
+  Pager.with_write t.pager page (fun b ->
       let need = String.length payload in
       let slot = first_slot b ~live:false (* reuse a dead slot, or append *) in
       let extra = if slot = get_nslots b then slot_size else 0 in
@@ -277,7 +255,7 @@ let find_page_with_space t need =
   if p >= 0 then p
   else begin
     let p = t.pa.alloc_page () in
-    Pager.with_write (wpager t) p (fun b -> init_heap_page b);
+    Pager.with_write t.pager p (fun b -> init_heap_page b);
     Space.set t.space p (Pager.page_capacity - header_size);
     p
   end
@@ -305,7 +283,7 @@ let insert t (data : string) : rid =
   end
 
 let get t (r : rid) : string =
-  let b = t.read r.page in
+  let b = Pager.read t.pager r.page in
   if Bytes.get_uint8 b 0 <> kind_heap then fail "rid %a points to non-heap page" pp_rid r;
   if r.slot >= get_nslots b then fail "rid %a: slot out of range" pp_rid r;
   let off = slot_off b r.slot and len = slot_len b r.slot in
@@ -320,7 +298,7 @@ let get t (r : rid) : string =
   else Bytes.sub_string b off len
 
 let delete t (r : rid) : unit =
-  Pager.with_write (wpager t) r.page (fun b ->
+  Pager.with_write t.pager r.page (fun b ->
       if Bytes.get_uint8 b 0 <> kind_heap then fail "delete %a: non-heap page" pp_rid r;
       let off = slot_off b r.slot in
       if off = dead_off then fail "delete %a: dead slot" pp_rid r;
@@ -335,14 +313,14 @@ let delete t (r : rid) : unit =
 
 (** Update record [r] with [data]; returns the (possibly new) rid. *)
 let update t (r : rid) (data : string) : rid =
-  let b = t.read r.page in
+  let b = Pager.read t.pager r.page in
   let off = slot_off b r.slot and len = slot_len b r.slot in
   if off = dead_off then fail "update %a: dead slot" pp_rid r;
   let is_blob = len land len_blob_flag <> 0 in
   let new_len = String.length data in
   if (not is_blob) && new_len <= len then begin
     (* fits in place *)
-    Pager.with_write (wpager t) r.page (fun b ->
+    Pager.with_write t.pager r.page (fun b ->
         Bytes.blit_string data 0 b off new_len;
         set_slot b r.slot ~off ~len:new_len;
         Space.set t.space r.page (page_total_free b));
@@ -359,7 +337,7 @@ let update t (r : rid) (data : string) : rid =
     lies inside the record area — so a torn page that survived
     recovery is detected rather than silently served. *)
 let validate_page t page =
-  let b = t.read page in
+  let b = Pager.read t.pager page in
   if Bytes.get_uint8 b 0 <> kind_heap then
     fail "validate: page %d is not a heap page (kind %d)" page (Bytes.get_uint8 b 0);
   let nslots = get_nslots b in
@@ -380,11 +358,3 @@ let validate_page t page =
           (off + real)
     end
   done
-
-(** Iterate over all live records of heap page [page]. *)
-let iter_page t page (f : rid -> string -> unit) =
-  let b = t.read page in
-  if Bytes.get_uint8 b 0 = kind_heap then
-    for i = 0 to get_nslots b - 1 do
-      if slot_off b i <> dead_off then f { page; slot = i } (get t { page; slot = i })
-    done

@@ -32,25 +32,14 @@
     fault-injecting VFS ({!Fault}) by sweeping a simulated power cut
     across every syscall of a workload (see [test/test_crash.ml]).
 
-    {1 MVCC page versioning}
+    {1 The commit-boundary lock}
 
-    Since PR 7 the cache is backed by an LSN-keyed {e version chain}
-    (DESIGN.md "MVCC & group commit").  The single writer keeps the
-    journalled path above unchanged, but each committing transaction
-    publishes immutable after-images of its dirty pages keyed by the
-    commit LSN, and the first mutation of a page captures its committed
-    before-image as a base version.  {!snapshot} hands out a frozen-LSN
-    read handle ({!Snapshot}) that other OCaml 5 domains use without
-    taking any lock on the read path: a page read resolves to the
-    newest version at-or-below the snapshot LSN, falling back to a
-    [pread] of the data file revalidated against the version map
-    (publish happens-before the first mutation, which happens-before
-    any writeback, so a page absent from the map after the pread is
-    proven to carry its committed bytes).  Old versions stay pinned
-    while any snapshot at an older LSN is live and are reclaimed at
-    each commit by a min-active-LSN watermark.  Version bookkeeping is
-    skipped entirely while no snapshot is registered, so the PR 2
-    write paths are unchanged when the feature is idle.
+    Every transaction holds one lock from {!begin_tx} to its
+    {!commit}, {!commit_hard} or {!abort}.  A layer that must see the
+    store only between transactions — the object layer copying its
+    mirror into a snapshot view from another domain — runs under the
+    same lock through {!at_commit_boundary}; an abort runs its caller's
+    resynchronisation before releasing it.
 
     A group-commit batch (driven by [Store.Group]) runs several
     transactions inside one journal lifetime: {!soft_begin} /
@@ -166,17 +155,6 @@ let m_scrub_corrupt =
 let m_scrub_run_ns =
   Pobs.Metrics.histogram "pdb_scrub_run_ns" ~help:"Wall-clock duration of scrub passes"
 
-let m_snap_reads =
-  Pobs.Metrics.counter "pdb_mvcc_snapshot_reads_total"
-    ~help:"Page reads served to frozen-LSN snapshot handles"
-
-let m_version_pins =
-  Pobs.Metrics.counter "pdb_mvcc_versions_published_total"
-    ~help:"Page versions published into the MVCC version chains"
-
-let m_snapshots_active =
-  Pobs.Metrics.gauge "pdb_mvcc_snapshots_active" ~help:"Live frozen-LSN snapshot handles"
-
 (* ------------------------------------------------------------------ *)
 (* Log sequence numbers and redo records                               *)
 (* ------------------------------------------------------------------ *)
@@ -256,26 +234,6 @@ let verify_image ~page (b : Bytes.t) =
     raise (Page_corrupt { page; expected; got })
   end
 
-(* MVCC version store: page number -> versions, newest first, each a
-   [(created_lsn, image)] pair.  The map is immutable and swapped
-   atomically by the single writer, so reader domains get a consistent
-   view from one [Atomic.get] with no lock.  Invariants:
-
-   - the newest version of an entry always equals the page's current
-     committed content (base versions are captured from committed
-     bytes before the first mutation; every later commit that touches
-     the page prepends its after-image);
-   - version lists are sorted by descending LSN, with at most one
-     version at or below any live snapshot's LSN ever needed (the
-     lookup takes the first version <= the snapshot LSN);
-   - a base version captured before the first commit that touches the
-     page under protection carries LSN 0: it is content from at or
-     before the reclamation watermark, so it serves every live
-     snapshot correctly. *)
-module Pmap = Map.Make (Int)
-
-type versions = (int * string) list Pmap.t
-
 type t = {
   vfs : Vfs.t;
   fd : Vfs.file;
@@ -322,24 +280,13 @@ type t = {
   mutable jbuf : Bytes.t; (* group-journal frame buffer *)
   mutable jbuf_len : int;
   mutable tx_new_pages : (int, unit) Hashtbl.t; (* pages allocated in this tx *)
-  (* MVCC version store (all fields writer-owned unless noted) *)
-  versions : versions Atomic.t; (* read lock-free by snapshot domains *)
-  snap_mu : Mutex.t;
-      (* Guards the snapshot registry — and is held by the writer for
-         the whole duration of every transaction (begin_tx .. commit /
-         commit_hard / abort), so snapshots can only be taken between
-         transactions, when the disk image is exactly the committed
-         state at the published LSN.  That boundary is what makes the
-         lock-free read protocol sound: a page the version map does not
-         cover is proven unchanged on disk since the snapshot froze. *)
-  snaps : (int, int) Hashtbl.t; (* snapshot id -> frozen LSN; under snap_mu *)
-  mutable next_snap_id : int; (* under snap_mu *)
-  active_snaps : int Atomic.t; (* = Hashtbl.length snaps, readable anywhere *)
-  snap_reads : int Atomic.t; (* pages served to snapshot handles *)
-  mutable tx_protect : bool;
-      (* sampled at begin_tx: at least one snapshot is live (or stale
-         versions remain), so this transaction must capture base
-         versions and publish after-images.  False = zero MVCC work. *)
+  tx_mu : Mutex.t;
+      (* Held by the writer for the whole of every transaction
+         ([begin_tx] .. [commit] / [commit_hard] / [abort]): whoever
+         takes it sees no transaction open (see {!at_commit_boundary}). *)
+  tx_domain : int Atomic.t;
+      (* the domain holding [tx_mu] for a transaction, or -1; read by
+         other domains in {!at_commit_boundary} *)
   (* group-commit batch state (writer-owned) *)
   mutable soft_mode : bool; (* inside a Store.Group batch *)
   tx_touched : (int, unit) Hashtbl.t; (* pages touched by the current soft tx *)
@@ -765,13 +712,8 @@ let open_file ?(cache_pages = 2048) ?(vfs = Vfs.unix) ?(readonly = false) path =
     jbuf = Bytes.create 0;
     jbuf_len = 0;
     tx_new_pages = Hashtbl.create 16;
-    versions = Atomic.make Pmap.empty;
-    snap_mu = Mutex.create ();
-    snaps = Hashtbl.create 8;
-    next_snap_id = 1;
-    active_snaps = Atomic.make 0;
-    snap_reads = Atomic.make 0;
-    tx_protect = false;
+    tx_mu = Mutex.create ();
+    tx_domain = Atomic.make (-1);
     soft_mode = false;
     tx_touched = Hashtbl.create 16;
     tx_undo = [];
@@ -931,10 +873,7 @@ let read t no : Bytes.t =
   (load_page t no).data
 
 (** Mutate page [no].  Inside a transaction the before-image is
-    journaled on first touch; while snapshots are live, the first touch
-    since the last commit also captures the committed image as an MVCC
-    base version (published {e before} the mutation, so a concurrent
-    snapshot read racing a stolen writeback always finds cover). *)
+    journaled on first touch. *)
 let with_write t no (f : Bytes.t -> 'a) : 'a =
   if t.readonly then fail "write: pager is read-only";
   if no < 0 || no >= t.page_count then fail "write: page %d out of range (count %d)" no t.page_count;
@@ -943,13 +882,6 @@ let with_write t no (f : Bytes.t -> 'a) : 'a =
   then begin
     journal_append t no p.data;
     Hashtbl.replace t.journaled no ()
-  end;
-  if t.tx_protect && not (Hashtbl.mem t.since_commit no) then begin
-    let m = Atomic.get t.versions in
-    if not (Pmap.mem no m) then begin
-      Atomic.set t.versions (Pmap.add no [ (0, Bytes.to_string p.data) ] m);
-      Pobs.Metrics.inc m_version_pins
-    end
   end;
   if t.soft_mode && not (Hashtbl.mem t.tx_touched no) then begin
     Hashtbl.replace t.tx_touched no ();
@@ -991,31 +923,28 @@ let flush_all t =
     t.unsynced_writes <- false
   end
 
+let end_tx t =
+  Atomic.set t.tx_domain (-1);
+  Mutex.unlock t.tx_mu
+
 let begin_tx t =
   if t.readonly then fail "begin_tx: pager is read-only";
   if t.in_tx then fail "nested transactions are not supported at the pager level";
-  (* Hold the snapshot-registry lock for the whole transaction: new
-     snapshots can only freeze at commit boundaries, where disk +
-     version map are provably consistent.  Uncontended this is a few
-     nanoseconds; a reader registering mid-transaction blocks until the
-     commit point — the natural MVCC grain. *)
-  Mutex.lock t.snap_mu;
-  (* Sample the protection gate once per transaction (the registry
-     cannot change while we hold the lock).  Stale version chains keep
-     the gate on so their "newest = committed" invariant is maintained
-     until the next watermark prune empties them. *)
-  t.tx_protect <-
-    Atomic.get t.active_snaps > 0 || not (Pmap.is_empty (Atomic.get t.versions));
+  (* Hold the commit-boundary lock for the whole transaction.
+     Uncontended this is a few nanoseconds; a domain copying a snapshot
+     view mid-transaction blocks until the commit point. *)
+  Mutex.lock t.tx_mu;
+  Atomic.set t.tx_domain (Domain.self () :> int);
   (* Checkpoint: pre-transaction state must be durable on disk, because
      abort discards the cache and reconstructs state from the file plus
      the journal's before-images.  A clean, synced cache — the common
      case right after a commit — already satisfies this and skips the
      flush and its fsync entirely.  If the checkpoint fails, no
-     transaction has begun: release the registry lock on the way out. *)
+     transaction has begun: release the lock on the way out. *)
   (try
      if t.dirty_count > 0 || t.unsynced_writes then flush_all t
    with e ->
-     Mutex.unlock t.snap_mu;
+     end_tx t;
      raise e);
   t.in_tx <- true;
   Hashtbl.reset t.journaled;
@@ -1039,11 +968,8 @@ let begin_tx t =
    wedged over data that in fact committed. *)
 (* The logical commit point shared by [commit] and [commit_soft]:
    advance the LSN iff the commit set is non-empty, capture the
-   after-images (for the redo hook and/or the MVCC version chains),
-   publish them, and reset the commit set.  Publication happens before
-   any writeback of the captured pages — that ordering is what lets a
-   snapshot reader trust a pread the version map does not cover. *)
-let capture_publish ?lsn t =
+   after-images for the redo hook, and reset the commit set. *)
+let capture ?lsn t =
   let advanced = Hashtbl.length t.since_commit > 0 in
   if advanced then begin
     let next = match lsn with Some l -> l | None -> t.lsn + 1 in
@@ -1055,10 +981,8 @@ let capture_publish ?lsn t =
         Bytes.set_uint8 hdr checksum_flag_off (if t.verify then checksum_flag_on else 0));
     t.lsn <- next
   end;
-  let need_redo = advanced && t.redo_hook <> None in
-  let need_versions = advanced && t.tx_protect in
   let record =
-    if not (need_redo || need_versions) then None
+    if not (advanced && t.redo_hook <> None) then None
     else begin
       (* Pages allocated by a since-aborted transaction can linger in
          the set above the current page count; they no longer exist.
@@ -1077,54 +1001,11 @@ let capture_publish ?lsn t =
           t.since_commit []
         |> List.sort (fun (a, _) (b, _) -> compare a b)
       in
-      if need_versions then begin
-        let m = ref (Atomic.get t.versions) in
-        List.iter
-          (fun (no, img) ->
-            m :=
-              Pmap.update no
-                (function
-                  | Some vs -> Some ((t.lsn, img) :: vs)
-                  | None -> Some [ (t.lsn, img) ])
-                !m)
-          pages;
-        Atomic.set t.versions !m;
-        Pobs.Metrics.addi m_version_pins (List.length pages)
-      end;
       Some { lsn = t.lsn; pages }
     end
   in
   Hashtbl.reset t.since_commit;
-  if need_redo then record else None
-
-(* Reclaim versions no live snapshot can reach.  Runs at the end of
-   every (hard) commit, with [snap_mu] held and the data file flushed:
-   the watermark W is the oldest frozen LSN still registered (or the
-   current LSN if none).  Per chain, everything newer than W is kept,
-   plus one pivot — the newest version at or below W, which serves all
-   snapshots in [pivot, W].  A chain whose newest version is at or
-   below W is dropped outright: its content is exactly what the data
-   file now holds, so the disk serves those readers.  With no
-   registered snapshots this empties the map. *)
-let prune_versions t =
-  let m = Atomic.get t.versions in
-  if not (Pmap.is_empty m) then begin
-    let w = Hashtbl.fold (fun _ l acc -> min l acc) t.snaps t.lsn in
-    let m' =
-      Pmap.filter_map
-        (fun _no vs ->
-          match vs with
-          | (l, _) :: _ when l <= w -> None
-          | _ ->
-              let rec cut = function
-                | [] -> []
-                | (l, img) :: rest -> if l <= w then [ (l, img) ] else (l, img) :: cut rest
-              in
-              Some (cut vs))
-        m
-    in
-    Atomic.set t.versions m'
-  end
+  record
 
 let fire_record t record =
   match (record, t.redo_hook) with
@@ -1138,12 +1019,11 @@ let fire_record t record =
 let commit ?lsn t =
   if not t.in_tx then fail "commit outside transaction";
   if t.soft_mode then fail "commit inside a group batch (use commit_soft/commit_hard)";
-  let record = capture_publish ?lsn t in
+  let record = capture ?lsn t in
   flush_all t;
   journal_truncate t;
   t.in_tx <- false;
-  prune_versions t;
-  Mutex.unlock t.snap_mu;
+  end_tx t;
   Pobs.Metrics.inc m_commits;
   fire_record t record
 
@@ -1165,14 +1045,14 @@ let soft_begin t =
   Hashtbl.reset t.tx_new_pages;
   t.tx_undo <- []
 
-(** Logically commit the current soft transaction: advance the LSN,
-    publish versions, buffer the redo record.  Nothing is flushed or
+(** Logically commit the current soft transaction: advance the LSN and
+    buffer the redo record.  Nothing is flushed or
     fsynced — durability (and the redo hook) comes with the batch's
     {!commit_hard}.  Returns the LSN the caller owns once the batch is
     durable. *)
 let commit_soft ?lsn t =
   if not (t.in_tx && t.soft_mode) then fail "commit_soft outside a group batch";
-  let record = capture_publish ?lsn t in
+  let record = capture ?lsn t in
   (match record with Some r -> t.pending_redo <- r :: t.pending_redo | None -> ());
   Hashtbl.reset t.tx_touched;
   t.tx_undo <- [];
@@ -1219,12 +1099,16 @@ let commit_hard t =
   t.tx_undo <- [];
   let records = List.rev t.pending_redo in
   t.pending_redo <- [];
-  prune_versions t;
-  Mutex.unlock t.snap_mu;
+  end_tx t;
   Pobs.Metrics.inc m_commits;
   List.iter (fun r -> fire_record t (Some r)) records
 
-let abort t =
+(** Roll the transaction (or the whole group batch) back.  [restored]
+    runs once the file and the cache hold the pre-transaction state,
+    before the commit-boundary lock is released, so a caller's
+    resynchronisation (the object layer's mirror rebuild) is never seen
+    half done from another domain. *)
+let abort ?(restored = ignore) t =
   if not t.in_tx then fail "abort outside transaction";
   (* Buffered frames are not needed for the rollback: the steal barrier
      syncs the whole buffer before any journaled page reaches the data
@@ -1255,27 +1139,23 @@ let abort t =
      re-read it so the in-memory LSN cannot drift ahead of disk. *)
   if size > 0 then
     t.lsn <- Int64.to_int (Bytes.get_int64_le (load_page t 0).data lsn_header_off);
-  (* Versions published by soft commits (or a commit that failed after
-     its publish step) now carry LSNs ahead of the restored header —
-     they describe state the rollback erased.  Drop them; versions at
-     or below the restored LSN still serve live snapshots, whose frozen
-     LSNs are necessarily at or below it too. *)
-  let m = Atomic.get t.versions in
-  if not (Pmap.is_empty m) then
-    Atomic.set t.versions
-      (Pmap.filter_map
-         (fun _no vs ->
-           match List.filter (fun (l, _) -> l <= t.lsn) vs with
-           | [] -> None
-           | vs -> Some vs)
-         m);
   t.pending_redo <- [];
   t.soft_mode <- false;
   Hashtbl.reset t.tx_touched;
   t.tx_undo <- [];
   t.in_tx <- false;
-  Mutex.unlock t.snap_mu;
-  Pobs.Metrics.inc m_aborts
+  Pobs.Metrics.inc m_aborts;
+  Fun.protect ~finally:(fun () -> end_tx t) restored
+
+(** Run [f] between transactions: under the commit-boundary lock, which
+    every transaction holds from {!begin_tx} to its end.  A domain
+    calling this inside its own transaction would wait for itself, so
+    that is rejected. *)
+let at_commit_boundary t f =
+  if Atomic.get t.tx_domain = (Domain.self () :> int) then
+    fail "at a commit boundary inside this domain's transaction";
+  Mutex.lock t.tx_mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.tx_mu) f
 
 let close t =
   if t.in_tx then abort t;
@@ -1303,11 +1183,6 @@ type stats = {
   s_pages : int;
   s_evictions : int;
   s_journal_bytes : int;
-  s_snapshots : int;  (** live frozen-LSN snapshot handles *)
-  s_pinned_versions : int;
-      (** page images pinned in the MVCC version chains (0 in steady
-          state with no snapshots: the watermark reclaims everything) *)
-  s_snapshot_reads : int;  (** pages served to snapshot handles *)
 }
 
 let stats t =
@@ -1319,139 +1194,4 @@ let stats t =
     s_pages = t.page_count;
     s_evictions = t.evictions;
     s_journal_bytes = t.journal_bytes;
-    s_snapshots = Atomic.get t.active_snaps;
-    s_pinned_versions =
-      Pmap.fold (fun _ vs acc -> acc + List.length vs) (Atomic.get t.versions) 0;
-    s_snapshot_reads = Atomic.get t.snap_reads;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Frozen-LSN snapshots                                                *)
-(* ------------------------------------------------------------------ *)
-
-module Snapshot = struct
-  type pager = t
-
-  (** A frozen-LSN read handle.  Registration pins every page version
-      needed to reconstruct the file as of the frozen LSN; reads are
-      lock-free (one [Atomic.get] of the version map, plus an unlocked
-      [pread] fall-through for pages the map does not cover).  A handle
-      is {e single-domain}: its private page cache is unsynchronised.
-      Use {!clone} to give each domain its own handle at the same LSN,
-      and {!release} every handle so the watermark can advance. *)
-  type t = {
-    s_pager : pager;
-    s_id : int;
-    s_lsn : int;
-    s_page_count : int;
-    s_cache : (int, Bytes.t) Hashtbl.t; (* private, single-domain *)
-    s_cache_cap : int;
-    mutable s_released : bool;
-  }
-
-  let lsn s = s.s_lsn
-  let page_count s = s.s_page_count
-
-  (* Register a handle at the current published LSN.  Blocks while a
-     transaction (or group batch) is running: snapshots freeze only at
-     commit boundaries. *)
-  let create ?(cache_pages = 1024) (t : pager) : t =
-    Mutex.lock t.snap_mu;
-    let id = t.next_snap_id in
-    t.next_snap_id <- id + 1;
-    Hashtbl.replace t.snaps id t.lsn;
-    ignore (Atomic.fetch_and_add t.active_snaps 1);
-    let s =
-      {
-        s_pager = t;
-        s_id = id;
-        s_lsn = t.lsn;
-        s_page_count = t.page_count;
-        s_cache = Hashtbl.create 256;
-        s_cache_cap = cache_pages;
-        s_released = false;
-      }
-    in
-    Mutex.unlock t.snap_mu;
-    Pobs.Metrics.seti m_snapshots_active (Atomic.get t.active_snaps);
-    s
-
-  (** A second handle at the same frozen LSN, with its own private
-      cache — the way to fan one logical snapshot out to N domains. *)
-  let clone (s : t) : t =
-    if s.s_released then fail "snapshot: cloning a released handle";
-    let t = s.s_pager in
-    Mutex.lock t.snap_mu;
-    let id = t.next_snap_id in
-    t.next_snap_id <- id + 1;
-    Hashtbl.replace t.snaps id s.s_lsn;
-    ignore (Atomic.fetch_and_add t.active_snaps 1);
-    Mutex.unlock t.snap_mu;
-    Pobs.Metrics.seti m_snapshots_active (Atomic.get t.active_snaps);
-    { s with s_id = id; s_cache = Hashtbl.create 256; s_released = false }
-
-  (** Unregister the handle.  Idempotent.  The versions it pinned are
-      reclaimed by the watermark prune of the next commit. *)
-  let release (s : t) : unit =
-    if not s.s_released then begin
-      s.s_released <- true;
-      let t = s.s_pager in
-      Mutex.lock t.snap_mu;
-      Hashtbl.remove t.snaps s.s_id;
-      ignore (Atomic.fetch_and_add t.active_snaps (-1));
-      Mutex.unlock t.snap_mu;
-      Pobs.Metrics.seti m_snapshots_active (Atomic.get t.active_snaps)
-    end
-
-  (* Newest version at or below the frozen LSN, if the chain covers
-     this page. *)
-  let lookup (m : versions) ~snap_lsn no : string option =
-    match Pmap.find_opt no m with
-    | None -> None
-    | Some vs ->
-        let rec go = function
-          | [] -> None
-          | (l, img) :: rest -> if l <= snap_lsn then Some img else go rest
-        in
-        go vs
-
-  (** Read page [no] as of the frozen LSN.  The returned bytes are
-      owned by the handle's cache and must not be mutated.
-
-      The fall-through protocol: if the version map has no chain for
-      the page, [pread] the data file, then re-check the map.  A chain
-      appearing in between means the writer began mutating the page
-      while we read it (base versions publish {e before} the first
-      mutation, and writeback happens after that) — the chain now holds
-      the cover we need.  If the map still has no chain, no mutation
-      can have started before our read completed, so the bytes are the
-      committed content — which registration froze at our LSN. *)
-  let read (s : t) (no : int) : Bytes.t =
-    if s.s_released then fail "snapshot: read after release";
-    if no < 0 || no >= s.s_page_count then
-      fail "snapshot read: page %d out of range (count %d)" no s.s_page_count;
-    match Hashtbl.find_opt s.s_cache no with
-    | Some b -> b
-    | None ->
-        let t = s.s_pager in
-        let b =
-          match lookup (Atomic.get t.versions) ~snap_lsn:s.s_lsn no with
-          | Some img -> Bytes.of_string img
-          | None ->
-              let buf = Bytes.create page_size in
-              really_pread ~path:t.path t.fd buf ~off:0 ~len:page_size
-                ~file_off:(no * page_size);
-              (match lookup (Atomic.get t.versions) ~snap_lsn:s.s_lsn no with
-              | Some img -> Bytes.blit_string img 0 buf 0 page_size
-              | None -> if t.verify then verify_image ~page:no buf);
-              buf
-        in
-        ignore (Atomic.fetch_and_add t.snap_reads 1);
-        Pobs.Metrics.inc m_snap_reads;
-        if Hashtbl.length s.s_cache < s.s_cache_cap then Hashtbl.replace s.s_cache no b;
-        b
-end
-
-(** Register a frozen-LSN snapshot of the current committed state — the
-    entry point [Store.snapshot] builds on.  See {!Snapshot}. *)
-let snapshot ?cache_pages t = Snapshot.create ?cache_pages t

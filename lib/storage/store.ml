@@ -197,19 +197,32 @@ let commit t =
   end;
   t.tx_depth <- t.tx_depth - 1
 
-let abort t =
-  if t.tx_depth <= 0 then fail "abort outside transaction";
-  t.tx_depth <- 0;
-  Pager.abort t.pager;
-  Pobs.Metrics.inc m_tx_aborts;
-  (* In-memory state may be stale after rollback: rebuild.  Keep the
-     in-memory oid high-water mark: rollback restores the header's
-     pre-transaction value, but oids handed out since must stay
-     retired. *)
+(* In-memory component state may be stale after a rollback (cached
+   btree root, heap free-space map): rebuild it.  Keep the in-memory oid
+   high-water mark: rollback restores the header's pre-transaction
+   value, but oids handed out since must stay retired. *)
+let reload_components t =
   let heap, dir = build_components t.pager in
   t.heap <- heap;
   t.dir <- dir;
   t.next_oid <- max t.next_oid (hdr_read_next_oid t.pager)
+
+(** Roll the transaction back.  [rolled_back] runs on the restored store
+    before the commit-boundary lock is released (see {!Pager.abort}): a
+    layer stacked on the store resynchronises there, so no
+    {!at_commit_boundary} caller sees it half done. *)
+let abort ?(rolled_back = ignore) t =
+  if t.tx_depth <= 0 then fail "abort outside transaction";
+  t.tx_depth <- 0;
+  Pager.abort t.pager ~restored:(fun () ->
+      Pobs.Metrics.inc m_tx_aborts;
+      reload_components t;
+      rolled_back ())
+
+(** Run [f] between transactions, waiting for one open on another
+    domain (a {!Group} batch included) to end (see
+    {!Pager.at_commit_boundary}). *)
+let at_commit_boundary t f = Pager.at_commit_boundary t.pager f
 
 let close t =
   if t.tx_depth > 0 then abort t;
@@ -285,9 +298,6 @@ type stats = {
   cache_misses : int;
   evictions : int;
   journal_bytes : int;
-  snapshots : int; (* live MVCC snapshot handles *)
-  pinned_versions : int; (* page versions pinned by those snapshots *)
-  snapshot_reads : int; (* pages served to snapshot readers *)
 }
 
 (* [count_objects:false] skips the B-tree walk behind [objects]
@@ -305,9 +315,6 @@ let stats ?(count_objects = true) t =
     cache_misses = s.Pager.s_misses;
     evictions = s.Pager.s_evictions;
     journal_bytes = s.Pager.s_journal_bytes;
-    snapshots = s.Pager.s_snapshots;
-    pinned_versions = s.Pager.s_pinned_versions;
-    snapshot_reads = s.Pager.s_snapshot_reads;
   }
 
 (** One checksum scrub pass over the underlying file — every page
@@ -388,79 +395,11 @@ let vacuum t : t =
   if vfs.Vfs.exists (tmp ^ ".journal") then vfs.Vfs.remove (tmp ^ ".journal");
   open_ ~vfs path
 
-(* --- MVCC snapshots ----------------------------------------------------- *)
-
-(** A frozen, read-only view of the store at one commit LSN.
-
-    Built over {!Pager.Snapshot}: the handle pins the page versions
-    current at its LSN, so [get]/[iter]/[count] return exactly what a
-    single-threaded reader would have seen at that commit — bit for bit
-    — no matter how many transactions the writer retires meanwhile.
-    Handles are single-domain; to fan a query out across N domains,
-    [clone] the handle once per domain (clones share nothing mutable
-    and each pins the same LSN). *)
-module Snapshot = struct
-  type store = t
-
-  type s = {
-    psnap : Pager.Snapshot.t;
-    s_heap : Heap.t;
-    s_dir : Btree.t;
-    s_next_oid : int;
-  }
-
-  let of_psnap (psnap : Pager.Snapshot.t) : s =
-    let read no = Pager.Snapshot.read psnap no in
-    let hdr = read 0 in
-    if Bytes.sub_string hdr 0 8 <> magic then
-      fail "snapshot: corrupt store header (bad magic)";
-    let dir_root = Int32.to_int (Bytes.get_int32_le hdr 20) in
-    {
-      psnap;
-      s_heap = Heap.create_reader ~read;
-      s_dir = Btree.create_reader ~read ~root:dir_root;
-      s_next_oid = Int64.to_int (Bytes.get_int64_le hdr 12);
-    }
-
-  (** Freeze the current committed state.  Blocks while a transaction
-      is open on another domain (snapshots register only at commit
-      boundaries); calling with a transaction open on {e this} domain
-      would self-deadlock, so that is rejected — except while a
-      {!Group} writer owns the write path, where the tx flag belongs to
-      the writer domain and the pager's own snapshot lock provides the
-      commit-boundary blocking. *)
-  let create ?cache_pages (t : store) : s =
-    if in_tx t && not t.group_active then fail "snapshot inside a transaction";
-    of_psnap (Pager.snapshot ?cache_pages t.pager)
-
-  let lsn s = Pager.Snapshot.lsn s.psnap
-  let next_oid s = s.s_next_oid
-
-  (** An independent handle at the same LSN for another domain. *)
-  let clone (s : s) : s = of_psnap (Pager.Snapshot.clone s.psnap)
-
-  let release (s : s) : unit = Pager.Snapshot.release s.psnap
-
-  let get (s : s) ~oid : string option =
-    match Btree.find s.s_dir (key_of_oid oid) with
-    | Some rid -> Some (Heap.get s.s_heap rid)
-    | None -> None
-
-  let mem (s : s) ~oid = Btree.mem s.s_dir (key_of_oid oid)
-
-  let iter (s : s) (f : int -> string -> unit) =
-    Btree.iter s.s_dir (fun k rid -> f (Int64.to_int k) (Heap.get s.s_heap rid))
-
-  let count (s : s) = Btree.cardinal s.s_dir
-end
-
-let snapshot ?cache_pages t = Snapshot.create ?cache_pages t
-
 (* --- group commit ------------------------------------------------------- *)
 
 (** Group commit: a dedicated writer domain drains a bounded queue of
-    transaction bodies, runs each as a soft transaction (LSN advance +
-    version publish, no fsync), and retires the whole batch with one
+    transaction bodies, runs each as a soft transaction (LSN advance,
+    no fsync), and retires the whole batch with one
     journal-flush/fsync/truncate cycle.  Every submitter blocks until
     its own commit is durable and is woken with its commit LSN, so the
     per-caller contract is exactly [with_tx] — only the fsyncs are
@@ -530,12 +469,7 @@ module Group = struct
               (j, Ok lsn)
           | exception e ->
               Pager.soft_abort t.pager;
-              (* In-memory component state may be stale after the page
-                 restore (cached btree root, heap free-space map). *)
-              let heap, dir = build_components t.pager in
-              t.heap <- heap;
-              t.dir <- dir;
-              t.next_oid <- max t.next_oid (hdr_read_next_oid t.pager);
+              reload_components t;
               (match g.on_rollback with Some f -> f () | None -> ());
               g.g_aborts <- g.g_aborts + 1;
               (j, Error e))
@@ -552,10 +486,15 @@ module Group = struct
             Pobs.Metrics.inc m_tx_commits;
             List.iter (fun (j, r) -> finish j r) results
         | exception e ->
-            (* Durability failed: nothing in this batch committed. *)
+            (* Durability failed: nothing in this batch committed.  The
+               layers above resynchronise inside the rollback, before
+               the commit-boundary lock is released; should the
+               rollback itself fail first, the lock is still held. *)
             t.tx_depth <- 1;
-            (try abort t with _ -> ());
-            (match g.on_rollback with Some f -> (try f () with _ -> ()) | None -> ());
+            let rolled_back () =
+              match g.on_rollback with Some f -> ( try f () with _ -> ()) | None -> ()
+            in
+            (try abort ~rolled_back t with _ -> rolled_back ());
             List.iter (fun (j, _) -> finish j (Error e)) results;
             raise e)
     | exception e ->

@@ -66,13 +66,6 @@ let order = function
   | Subforma -> 23
 
 let primary = [ Regnum; Divisio; Classis; Ordo; Familia; Genus; Species ]
-let is_primary r = List.mem r primary
-
-let is_sub = function
-  | Subregnum | Subdivisio | Subclassis | Subordo | Subfamilia | Subtribus | Subgenus
-  | Subsectio | Subseries | Subspecies | Subvarietas | Subforma ->
-      true
-  | _ -> false
 
 let to_string = function
   | Regnum -> "Regnum"
@@ -102,9 +95,6 @@ let to_string = function
 
 let of_string s =
   List.find_opt (fun r -> String.lowercase_ascii (to_string r) = String.lowercase_ascii s) all
-
-let of_string_exn s =
-  match of_string s with Some r -> r | None -> invalid_arg (Printf.sprintf "unknown rank %S" s)
 
 (** [strictly_above a b]: may a taxon at rank [a] directly or
     indirectly contain a taxon at rank [b]? *)

@@ -387,7 +387,42 @@ let test_instance_synonyms () =
       Database.declare_synonym db b c;
       Alcotest.(check bool) "transitive" true (Database.same_entity db a c);
       Alcotest.(check bool) "distinct" false (Database.same_entity db a d);
-      Alcotest.(check int) "synonym set" 3 (Database.OidSet.cardinal (Database.synonym_set db a)))
+      Alcotest.(check int) "synonym set" 3 (Database.OidSet.cardinal (Database.synonym_set db a));
+      Alcotest.(check int) "synonym set from a non-root" 3
+        (Database.OidSet.cardinal (Database.synonym_set db c)))
+
+(* Deleting a synonym record splits the union it made: the live handle,
+   a snapshot view and a reopen of the store all give the same answer. *)
+let test_synonym_deletion () =
+  let path = tmp_path () in
+  Fun.protect ~finally:(fun () ->
+      List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ path; path ^ ".journal" ])
+  @@ fun () ->
+  let db = Database.open_ path in
+  people_schema db;
+  let a, b, c =
+    Database.with_tx db (fun () ->
+        let p name = Database.create db "Person" [ ("name", str name) ] in
+        let a = p "a" and b = p "b" and c = p "c" in
+        Database.declare_synonym db a b;
+        Database.declare_synonym db b c;
+        (a, b, c))
+  in
+  let syn_ab =
+    List.find
+      (fun oid -> V.as_ref (Database.get_attr db oid "a") = a)
+      (Database.extent_list db Database.synonym_class)
+  in
+  Database.with_tx db (fun () -> Database.delete db syn_ab);
+  let answers db = (Database.same_entity db a b, Database.same_entity db b c) in
+  Alcotest.(check (pair bool bool)) "live handle" (false, true) (answers db);
+  let view = Database.snapshot db in
+  Alcotest.(check (pair bool bool)) "snapshot view" (false, true) (answers view);
+  Database.close view;
+  Database.close db;
+  let db = Database.open_ path in
+  Alcotest.(check (pair bool bool)) "reopen" (false, true) (answers db);
+  Database.close db
 
 let test_tx_abort_rebuilds_mirror () =
   with_db (fun db ->
@@ -786,6 +821,7 @@ let () =
           Alcotest.test_case "retarget" `Quick test_retarget;
           Alcotest.test_case "role attribute inheritance" `Quick test_role_attribute_inheritance;
           Alcotest.test_case "instance synonyms" `Quick test_instance_synonyms;
+          Alcotest.test_case "synonym deletion splits the union" `Quick test_synonym_deletion;
         ] );
       ( "transactions",
         [

@@ -2,18 +2,16 @@
 
    Covers the multicore read path end to end:
 
-   - the frozen-LSN property: N domains reading one snapshot
-     concurrently with a committing writer see results bit-identical to
-     a single-threaded read taken when the snapshot was frozen;
    - database-level snapshot views: POOL queries over a shared view
      from several domains while the parent mutates;
+   - views copied on one domain while the live handle commits, aborts
+     and rolls back group batches (failing jobs, a failing fsync) on
+     others: each view answers like a fresh open of the store at its
+     LSN;
    - group commit: concurrent committers are batched into few fsync
      cycles, every caller's data is durable once its submit returns,
      and a simulated power cut mid-batch recovers to a consistent
      prefix;
-   - version-chain reclamation: a long-lived snapshot pins page
-     versions, releasing it lets the watermark free them (observed via
-     [Store.stats]);
    - domain-safety of the obs substrate (atomic counters, monotonic
      clock) and of per-database layer state under a 4-domain hammer;
    - a group-commit rollback leaving no trace in graph traversals;
@@ -42,59 +40,6 @@ let put_records st lo hi tag =
     S.put st ~oid (Printf.sprintf "%s-%06d-%s" tag i (String.make (i mod 97) 'x'))
   done;
   S.commit st
-
-let dump_snapshot (s : S.Snapshot.s) : (int * string) list =
-  let acc = ref [] in
-  S.Snapshot.iter s (fun oid data -> acc := (oid, data) :: !acc);
-  List.rev !acc
-
-(* --- 1. frozen-LSN bit-identical reads ------------------------------- *)
-
-let test_frozen_lsn () =
-  let fs = F.create () in
-  let st = open_mem fs "mvcc1.db" in
-  put_records st 0 300 "base";
-  let snap = S.snapshot st in
-  let frozen_lsn = S.Snapshot.lsn snap in
-  (* the single-threaded reference at the frozen LSN *)
-  let reference = dump_snapshot snap in
-  (* 4 domains each hammer an independent clone of the snapshot while
-     the writer churns the same oids through many commits *)
-  let n_domains = 4 in
-  let clones = List.init n_domains (fun _ -> S.Snapshot.clone snap) in
-  let readers =
-    List.map
-      (fun clone ->
-        Domain.spawn (fun () ->
-            let rounds = ref 0 in
-            let ok = ref true in
-            while !rounds < 20 do
-              if dump_snapshot clone <> reference then ok := false;
-              incr rounds
-            done;
-            S.Snapshot.release clone;
-            !ok))
-      clones
-  in
-  (* concurrent writer: overwrite, delete, insert *)
-  for round = 1 to 30 do
-    S.begin_tx st;
-    for i = 0 to 300 do
-      if (i + round) mod 3 = 0 then
-        S.put st ~oid:(i + 10) (Printf.sprintf "new-%d-%d" round i)
-      else if (i + round) mod 7 = 0 then ignore (S.delete st ~oid:(i + 10))
-    done;
-    S.put st ~oid:(5000 + round) (String.make 512 'y');
-    S.commit st
-  done;
-  List.iter
-    (fun d -> Alcotest.(check bool) "reader saw frozen state" true (Domain.join d))
-    readers;
-  (* the original handle still reads the frozen state after all writes *)
-  Alcotest.(check bool) "original handle frozen" true (dump_snapshot snap = reference);
-  Alcotest.(check int) "lsn unchanged" frozen_lsn (S.Snapshot.lsn snap);
-  S.Snapshot.release snap;
-  S.close st
 
 (* --- 2. database-level snapshot views -------------------------------- *)
 
@@ -287,43 +232,6 @@ let test_group_crash_prefix () =
       S.close st2)
     offsets
 
-(* --- 5. version-chain reclamation ------------------------------------- *)
-
-let test_version_reclamation () =
-  let fs = F.create () in
-  let st = open_mem fs "mvcc6.db" in
-  put_records st 0 50 "base";
-  let before = (S.stats st).S.pinned_versions in
-  Alcotest.(check int) "no pins without snapshots" 0 before;
-  let snap = S.snapshot st in
-  (* churn the same pages repeatedly: each commit publishes versions
-     the live snapshot pins *)
-  for round = 1 to 10 do
-    S.begin_tx st;
-    for i = 0 to 50 do
-      S.put st ~oid:(i + 10) (Printf.sprintf "round-%d-%d" round i)
-    done;
-    S.commit st
-  done;
-  let pinned = (S.stats st).S.pinned_versions in
-  Alcotest.(check bool) "snapshot pins versions" true (pinned > 0);
-  Alcotest.(check int) "snapshot handles counted" 1 (S.stats st).S.snapshots;
-  (* the snapshot still reads the original bytes through the churn *)
-  (match S.Snapshot.get snap ~oid:10 with
-  | Some data ->
-      Alcotest.(check bool) "snapshot sees pre-churn data" true
-        (String.length data >= 4 && String.sub data 0 4 = "base")
-  | None -> Alcotest.fail "snapshot lost a record");
-  Alcotest.(check bool) "snapshot reads counted" true ((S.stats st).S.snapshot_reads > 0);
-  (* release: the next commit's watermark prune frees every chain *)
-  S.Snapshot.release snap;
-  S.begin_tx st;
-  S.put st ~oid:10 "after-release";
-  S.commit st;
-  Alcotest.(check int) "watermark reclaimed all versions" 0 (S.stats st).S.pinned_versions;
-  Alcotest.(check int) "no live snapshots" 0 (S.stats st).S.snapshots;
-  S.close st
-
 (* --- 6. obs substrate under domains ----------------------------------- *)
 
 let test_obs_domain_safety () =
@@ -452,6 +360,122 @@ let hammer_step db nodes edge_of k =
   else
     let p = ((i * 7) + j) mod Array.length nodes in
     edge_of.(i) <- D.link db tree_rel ~origin:nodes.(p) ~destination:nodes.(i)
+
+(* --- 9b. views copied while the live handle commits and rolls back ----- *)
+
+(* A record's attribute, one edge and one fresh record: what [churn]
+   changes in one transaction. *)
+let churn db nodes k =
+  let n = Array.length nodes in
+  let a = nodes.(k * 7 mod n) and b = nodes.(((k * 13) + 1) mod n) in
+  D.update db a "n" (Pmodel.Value.VInt (k mod 50));
+  (match D.outgoing db ~rel_name:tree_rel b with
+  | r :: _ -> D.unlink db r.Pmodel.Obj.oid
+  | [] -> ignore (D.link db tree_rel ~origin:b ~destination:a));
+  let c = D.create db value_cls [ ("n", Pmodel.Value.VInt (1000 + k)) ] in
+  if k mod 2 = 0 then D.delete db c
+
+(* One domain copies views of the live handle as fast as it can while
+   the handle goes through every way a transaction ends:
+   - group batches from three submitter domains, every third job
+     failing after its changes;
+   - batches whose hard commit fails (an fsync error);
+   - commits, aborts and raising [with_tx] bodies on the main domain.
+   Every successful job returns the store dump at its LSN, taken in the
+   writer domain.  Each view must answer exactly like a fresh open of
+   the dump at its LSN. *)
+let test_views_track_commits () =
+  let fs = F.create () in
+  let db = D.open_ ~vfs:(F.vfs fs) "mvcc9b.db" in
+  ignore (D.define_class db value_cls [ Pmodel.Meta.attr "n" Pmodel.Value.TInt ]);
+  ignore (D.define_rel db tree_rel ~origin:value_cls ~destination:value_cls);
+  D.create_index db value_cls "n";
+  let nodes =
+    D.with_tx db (fun () ->
+        let nodes = Array.init 40 (fun i -> D.create db value_cls [ ("n", Pmodel.Value.VInt i) ]) in
+        for i = 1 to 39 do
+          ignore (D.link db tree_rel ~origin:nodes.((i - 1) / 2) ~destination:nodes.(i))
+        done;
+        nodes)
+  in
+  let dumps = Hashtbl.create 256 and dumps_mu = Mutex.create () in
+  let record lsn dump =
+    Mutex.lock dumps_mu;
+    Hashtbl.replace dumps lsn dump;
+    Mutex.unlock dumps_mu
+  in
+  record (S.lsn (D.store db)) (View_oracle.dump (D.store db));
+  let stop = Atomic.make false in
+  let copier =
+    Domain.spawn (fun () ->
+        (* LSN -> the distinct descriptions of the views taken at it *)
+        let seen = Hashtbl.create 256 and n = ref 0 in
+        while not (Atomic.get stop) do
+          let v = D.snapshot db in
+          (* a view copied half way through a change may not even read *)
+          let d = try View_oracle.describe v with e -> Printexc.to_string e in
+          let l = D.view_lsn v in
+          D.close v;
+          let ds = Option.value ~default:[] (Hashtbl.find_opt seen l) in
+          if not (List.mem d ds) then Hashtbl.replace seen l (d :: ds);
+          incr n
+        done;
+        (!n, seen))
+  in
+  let w = D.Writer.start db in
+  let submitters =
+    List.init 3 (fun s ->
+        Domain.spawn (fun () ->
+            for j = 0 to 29 do
+              let k = (j * 3) + s in
+              match
+                D.Writer.submit w (fun db ->
+                    churn db nodes k;
+                    if j mod 3 = 2 then failwith "veto";
+                    View_oracle.dump (D.store db))
+              with
+              | lsn, dump -> record lsn dump
+              | exception Failure _ -> ()
+            done))
+  in
+  List.iter Domain.join submitters;
+  D.Writer.stop w;
+  for k = 100 to 105 do
+    let w = D.Writer.start db in
+    F.fail_fsync fs ~nth:((F.counters fs).F.fsyncs + 1);
+    (match D.Writer.submit w (fun db -> churn db nodes k) with
+    | _ -> Alcotest.fail "a batch whose fsync failed must fail"
+    | exception Pager.Io_error _ -> ());
+    try D.Writer.stop w with _ -> ()
+  done;
+  for k = 200 to 289 do
+    match k mod 3 with
+    | 0 ->
+        D.with_tx db (fun () -> churn db nodes k);
+        record (S.lsn (D.store db)) (View_oracle.dump (D.store db))
+    | 1 ->
+        D.begin_tx db;
+        churn db nodes k;
+        D.abort db
+    | _ -> (
+        try D.with_tx db (fun () -> churn db nodes k; raise Exit) with Exit -> ())
+  done;
+  Atomic.set stop true;
+  let views, seen = Domain.join copier in
+  Alcotest.(check bool) "views taken" true (views > 0);
+  Hashtbl.iter
+    (fun lsn descriptions ->
+      match Hashtbl.find_opt dumps lsn with
+      | None -> Alcotest.failf "a view at LSN %d, where nothing committed" lsn
+      | Some dump ->
+          let expected = View_oracle.describe_records dump in
+          List.iter
+            (fun d ->
+              if not (String.equal d expected) then
+                Alcotest.failf "a view at LSN %d differs from the store at that LSN" lsn)
+            descriptions)
+    seen;
+  D.close db
 
 (* --- 10. hoisted subexpressions across domains --------------------------- *)
 
@@ -719,10 +743,9 @@ let () =
     [
       ( "snapshots",
         [
-          Alcotest.test_case "frozen-LSN bit-identical concurrent reads" `Quick
-            test_frozen_lsn;
           Alcotest.test_case "database view across domains" `Quick test_database_view;
-          Alcotest.test_case "version-chain reclamation" `Quick test_version_reclamation;
+          Alcotest.test_case "views copied across domains = the store at their LSN" `Quick
+            test_views_track_commits;
         ] );
       ( "group-commit",
         [

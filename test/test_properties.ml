@@ -1096,6 +1096,12 @@ module Mirror_oracle = struct
       []
 end
 
+(* The store's records, in oid order *)
+let store_dump st =
+  let acc = ref [] in
+  Pstore.Store.iter st (fun oid data -> acc := (oid, data) :: !acc);
+  List.rev !acc
+
 (* Every mirror read of [db] equals the oracle rebuilt from [iter], the
    store's records behind [db]: objects for every oid up to [hi],
    relationship hops for every node ever created. *)
@@ -1215,16 +1221,14 @@ let prop_dense_mirror_matches_oracle =
           let hi () = Pstore.Store.fresh_oid st in
           let agrees db =
             let hi = hi () in
-            mirror_matches_oracle db (Pstore.Store.iter (Database.store db)) ~hi contexts !nodes
+            let dump = store_dump (Database.store db) in
+            let replay f = List.iter (fun (oid, data) -> f oid data) dump in
+            mirror_matches_oracle db replay ~hi contexts !nodes
             &&
             let view = Database.snapshot db in
             Fun.protect
               ~finally:(fun () -> Database.close view)
-              (fun () ->
-                match view.Database.view with
-                | Some snap ->
-                    mirror_matches_oracle view (Pstore.Store.Snapshot.iter snap) ~hi contexts !nodes
-                | None -> false)
+              (fun () -> mirror_matches_oracle view replay ~hi contexts !nodes)
           in
           let ok =
             List.for_all
@@ -1287,6 +1291,190 @@ let test_mirror_churn_bounded () =
       Alcotest.(check int) "one live object" 1 (Database.object_count db);
       Alcotest.(check bool) "at most the hub's and the top chunk left" true
         (Dense.chunks db.Database.objects <= 2))
+
+(* ------------------------------------------------------------------ *)
+(* Held snapshot views against the store at their LSN                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A curator session: the mutations a view must not see once taken,
+   the three ways a transaction rolls back, and taking, cloning and
+   releasing views. *)
+type session_op =
+  | S_create of int (* class: ANode, BNode or a class the session defined *)
+  | S_update of int * int (* node, new [i] *)
+  | S_link of int * int * int * int (* class, origin, destination, context 0-2 *)
+  | S_unlink of int (* k-th live instance *)
+  | S_retarget of int * int * int
+  | S_delete of int
+  | S_synonym of int * int
+  | S_unsynonym of int (* k-th synonym record *)
+  | S_define_class
+  | S_index of bool * int (* create or drop the index on class k's [i] *)
+  | S_abort of session_op list (* [begin_tx], the ops, [abort] *)
+  | S_raise of session_op list (* a [with_tx] body running the ops, then raising *)
+  | S_group_rollback of session_op list (* a group-writer job running them, then raising *)
+  | S_view
+  | S_clone
+  | S_release
+
+let index_classes = [| "ANode"; "BNode" |]
+
+let rec pp_session_op = function
+  | S_create c -> Printf.sprintf "create/%d" c
+  | S_update (n, v) -> Printf.sprintf "update %d.i=%d" n v
+  | S_link (r, a, b, c) -> Printf.sprintf "link %s %d->%d ctx%d" adj_rels.(r) a b c
+  | S_unlink k -> Printf.sprintf "unlink #%d" k
+  | S_retarget (k, a, b) -> Printf.sprintf "retarget #%d %d->%d" k a b
+  | S_delete n -> Printf.sprintf "delete %d" n
+  | S_synonym (a, b) -> Printf.sprintf "synonym %d=%d" a b
+  | S_unsynonym k -> Printf.sprintf "unsynonym #%d" k
+  | S_define_class -> "define_class"
+  | S_index (on, k) -> Printf.sprintf "%s_index %s.i" (if on then "create" else "drop") index_classes.(k)
+  | S_abort ops -> "abort[" ^ String.concat "; " (List.map pp_session_op ops) ^ "]"
+  | S_raise ops -> "raise[" ^ String.concat "; " (List.map pp_session_op ops) ^ "]"
+  | S_group_rollback ops -> "group_rollback[" ^ String.concat "; " (List.map pp_session_op ops) ^ "]"
+  | S_view -> "view"
+  | S_clone -> "clone"
+  | S_release -> "release"
+
+let session_arb =
+  let open QCheck.Gen in
+  let node = int_bound 9 in
+  let mutation =
+    frequency
+      [
+        (3, map (fun c -> S_create c) (int_bound 3));
+        (3, map2 (fun n v -> S_update (n, v)) node (int_bound 5));
+        (5, map (fun ((r, a), (b, c)) -> S_link (r, a, b, c)) (pair (pair (int_bound 4) node) (pair node (int_bound 2))));
+        (2, map (fun k -> S_unlink k) small_nat);
+        (2, map (fun (k, a, b) -> S_retarget (k, a, b)) (triple small_nat node node));
+        (1, map (fun n -> S_delete n) node);
+        (2, map2 (fun a b -> S_synonym (a, b)) node node);
+        (1, map (fun k -> S_unsynonym k) small_nat);
+        (1, return S_define_class);
+        (1, map2 (fun on k -> S_index (on, k)) bool (int_bound 1));
+      ]
+  in
+  let nested = list_size (int_range 1 4) mutation in
+  let op =
+    frequency
+      [
+        (12, mutation);
+        (1, map (fun l -> S_abort l) nested);
+        (1, map (fun l -> S_raise l) nested);
+        (1, map (fun l -> S_group_rollback l) nested);
+        (3, return S_view);
+        (1, return S_clone);
+        (1, return S_release);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_session_op ops))
+    (list_size (int_range 1 30) op)
+
+let prop_held_views_match_store =
+  QCheck.Test.make ~name:"held views = a fresh open of the store at their LSN" ~count:30 session_arb
+    (fun ops ->
+      let path = tmp_path () in
+      let db = Database.open_ path in
+      let held = ref [] in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter (fun (v, _) -> Database.close v) !held;
+          Database.close db;
+          cleanup path)
+        (fun () ->
+          let contexts, first =
+            Database.with_tx db (fun () ->
+                let cn = setup_adj db in
+                ignore (Database.define_class db "BNode" ~supers:[ "ANode" ] []);
+                Database.create_index db "ANode" "i";
+                cn)
+          in
+          let nodes = ref first and classes = ref [ "ANode"; "BNode" ] in
+          let node i = List.nth !nodes (i mod List.length !nodes) in
+          let nth l k = match l with [] -> None | l -> Some (List.nth l (k mod List.length l)) in
+          let attempt f = try f () with Database.Model_error _ | Meta.Schema_error _ -> () in
+          let rec apply = function
+            | S_create c ->
+                attempt (fun () ->
+                    let cls = List.nth !classes (c mod List.length !classes) in
+                    nodes := !nodes @ [ Database.create db cls [ ("i", V.VInt (List.length !nodes)) ] ])
+            | S_update (n, v) -> attempt (fun () -> Database.update db (node n) "i" (V.VInt v))
+            | S_link (r, a, b, c) ->
+                let context = if c = 0 then None else List.nth_opt contexts (c - 1) in
+                attempt (fun () ->
+                    ignore (Database.link db ?context adj_rels.(r) ~origin:(node a) ~destination:(node b)))
+            | S_unlink k ->
+                Option.iter
+                  (fun (e, _, _, _, _, _) -> attempt (fun () -> Database.unlink db e))
+                  (nth (mirror_rels db) k)
+            | S_retarget (k, a, b) ->
+                Option.iter
+                  (fun (e, _, _, _, _, _) ->
+                    attempt (fun () -> Database.retarget db e ~origin:(node a) ~destination:(node b) ()))
+                  (nth (mirror_rels db) k)
+            | S_delete n -> attempt (fun () -> Database.delete db (node n))
+            | S_synonym (a, b) -> attempt (fun () -> Database.declare_synonym db (node a) (node b))
+            | S_unsynonym k ->
+                Option.iter (Database.delete db) (nth (Database.extent_list db Database.synonym_class) k)
+            | S_define_class ->
+                let name = Printf.sprintf "Extra%d" (List.length !classes) in
+                attempt (fun () ->
+                    ignore (Database.define_class db name ~supers:[ "ANode" ] []);
+                    classes := !classes @ [ name ])
+            | S_index (on, k) ->
+                let cls = index_classes.(k) in
+                attempt (fun () ->
+                    if on then Database.create_index db cls "i" else Database.drop_index db cls "i")
+            | S_abort ops ->
+                Database.begin_tx db;
+                List.iter apply ops;
+                Database.abort db
+            | S_raise ops -> (
+                try
+                  Database.with_tx db (fun () ->
+                      List.iter apply ops;
+                      raise Exit)
+                with Exit -> ())
+            | S_group_rollback ops ->
+                let w = Database.Writer.start db in
+                Fun.protect
+                  ~finally:(fun () -> Database.Writer.stop w)
+                  (fun () ->
+                    match
+                      Database.Writer.submit w (fun _ ->
+                          List.iter apply ops;
+                          raise Exit)
+                    with
+                    | _ -> ()
+                    | exception Exit -> ())
+            | S_view ->
+                let expected = View_oracle.describe_records (View_oracle.dump (Database.store db)) in
+                let v = Database.snapshot db in
+                if Database.view_lsn v <> Pstore.Store.lsn (Database.store db) then
+                  QCheck.Test.fail_report "view LSN is not the store's";
+                held := !held @ [ (v, expected) ]
+            | S_clone -> (
+                match List.rev !held with
+                | [] -> ()
+                | (v, expected) :: _ -> held := !held @ [ (Database.snapshot_clone v, expected) ])
+            | S_release -> (
+                match !held with
+                | [] -> ()
+                | (v, _) :: rest ->
+                    Database.close v;
+                    held := rest)
+          in
+          List.for_all
+            (fun op ->
+              (match op with
+              | S_abort _ | S_raise _ | S_group_rollback _ | S_view | S_clone | S_release -> apply op
+              | _ -> Database.with_tx db (fun () -> apply op));
+              List.for_all (fun (v, expected) -> String.equal (View_oracle.describe v) expected) !held)
+            ops
+          && String.equal (View_oracle.describe db)
+               (View_oracle.describe_records (View_oracle.dump (Database.store db)))))
 
 (* ------------------------------------------------------------------ *)
 (* Transaction properties                                              *)
@@ -1432,5 +1620,6 @@ let () =
             prop_pool_where_filters; prop_pool_distinct_set_semantics; prop_pool_set_algebra;
             prop_pool_count_sum;
           ] );
-      ("transactions", [ QCheck_alcotest.to_alcotest prop_abort_is_identity ]);
+      ( "transactions",
+        List.map QCheck_alcotest.to_alcotest [ prop_abort_is_identity; prop_held_views_match_store ] );
     ]
